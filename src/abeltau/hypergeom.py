@@ -274,8 +274,9 @@ def elliptic_F(x: complex, k: complex) -> complex:
     """Incomplete elliptic integral F(x; k) = int_0^x dt / sqrt((1-t^2)(1-k^2 t^2)),
     sine-of-amplitude form, by quadrature along the straight path from 0.
 
-    x = +-1 (a branch point of the integrand) is supported through the
-    endpoint power fit; other branch points on the path are a domain error.
+    Real x within 1e-8 of +-1 (a branch point of the integrand, included) is
+    handled by an endpoint power fit; other branch points on the path are a
+    domain error.
     """
     x = complex(x)
     k = complex(k)
@@ -288,17 +289,19 @@ def elliptic_F(x: complex, k: complex) -> complex:
             raise DomainError(f"elliptic_F path hits branch point at t={t!r}")
         return 1.0 / cmath.sqrt(w)
 
-    if x == 1.0 or x == -1.0:
-        # integrand ~ c (x - t)^(-1/2) near t = x; integrate to x(1 - delta)
-        # and fit the clipped endpoint piece at two scales
-        delta = 1e-8
-        quad = contour_quadrature(integrand, [0.0, x * (1.0 - delta)], 1e-11)
-        p = x * delta
+    edge = 1.0 - 1e-8
+    gap = 1.0 - abs(x.real)   # exact for |x| >= 1/2, as is 1 - edge
+    if x.imag == 0 and 0 <= gap < 1.0 - edge:
+        # F is odd in x.  Near t = 1 the integrand is c s^(-1/2) * analytic in
+        # s = 1 - t: integrate to edge and fit the clipped pieces beyond edge
+        # and beyond |x| at two scales.  The fit takes s itself, because t
+        # carries s only to an absolute 1e-16.
+        def from_end(s: float) -> complex:
+            return 1.0 / cmath.sqrt(s * (2.0 - s) * (1.0 - k * k * (1.0 - s) ** 2))
 
-        def from_end(s: complex) -> complex:
-            return integrand(x - s)   # s = x - t, path length |p|
-
-        tail = _power_endpoint_tail(from_end, p, -0.5)
-        # d t = -d s, but the s-integral already runs 0..p in the x-direction
-        return quad + tail
+        value = contour_quadrature(integrand, [0.0, edge], 1e-11) \
+            + _power_endpoint_tail(from_end, 1.0 - edge, -0.5)
+        if gap > 0:
+            value -= _power_endpoint_tail(from_end, gap, -0.5)
+        return math.copysign(1.0, x.real) * value
     return contour_quadrature(integrand, [0.0, x], 1e-11)

@@ -8,6 +8,8 @@ Everything here is pure and reentrant; values are plain Python complex numbers
 from __future__ import annotations
 
 import cmath
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,7 +28,7 @@ __all__ = [
     "contour_quadrature",
 ]
 
-_MAX_QUAD_DEPTH = 60           # geometric grading toward endpoints, ratio 1/2
+_MAX_QUAD_DEPTH = 60           # bisections of one panel: caps grading into a singularity
 _MAX_QUAD_EVALS = 400_000
 
 
@@ -150,37 +152,48 @@ def contour_quadrature(
 ) -> complex:
     """Integrate f along a polyline to absolute accuracy ~tol.
 
-    Per segment: composite 16-point Gauss-Legendre with adaptive bisection.
-    Disagreement between a panel and its two halves drives refinement, so the
-    mesh grades geometrically (ratio 1/2, at most 60 levels) into integrable
-    endpoint singularities.  If the summed error bound still exceeds tol the
-    best estimate is surfaced inside an AccuracyError rather than returned.
+    Globally adaptive composite 16-point Gauss-Legendre (QUADPACK's QAG;
+    Piessens et al., 1983).  A panel's error estimate is the disagreement
+    between its 16-point value and the sum over its two halves.  The panels of
+    every segment share one heap, and the panel with the largest estimate is
+    bisected until the summed estimate is <= tol; a bisection reuses the
+    parent's halves as its children's coarse values.  A panel retires when its
+    estimate is at rounding level or it is 60 bisections deep, so the mesh
+    grades into integrable endpoint singularities without chasing rounding
+    noise.  If the summed error bound still exceeds tol once no panel is left
+    or the evaluation budget is spent, the best estimate is surfaced inside an
+    AccuracyError rather than returned.
     """
     if not isinstance(path, Polyline):
         path = Polyline(path)
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    total_len = path.length
     counter = [0]
+    order = itertools.count()   # heap tie-break: panels themselves do not compare
+    heap: list[tuple[float, int, complex, complex, complex, complex, complex, int]] = []
     value = 0.0 + 0.0j
     err_bound = 0.0
+
+    def add_panel(a: complex, b: complex, coarse: complex, depth: int) -> None:
+        nonlocal value, err_bound
+        mid = 0.5 * (a + b)
+        left = _gl16(f, a, mid, counter)
+        right = _gl16(f, mid, b, counter)
+        fine = left + right
+        est = abs(fine - coarse)
+        value += fine
+        err_bound += est
+        if est > 4e-16 * abs(fine) and depth < _MAX_QUAD_DEPTH:
+            heapq.heappush(heap, (-est, next(order), a, mid, b, left, right, depth))
+
     for a, b in path.segments():
-        seg_tol = tol * abs(b - a) / total_len
-        stack: list[tuple[complex, complex, float, int]] = [(a, b, seg_tol, 0)]
-        while stack:
-            pa, pb, ptol, depth = stack.pop()
-            coarse = _gl16(f, pa, pb, counter)
-            mid = 0.5 * (pa + pb)
-            fine = _gl16(f, pa, mid, counter) + _gl16(f, mid, pb, counter)
-            est = abs(fine - coarse)
-            converged = est <= max(ptol, 4e-16 * abs(fine))
-            out_of_budget = depth >= _MAX_QUAD_DEPTH or counter[0] > _MAX_QUAD_EVALS
-            if converged or out_of_budget:
-                value += fine
-                err_bound += est
-            else:
-                stack.append((pa, mid, ptol / 2, depth + 1))
-                stack.append((mid, pb, ptol / 2, depth + 1))
+        add_panel(a, b, _gl16(f, a, b, counter), 0)
+    while err_bound > tol and heap and counter[0] < _MAX_QUAD_EVALS:
+        neg_est, _, a, mid, b, left, right, depth = heapq.heappop(heap)
+        value -= left + right
+        err_bound += neg_est
+        add_panel(a, mid, left, depth + 1)
+        add_panel(mid, b, right, depth + 1)
     if err_bound > tol:
         raise AccuracyError(
             f"quadrature failed to reach tol={tol:g} (error bound {err_bound:.3g})",

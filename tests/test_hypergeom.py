@@ -4,7 +4,10 @@ identities against their quadrature oracle."""
 import cmath
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abeltau.errors import DomainError, DomainNotSupported
 from abeltau.hypergeom import (
@@ -113,6 +116,16 @@ class TestEllipticIntegrals:
     def test_incomplete_at_one_is_complete(self):
         k = 0.3
         assert abs(elliptic_F(1.0, k) - elliptic_K(k)) < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
+        k=st.one_of(st.floats(0.0, 0.95), st.floats(0.0, 2.0).map(lambda y: 1j * y)),
+    )
+    @example(x=1.0 - 2.0**-53, k=0.95)  # quadrature straight to x was 1.6e-9 off here
+    def test_incomplete_matches_mpmath(self, x, k):
+        ref = complex(mpmath.ellipf(mpmath.asin(x), mpmath.mpmathify(k) ** 2))
+        assert abs(elliptic_F(x, k) - ref) <= 1e-10 * (1.0 + abs(ref))
 
     def test_frozen_value_for_u0_cross_check(self):
         k = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))

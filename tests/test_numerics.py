@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from abeltau.errors import AccuracyError, DomainError
@@ -143,6 +144,24 @@ class TestContourQuadrature:
         whole = contour_quadrature(f, [0.0, 1.0, 1.0 + 1j], tol)
         parts = contour_quadrature(f, [0.0, 1.0], tol) + contour_quadrature(f, [1.0, 1.0 + 1j], tol)
         assert abs(whole - parts) <= 2.0 * tol
+
+    @pytest.mark.parametrize("k", [0.3, 0.95, 0.5j])
+    def test_endpoint_singularity_stays_far_below_budget(self, k):
+        # the quadrature elliptic_F(1, k) makes, clipped 1e-8 short of the
+        # t = 1 branch point; refinement that halves each panel's tolerance
+        # per level spends its whole 400 000-evaluation budget here
+        from abeltau.hypergeom import _power_endpoint_tail
+
+        evals = [0]
+
+        def f(t):
+            evals[0] += 1
+            return 1.0 / cmath.sqrt((1.0 - t * t) * (1.0 - k * k * t * t))
+
+        quad = contour_quadrature(f, [0.0, 1.0 - 1e-8], 1e-11)
+        assert evals[0] < 5000
+        tail = _power_endpoint_tail(lambda s: f(1.0 - s), 1e-8, -0.5)
+        assert abs(quad + tail - complex(mpmath.ellipk(k * k))) < 1e-10
 
     def test_accuracy_error_carries_estimate(self):
         f = lambda u: u**-0.5

@@ -1,11 +1,14 @@
 """Registry coverage and the command-line interface (eval / verify / grid)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import abeltau
 from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import DomainError
 from abeltau.registry import REGISTRY, RunConfig, run_identity, run_identity_at
@@ -140,9 +143,12 @@ class TestEval:
         assert main(["eval", "theta2", "0.005i"]) == 3
 
     def test_module_entrypoint(self):
+        # the child imports the same abeltau as this process, installed or not
+        package_root = str(Path(abeltau.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "abeltau", "eval", "theta3", "i"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.08643481121331+0i"
