@@ -63,7 +63,6 @@ from .uniform import (
     EQUIANHARMONIC_Z_EQUATION,
     LEMNISCATIC_CHI_EQUATION,
     SchwarzEquation,
-    VerificationReport,
     bracket_schwarzian,
     covering_map,
     eq5_equation,

@@ -294,7 +294,7 @@ def _cmd_grid(args) -> int:
     if name not in REGISTRY:
         print(f"unknown identity {name!r}", file=sys.stderr)
         return USAGE_EXIT
-    if REGISTRY[name].point_check is None:
+    if not REGISTRY[name].tau_grid:
         print(f"identity {name!r} has no tau-grid form", file=sys.stderr)
         return USAGE_EXIT
     try:

@@ -1,5 +1,5 @@
-"""The identity registry: one entry per verified identity, each tying a
-module operation pairing to a default grid and tolerance.
+"""The identity registry: one entry per verified identity, each a check run
+at every sample of a tau grid or of a fixed table.
 
 The registry is the coverage map of the verification suite; `verify`/`grid`
 in the CLI and the acceptance tests all drive it.  Identities whose printed
@@ -42,7 +42,6 @@ from .uniform import (
     CurvePoint,
     EQUIANHARMONIC_Z_EQUATION,
     LEMNISCATIC_CHI_EQUATION,
-    VerificationReport,
     covering_map,
     eq5_equation,
     equianharmonic_root_predicate,
@@ -89,7 +88,7 @@ U0_IM_DIGITS = 1.402182105325
 @dataclass
 class RunConfig:
     """Options shared by every registry run; overrides reference registered
-    identities only."""
+    identities only, and grid overrides only identities with a tau grid."""
 
     tolerances: dict[str, float] = field(default_factory=dict)
     grids: dict[str, tuple[complex, ...]] = field(default_factory=dict)
@@ -103,6 +102,9 @@ class RunConfig:
         for key in (*self.tolerances, *self.grids):
             if key not in REGISTRY:
                 raise DomainError(f"override references unknown identity {key!r}")
+        for key in self.grids:
+            if not REGISTRY[key].tau_grid:
+                raise DomainError(f"identity {key!r} has no tau grid to override")
         for v in self.tolerances.values():
             if not v > 0:
                 raise DomainError("tolerance overrides must be positive")
@@ -117,7 +119,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One line of the verification stream."""
+    """One line of the verification stream: one identity at one sample."""
 
     identity: str
     point: complex
@@ -151,15 +153,23 @@ def _jsonable(v):
     return v
 
 
+# check(sample, cfg, tol) -> (point, residual, tolerance, metadata)
+Check = Callable[[object, RunConfig, float], tuple[complex, float, float, dict]]
+
+
 @dataclass(frozen=True)
 class IdentityEntry:
+    """An identity as a check run at each of its samples.  The samples of a
+    tau-grid identity are tau points, which RunConfig.grids may replace;
+    those of any other identity are the rows of a fixed table."""
+
     name: str
     summary: str
     tolerance: float
+    check: Check
+    samples: tuple
+    tau_grid: bool = False
     informational: bool = False
-    default_grid: tuple[complex, ...] | None = None
-    point_check: Callable[[complex, RunConfig, float], VerificationReport] | None = None
-    fixed_check: Callable[[RunConfig, float], list[VerificationReport]] | None = None
 
 
 def _echo_config(cfg: RunConfig, extra: Mapping[str, object] | None = None) -> dict:
@@ -176,34 +186,33 @@ def _echo_config(cfg: RunConfig, extra: Mapping[str, object] | None = None) -> d
 
 
 # --------------------------------------------------------------------------
-# point checks (tau grids)
+# tau-grid checks
 
 def _check_jacobi_quartic(tau, cfg, tol):
     p = cfg.truncation
     t2, t3, t4 = theta2(tau, p) ** 4, theta3(tau, p) ** 4, theta4(tau, p) ** 4
-    residual = abs(t2 + t4 - t3) / abs(t3)
-    return VerificationReport.build("jacobi-quartic", tau, residual, tol, _echo_config(cfg))
+    return tau, abs(t2 + t4 - t3) / abs(t3), tol, {}
 
 
 def _check_eta_shift(tau, cfg, tol):
     p = cfg.truncation
     base = dedekind_eta(tau, p)
     residual = abs(dedekind_eta(tau + 1.0, p) - cmath.exp(1j * math.pi / 12.0) * base) / abs(base)
-    return VerificationReport.build("eta-shift", tau, residual, tol, _echo_config(cfg))
+    return tau, residual, tol, {}
 
 
 def _check_sqrt_ratio(tau, cfg, tol):
     p = cfg.truncation
     target = hauptmodul_hyperelliptic(tau, p)
-    residual = abs(sqrt_theta_ratio(tau, p) ** 2 - target) / abs(target)
-    return VerificationReport.build("sqrt-ratio", tau, residual, tol, _echo_config(cfg))
+    return tau, abs(sqrt_theta_ratio(tau, p) ** 2 - target) / abs(target), tol, {}
 
 
 def _schwarz_point_check(equation, candidate):
     def check(tau, cfg, tol):
-        report = schwarz_residual(equation, candidate, tau, cfg.stencil_for(tau), tol)
-        meta = _echo_config(cfg, report.metadata)
-        return VerificationReport.build(report.identity_id, tau, report.residual, tol, meta)
+        stencil = cfg.stencil_for(tau)
+        residual = schwarz_residual(equation, candidate, tau, stencil)
+        return tau, residual, tol, {"stencil_radius": stencil.radius,
+                                    "stencil_nodes": stencil.nodes}
     return check
 
 
@@ -226,118 +235,97 @@ def _check_u_derivative(tau, cfg, tol):
     root = sqrt_theta_ratio(tau, p) * cmath.sqrt(1.0 - z**4)
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
     per_m = {}
-    worst = 0.0
     for m in ms:
         (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s, p), tau, 1, stencil)
         rhs = 1j * z**m * z_prime / root
-        rel = abs(lhs - rhs) / abs(rhs)
-        per_m[f"m{m}"] = rel
-        worst = max(worst, rel)
-    meta = _echo_config(cfg, {"stencil_radius": stencil.radius,
-                              "stencil_nodes": stencil.nodes,
-                              "branch": "sqrt_theta_ratio", **per_m})
-    return VerificationReport.build("U-derivative", tau, worst, tol, meta)
+        per_m[f"m{m}"] = abs(lhs - rhs) / abs(rhs)
+    return tau, max(per_m.values()), tol, {"stencil_radius": stencil.radius,
+                                           "stencil_nodes": stencil.nodes,
+                                           "branch": "sqrt_theta_ratio", **per_m}
 
 
 # --------------------------------------------------------------------------
-# fixed checks
+# table checks; a row puts the point it is reported at first
 
-def _check_wp_diffeq(cfg, tol):
+def _wp_diffeq_rows():
     rng = random.Random(2024)
-    reports = []
+    rows = []
     for inv in (LEMNISCATIC, EQUIANHARMONIC):
         for _ in range(50):
             r = rng.uniform(0.15, 1.25)
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            u = r * cmath.exp(1j * phi)
-            p = wp(u, inv)
-            pp = wp_prime(u, inv)
-            residual = abs(pp * pp - (4.0 * p**3 - inv.g2 * p - inv.g3)) / (1.0 + abs(p) ** 3)
-            reports.append(VerificationReport.build(
-                "wp-diffeq", u, residual, tol,
-                _echo_config(cfg, {"invariants": inv.as_tuple}),
-            ))
-    return reports
+            rows.append((r * cmath.exp(1j * phi), inv))
+    return tuple(rows)
+
+
+def _check_wp_diffeq(row, cfg, tol):
+    u, inv = row
+    p = wp(u, inv)
+    pp = wp_prime(u, inv)
+    residual = abs(pp * pp - (4.0 * p**3 - inv.g2 * p - inv.g3)) / (1.0 + abs(p) ** 3)
+    return u, residual, tol, {"invariants": inv.as_tuple}
 
 
 _ROUNDTRIP_LEMN = (2, 3, 5, 10, 2j, 3j, -2 + 2j, 4 - 3j, 1.5 + 1.5j, 6 + 0.5j)
 _ROUNDTRIP_EQUI = (2, 3, 4, 10, 2j, 5j, -2 + 2j, 3 - 2j, 1.2 + 1.2j, 1.5)
 
 
-def _roundtrip_check(name, inverse, inv, points):
-    def check(cfg, tol):
-        reports = []
-        for x in points:
-            u = inverse(complex(x), cfg.truncation)
-            residual = abs(wp(u, inv) - x)
-            reports.append(VerificationReport.build(
-                name, complex(x), residual, tol,
-                _echo_config(cfg, {"u": u, "invariants": inv.as_tuple}),
-            ))
-        return reports
+def _roundtrip_check(inverse, inv):
+    def check(x, cfg, tol):
+        u = inverse(complex(x), cfg.truncation)
+        return x, abs(wp(u, inv) - x), tol, {"u": u, "invariants": inv.as_tuple}
     return check
 
 
-def _check_u0_digits(cfg, tol):
+def _check_u0_digits(_, cfg, tol):
     u0 = u0_constant()
     residual = max(abs(u0.imag - U0_IM_DIGITS), abs(u0.real))
-    return [VerificationReport.build(
-        "u0-digits", u0, residual, tol,
-        _echo_config(cfg, {"real_part_exact_zero": u0.real == 0.0}),
-    )]
+    return u0, residual, tol, {"real_part_exact_zero": u0.real == 0.0}
 
 
-def _check_u0_wp_zero(cfg, tol):
+def _check_u0_wp_zero(_, cfg, tol):
     u0 = u0_constant()
-    residual = abs(wp(u0, EQUIANHARMONIC))
-    return [VerificationReport.build("u0-wp-zero", u0, residual, tol, _echo_config(cfg))]
+    return u0, abs(wp(u0, EQUIANHARMONIC)), tol, {}
 
 
-def _check_u0_fk_conventions(cfg, tol):
-    """Convention search for the elliptic-integral expression of the P-zero
-    constant: i/(2*3^(1/4)) F(3^(1/4)(sqrt3 - 1), .) - 3^(-1/4) K(.) under the
-    four standard (modulus|parameter) x (sine|amplitude) readings.
+# The four standard (modulus|parameter) x (sine|amplitude) readings of
+# i/(2*3^(1/4)) F(3^(1/4)(sqrt3 - 1), .) - 3^(-1/4) K(.): (name, F argument,
+# F modulus, K modulus).
+_FK_X = 3.0 ** 0.25 * (math.sqrt(3.0) - 1.0)
+_FK_SECOND = (math.sqrt(6.0) + math.sqrt(2.0)) / 4.0
+_FK_K = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))
+_FK_CONVENTIONS = (
+    ("modulus-sine", _FK_X, _FK_SECOND, _FK_K),
+    ("modulus-amplitude", math.sin(_FK_X), _FK_SECOND, _FK_K),
+    ("parameter-sine", _FK_X, math.sqrt(_FK_SECOND), math.sqrt(_FK_K)),
+    ("parameter-amplitude", math.sin(_FK_X), math.sqrt(_FK_SECOND), math.sqrt(_FK_K)),
+)
+
+
+def _check_u0_fk_conventions(row, cfg, tol):
+    """One reading of the elliptic-integral expression of the P-zero
+    constant.
 
     Informational: none of the four reproduces u0 itself in these
     conventions; the modulus-sine reading lands on the rotated P-zero
     u0 e^(i pi/3) (same modulus, P vanishes there), which the metadata
     records.
     """
+    name, x, k_f, k_k = row
     u0 = u0_constant()
-    x_arg = 3.0 ** 0.25 * (math.sqrt(3.0) - 1.0)
-    second = (math.sqrt(6.0) + math.sqrt(2.0)) / 4.0
-    k_arg = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))
-    conventions = {
-        "modulus-sine": (elliptic_F(x_arg, second), elliptic_K(k_arg)),
-        "modulus-amplitude": (elliptic_F(math.sin(x_arg), second), elliptic_K(k_arg)),
-        "parameter-sine": (elliptic_F(x_arg, math.sqrt(second)), elliptic_K(math.sqrt(k_arg))),
-        "parameter-amplitude": (
-            elliptic_F(math.sin(x_arg), math.sqrt(second)),
-            elliptic_K(math.sqrt(k_arg)),
-        ),
+    cand = 1j / (2.0 * 3.0**0.25) * elliptic_F(x, k_f) - 3.0 ** -0.25 * elliptic_K(k_k)
+    residual = abs(cand - u0)
+    rotations = min(
+        min(abs(cand - u0 * cmath.exp(1j * math.pi * k / 3.0)),
+            abs(cand + u0 * cmath.exp(1j * math.pi * k / 3.0)))
+        for k in range(6)
+    )
+    return cand, residual, tol, {
+        "convention": name,
+        "wp_at_candidate": abs(wp(cand, EQUIANHARMONIC)),
+        "nearest_rotated_zero": rotations,
+        "matched_convention": name if residual <= tol else "none",
     }
-    reports = []
-    matched = "none"
-    for name, (f_val, k_val) in conventions.items():
-        cand = 1j / (2.0 * 3.0**0.25) * f_val - 3.0 ** -0.25 * k_val
-        residual = abs(cand - u0)
-        if residual <= tol:
-            matched = name
-        rotations = min(
-            min(abs(cand - u0 * cmath.exp(1j * math.pi * k / 3.0)),
-                abs(cand + u0 * cmath.exp(1j * math.pi * k / 3.0)))
-            for k in range(6)
-        )
-        reports.append(VerificationReport.build(
-            "u0-fk-conventions", cand, residual, tol,
-            _echo_config(cfg, {
-                "convention": name,
-                "wp_at_candidate": abs(wp(cand, EQUIANHARMONIC)),
-                "nearest_rotated_zero": rotations,
-                "matched_convention": matched,
-            }),
-        ))
-    return reports
 
 
 _EQ6_ROWS = (
@@ -364,81 +352,54 @@ _EQ12_ROWS = (
 )
 
 
-def _integral_table_check(name, rows):
-    def check(cfg, tol):
-        reports = []
-        for spec in rows:
-            value = incomplete_integral_2f1(spec, cfg.truncation)
-            oracle = oracle_incomplete_integral(spec, tol=1e-10)
-            residual = abs(value - oracle) / (1.0 + abs(value))
-            reports.append(VerificationReport.build(
-                name, spec.z, residual, tol,
-                _echo_config(cfg, {
-                    "alpha": spec.alpha, "beta": spec.beta,
-                    "n": spec.n, "base": spec.base, "value": value,
-                }),
-            ))
-        return reports
-    return check
+def _check_integral_row(spec, cfg, tol):
+    value = incomplete_integral_2f1(spec, cfg.truncation)
+    oracle = oracle_incomplete_integral(spec, tol=1e-10)
+    residual = abs(value - oracle) / (1.0 + abs(value))
+    return spec.z, residual, tol, {"alpha": spec.alpha, "beta": spec.beta,
+                                   "n": spec.n, "base": spec.base, "value": value}
 
 
 _COVER = CoverConstants.from_parameters(-1.0, 1j)
 _KP_EXPECT = (1.0 + math.sqrt(2.0)) / 2.0
 _KM_EXPECT = (1.0 - math.sqrt(2.0)) / 2.0
+_K_PM_ROW = (_COVER.A, _COVER.B)
 
 
-def _random_curve_points(count, seed):
+def _curve_rows(sign, count, seed):
+    """(x, y, sign) rows on w^2 = z^5 - z, kept 0.4 away from the special
+    points of the cover."""
     rng = random.Random(seed)
     special = (0.0, 1.0, -1.0, 1j, -1j, _COVER.A, _COVER.B)
-    points = []
-    while len(points) < count:
+    rows = []
+    while len(rows) < count:
         x = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
         if min(abs(x - s) for s in special) < 0.4:
             continue
-        y = cmath.sqrt(x**5 - x) * rng.choice((1.0, -1.0))
-        points.append((x, y))
-    return points
+        rows.append((x, cmath.sqrt(x**5 - x) * rng.choice((1.0, -1.0)), sign))
+    return tuple(rows)
 
 
-def _check_cover_cubic(cfg, tol):
-    reports = []
-    for sign in (1, -1):
-        inv = _COVER.quotient_invariants(sign)
-        for x, y in _random_curve_points(100, seed=7 if sign == 1 else 8):
-            P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
-            residual = abs(Pp * Pp - (4.0 * P**3 - inv.g2 * P - inv.g3))
-            reports.append(VerificationReport.build(
-                "cover-cubic", x, residual, tol,
-                _echo_config(cfg, {"sign": sign, "invariants": inv.as_tuple}),
-            ))
-    kp, km = k_pm(-1.0, 1j)
-    k_res = max(abs(kp - _KP_EXPECT), abs(km - _KM_EXPECT))
-    reports.append(VerificationReport.build(
-        "cover-cubic", -1.0, k_res, 1e-14,
-        _echo_config(cfg, {"check": "k_pm(-1, i) = (1 +- sqrt 2)/2"}),
-    ))
-    return reports
+def _check_cover_cubic(row, cfg, tol):
+    if row == _K_PM_ROW:
+        kp, km = k_pm(*row)
+        residual = max(abs(kp - _KP_EXPECT), abs(km - _KM_EXPECT))
+        return row[0], residual, 1e-14, {"check": "k_pm(-1, i) = (1 +- sqrt 2)/2"}
+    x, y, sign = row
+    inv = _COVER.quotient_invariants(sign)
+    P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
+    residual = abs(Pp * Pp - (4.0 * P**3 - inv.g2 * P - inv.g3))
+    return x, residual, tol, {"sign": sign, "invariants": inv.as_tuple}
 
 
-def _check_cover_factored(cfg, tol):
-    reports = []
-    for sign in (1, -1):
-        e1, e2, e3 = _COVER.branch(sign)[2]
-        for x, y in _random_curve_points(100, seed=9 if sign == 1 else 10):
-            P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
-            residual = abs(Pp * Pp - 4.0 * (P - e1) * (P - e2) * (P - e3))
-            reports.append(VerificationReport.build(
-                "cover-factored", x, residual, tol,
-                _echo_config(cfg, {"sign": sign}),
-            ))
-        # branch point x = 0 maps to the 2-torsion value e1 = -(k+1)/3
-        P0, Pp0 = covering_map(CurvePoint(0.0, 0.0, sign), _COVER)
-        residual = max(abs(Pp0), abs(P0 - e1))
-        reports.append(VerificationReport.build(
-            "cover-factored", 0.0, residual, 1e-10,
-            _echo_config(cfg, {"sign": sign, "check": "branch point x=0 -> e-root -(k+1)/3"}),
-        ))
-    return reports
+def _check_cover_factored(row, cfg, tol):
+    x, y, sign = row
+    e1, e2, e3 = _COVER.branch(sign)[2]
+    P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
+    if y == 0:  # the branch point x = 0 maps to the 2-torsion value e1 = -(k+1)/3
+        return x, max(abs(Pp), abs(P - e1)), 1e-10, {
+            "sign": sign, "check": "branch point x=0 -> e-root -(k+1)/3"}
+    return x, abs(Pp * Pp - 4.0 * (P - e1) * (P - e2) * (P - e3)), tol, {"sign": sign}
 
 
 def _newton_wp_inverse(target, inv, guess=None):
@@ -464,45 +425,38 @@ def _newton_wp_inverse(target, inv, guess=None):
     raise AbeltauError(f"local P inversion did not converge for target {target!r}")
 
 
-def _check_du_reduction(cfg, tol):
+_ARCS = ((1.8 + 0.4j, 0.12 * cmath.exp(0.3j), 1), (1.6 - 0.5j, 0.12 * cmath.exp(-0.2j), -1))
+
+
+def _check_du_reduction(row, cfg, tol):
     """Quadrature of du/dx along a short arc against the increment of u
     recovered by locally inverting P on the quotient curve."""
-    reports = []
-    arcs = {1: (1.8 + 0.4j, 0.12 * cmath.exp(0.3j)), -1: (1.6 - 0.5j, 0.12 * cmath.exp(-0.2j))}
-    for sign, (x0, dx) in arcs.items():
-        inv = _COVER.quotient_invariants(sign)
-        x1 = x0 + dx
+    x0, dx, sign = row
+    inv = _COVER.quotient_invariants(sign)
+    x1 = x0 + dx
 
-        def du_dx(x, _sign=sign):
-            y = cmath.sqrt(x**5 - x)  # principal branch stays continuous on the arc
-            return reduce_differential(CurvePoint(x, y, _sign), _COVER)
+    def du_dx(x):
+        y = cmath.sqrt(x**5 - x)  # principal branch stays continuous on the arc
+        return reduce_differential(CurvePoint(x, y, sign), _COVER)
 
-        delta_u = contour_quadrature(du_dx, [x0, x1], 1e-11)
-        P0, Pp0 = covering_map(CurvePoint(x0, cmath.sqrt(x0**5 - x0), sign), _COVER)
-        u0 = _newton_wp_inverse(P0, inv)
-        if abs(wp_prime(u0, inv) - Pp0) > abs(wp_prime(u0, inv) + Pp0):
-            u0 = -u0
-        P1, _ = covering_map(CurvePoint(x1, cmath.sqrt(x1**5 - x1), sign), _COVER)
-        u1 = _newton_wp_inverse(P1, inv, u0 + delta_u)
-        residual = abs((u1 - u0) - delta_u)
-        reports.append(VerificationReport.build(
-            "du-reduction", x0, residual, tol,
-            _echo_config(cfg, {"sign": sign, "arc": dx, "delta_u": delta_u}),
-        ))
-    return reports
+    delta_u = contour_quadrature(du_dx, [x0, x1], 1e-11)
+    P0, Pp0 = covering_map(CurvePoint(x0, cmath.sqrt(x0**5 - x0), sign), _COVER)
+    u0 = _newton_wp_inverse(P0, inv)
+    if abs(wp_prime(u0, inv) - Pp0) > abs(wp_prime(u0, inv) + Pp0):
+        u0 = -u0
+    P1, _ = covering_map(CurvePoint(x1, cmath.sqrt(x1**5 - x1), sign), _COVER)
+    u1 = _newton_wp_inverse(P1, inv, u0 + delta_u)
+    residual = abs((u1 - u0) - delta_u)
+    return x0, residual, tol, {"sign": sign, "arc": dx, "delta_u": delta_u}
 
 
-def _check_u_quadrature(cfg, tol):
-    tau = 1.5j
+def _check_u_quadrature(row, cfg, tol):
+    tau, m = row
     z = hauptmodul_hyperelliptic(tau, cfg.truncation)
-    value = u_hyperelliptic(0, tau, cfg.truncation)
-    spec = IncompleteIntegralSpec(0.5, 0.5, 4, z, "from_zero")
-    oracle = oracle_incomplete_integral(spec, tol=1e-10)
-    residual = abs(value - oracle)
-    return [VerificationReport.build(
-        "U-quadrature", tau, residual, tol,
-        _echo_config(cfg, {"m": 0, "z": z, "value": value}),
-    )]
+    value = u_hyperelliptic(m, tau, cfg.truncation)
+    oracle = oracle_incomplete_integral(IncompleteIntegralSpec(0.5, 0.5, 4, z, "from_zero"),
+                                        tol=1e-10)
+    return tau, abs(value - oracle), tol, {"m": m, "z": z, "value": value}
 
 
 def _curve_w(inv: EllipticInvariants, z: complex) -> complex:
@@ -518,119 +472,107 @@ def _branch_sign(inv, inverse, z1) -> float:
     return 1.0 if abs(w0 - w_expected) <= abs(-w0 - w_expected) else -1.0
 
 
-_II_SAMPLES = ((LEMNISCATIC, wp_inverse_lemniscatic, 3.0, 5.0),
-               (EQUIANHARMONIC, wp_inverse_equianharmonic, 2.5, 4.0))
+# (z1, z2, invariants, hypergeometric inverse of P)
+_II_SAMPLES = ((3.0, 5.0, LEMNISCATIC, wp_inverse_lemniscatic),
+               (2.5, 4.0, EQUIANHARMONIC, wp_inverse_equianharmonic))
 
 
-def _check_ii_oracle(cfg, tol):
-    reports = []
-    for inv, inverse, z1, z2 in _II_SAMPLES:
-        s = _branch_sign(inv, inverse, complex(z1))
-        quad = contour_quadrature(lambda z: z / (s * _curve_w(inv, z)), [z1, z2], 1e-11)
-        delta = integral_second_kind(z2, inv) - integral_second_kind(z1, inv)
-        residual = abs(delta - quad)
-        reports.append(VerificationReport.build(
-            "II-oracle", complex(z1), residual, tol,
-            _echo_config(cfg, {"invariants": inv.as_tuple, "path": [z1, z2],
-                               "w_branch_sign": s}),
-        ))
-    return reports
+def _check_ii_oracle(row, cfg, tol):
+    z1, z2, inv, inverse = row
+    s = _branch_sign(inv, inverse, complex(z1))
+    quad = contour_quadrature(lambda z: z / (s * _curve_w(inv, z)), [z1, z2], 1e-11)
+    delta = integral_second_kind(z2, inv) - integral_second_kind(z1, inv)
+    return z1, abs(delta - quad), tol, {"invariants": inv.as_tuple, "path": [z1, z2],
+                                        "w_branch_sign": s}
 
 
-_III_SAMPLES = ((LEMNISCATIC, wp_inverse_lemniscatic, 0.5, 3.0, 3.8),
-                (EQUIANHARMONIC, wp_inverse_equianharmonic, 0.6, 2.0, 2.5))
+# (z1, z2, alpha, invariants, hypergeometric inverse of P)
+_III_SAMPLES = ((3.0, 3.8, 0.5, LEMNISCATIC, wp_inverse_lemniscatic),
+                (2.0, 2.5, 0.6, EQUIANHARMONIC, wp_inverse_equianharmonic))
 
 
-def _check_iii_oracle(cfg, tol):
-    reports = []
-    for inv, inverse, alpha, z1, z2 in _III_SAMPLES:
-        pa = wp(alpha, inv)
-        ppa = wp_prime(alpha, inv)
-        s = _branch_sign(inv, inverse, complex(z1))
+def _check_iii_oracle(row, cfg, tol):
+    z1, z2, alpha, inv, inverse = row
+    pa = wp(alpha, inv)
+    ppa = wp_prime(alpha, inv)
+    s = _branch_sign(inv, inverse, complex(z1))
 
-        def integrand(z, _inv=inv, _s=s, _pa=pa, _ppa=ppa):
-            w = _s * _curve_w(_inv, z)
-            return 0.5 * (w + _ppa) / ((z - _pa) * w)
+    def integrand(z):
+        w = s * _curve_w(inv, z)
+        return 0.5 * (w + ppa) / ((z - pa) * w)
 
-        quad = contour_quadrature(integrand, [z1, z2], 1e-11)
-        param = ThirdKindParam(alpha)
-        delta = integral_third_kind(z2, param, inv) - integral_third_kind(z1, param, inv)
-        residual = abs(delta - quad)
-        reports.append(VerificationReport.build(
-            "III-oracle", complex(z1), residual, tol,
-            _echo_config(cfg, {"invariants": inv.as_tuple, "alpha": alpha,
-                               "path": [z1, z2], "w_branch_sign": s}),
-        ))
-    return reports
+    quad = contour_quadrature(integrand, [z1, z2], 1e-11)
+    param = ThirdKindParam(alpha)
+    delta = integral_third_kind(z2, param, inv) - integral_third_kind(z1, param, inv)
+    return z1, abs(delta - quad), tol, {"invariants": inv.as_tuple, "alpha": alpha,
+                                        "path": [z1, z2], "w_branch_sign": s}
 
 
 # --------------------------------------------------------------------------
 # registry
 
-def _entry(name, summary, tolerance, *, informational=False, grid=None,
-           point_check=None, fixed_check=None):
-    return IdentityEntry(name, summary, tolerance, informational, grid,
-                         point_check, fixed_check)
-
+_ONE_ROW = (None,)
 
 REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
-    _entry("jacobi-quartic", "theta2^4 + theta4^4 = theta3^4", 1e-12,
-           grid=(0.3j, 0.2 + 0.5j, 1j, -0.4 + 1.7j, 1 + 2j),
-           point_check=_check_jacobi_quartic),
-    _entry("eta-shift", "eta(tau+1) = e^(i pi/12) eta(tau)", 1e-12,
-           grid=(0.35j, 0.5 + 0.8j, -0.3 + 1.2j, 2.5j, 0.1 + 0.6j),
-           point_check=_check_eta_shift),
-    _entry("sqrt-ratio", "sqrt_theta_ratio(tau)^2 = theta2/theta3", 1e-12,
-           grid=(0.5j, 0.3 + 0.9j, -0.2 + 2.2j, 1.5j, 0.8j),
-           point_check=_check_sqrt_ratio),
-    _entry("schwarz-chi", "[chi,tau] = -(1/2)(chi^2+1)^2/(chi^3-chi)^2", 1e-8,
-           grid=(1.2j, 1.1j, 1.3j, 0.1 + 1.2j, -0.1 + 1.25j),
-           point_check=_schwarz_point_check(LEMNISCATIC_CHI_EQUATION, hauptmodul_lemniscatic)),
-    _entry("schwarz-z", "[z,tau] = -(1/2) z(z^3+8)/(z^3-1)^2", 1e-8,
-           grid=(0.5j, 0.55j, 0.6j, 0.05 + 0.55j, -0.05 + 0.6j),
-           point_check=_schwarz_point_check(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic)),
-    _entry("schwarz-u-lemn", "[u,tau] = -2 P(2u; 4,0) for the lemniscatic u(tau)", 1e-7,
-           grid=(1 + 0.8j, 1 + 0.9j, -1 + 0.85j, 1 + 0.75j, 0.98 + 0.8j),
-           point_check=_schwarz_point_check(_EQ5_LEMN, u_lemniscatic)),
-    _entry("schwarz-u-equi-root", "[u,tau] = -2 P(2u; 0,4), root form", 1e-7,
-           grid=(0.55j, 0.6j, 0.65j, 0.75j, 0.85j),
-           point_check=_schwarz_point_check(_EQ5_ROOT, u_equianharmonic_root)),
-    _entry("schwarz-u-equi-rootfree", "[u,tau] = -2 P(2u; 0,4), root-free form", 1e-7,
-           grid=(0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j),
-           point_check=_schwarz_point_check(_EQ5_ROOTFREE, u_equianharmonic_rootfree)),
-    _entry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 1e-9,
-           fixed_check=_check_wp_diffeq),
-    _entry("wp-roundtrip-lemn", "P(P^-1(x); 4,0) = x", 1e-9,
-           fixed_check=_roundtrip_check("wp-roundtrip-lemn", wp_inverse_lemniscatic,
-                                        LEMNISCATIC, _ROUNDTRIP_LEMN)),
-    _entry("wp-roundtrip-equi", "P(P^-1(z); 0,4) = z", 1e-9,
-           fixed_check=_roundtrip_check("wp-roundtrip-equi", wp_inverse_equianharmonic,
-                                        EQUIANHARMONIC, _ROUNDTRIP_EQUI)),
-    _entry("u0-digits", "u0 = i 1.402182105325..., real part exactly 0", 5e-12,
-           fixed_check=_check_u0_digits),
-    _entry("u0-wp-zero", "P(u0; 0,4) = 0", 1e-9, fixed_check=_check_u0_wp_zero),
-    _entry("u0-fk-conventions", "elliptic-integral form of u0, convention search", 1e-9,
-           informational=True, fixed_check=_check_u0_fk_conventions),
-    _entry("eq6-oracle", "from-zero incomplete integrals vs quadrature (n=1)", 1e-9,
-           fixed_check=_integral_table_check("eq6-oracle", _EQ6_ROWS)),
-    _entry("eq7-oracle", "from-infinity incomplete integrals vs quadrature (n=1)", 1e-9,
-           fixed_check=_integral_table_check("eq7-oracle", _EQ7_ROWS)),
-    _entry("eq12-oracle", "general-n incomplete integrals vs quadrature", 1e-9,
-           fixed_check=_integral_table_check("eq12-oracle", _EQ12_ROWS)),
-    _entry("cover-cubic", "cover satisfies P'^2 = 4P^3 - (5/3)P +- (7/27)sqrt2", 1e-9,
-           fixed_check=_check_cover_cubic),
-    _entry("cover-factored", "cover cubic in factored e-root form", 1e-9,
-           fixed_check=_check_cover_factored),
-    _entry("du-reduction", "du/dx quadrature matches local P inversion", 1e-7,
-           fixed_check=_check_du_reduction),
-    _entry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", 1e-6,
-           grid=(1.2j, 1.35j, 1.5j, 1.8j), point_check=_check_u_derivative),
-    _entry("U-quadrature", "U(0, tau) equals the direct path integral", 1e-8,
-           fixed_check=_check_u_quadrature),
-    _entry("II-oracle", "second-kind increments match quadrature", 1e-8,
-           fixed_check=_check_ii_oracle),
-    _entry("III-oracle", "third-kind increments match quadrature", 1e-8,
-           fixed_check=_check_iii_oracle),
+    IdentityEntry("jacobi-quartic", "theta2^4 + theta4^4 = theta3^4", 1e-12,
+                  _check_jacobi_quartic, (0.3j, 0.2 + 0.5j, 1j, -0.4 + 1.7j, 1 + 2j),
+                  tau_grid=True),
+    IdentityEntry("eta-shift", "eta(tau+1) = e^(i pi/12) eta(tau)", 1e-12,
+                  _check_eta_shift, (0.35j, 0.5 + 0.8j, -0.3 + 1.2j, 2.5j, 0.1 + 0.6j),
+                  tau_grid=True),
+    IdentityEntry("sqrt-ratio", "sqrt_theta_ratio(tau)^2 = theta2/theta3", 1e-12,
+                  _check_sqrt_ratio, (0.5j, 0.3 + 0.9j, -0.2 + 2.2j, 1.5j, 0.8j),
+                  tau_grid=True),
+    IdentityEntry("schwarz-chi", "[chi,tau] = -(1/2)(chi^2+1)^2/(chi^3-chi)^2", 1e-8,
+                  _schwarz_point_check(LEMNISCATIC_CHI_EQUATION, hauptmodul_lemniscatic),
+                  (1.2j, 1.1j, 1.3j, 0.1 + 1.2j, -0.1 + 1.25j), tau_grid=True),
+    IdentityEntry("schwarz-z", "[z,tau] = -(1/2) z(z^3+8)/(z^3-1)^2", 1e-8,
+                  _schwarz_point_check(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic),
+                  (0.5j, 0.55j, 0.6j, 0.05 + 0.55j, -0.05 + 0.6j), tau_grid=True),
+    IdentityEntry("schwarz-u-lemn", "[u,tau] = -2 P(2u; 4,0) for the lemniscatic u(tau)", 1e-7,
+                  _schwarz_point_check(_EQ5_LEMN, u_lemniscatic),
+                  (1 + 0.8j, 1 + 0.9j, -1 + 0.85j, 1 + 0.75j, 0.98 + 0.8j), tau_grid=True),
+    IdentityEntry("schwarz-u-equi-root", "[u,tau] = -2 P(2u; 0,4), root form", 1e-7,
+                  _schwarz_point_check(_EQ5_ROOT, u_equianharmonic_root),
+                  (0.55j, 0.6j, 0.65j, 0.75j, 0.85j), tau_grid=True),
+    IdentityEntry("schwarz-u-equi-rootfree", "[u,tau] = -2 P(2u; 0,4), root-free form", 1e-7,
+                  _schwarz_point_check(_EQ5_ROOTFREE, u_equianharmonic_rootfree),
+                  (0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j),
+                  tau_grid=True),
+    IdentityEntry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 1e-9,
+                  _check_wp_diffeq, _wp_diffeq_rows()),
+    IdentityEntry("wp-roundtrip-lemn", "P(P^-1(x); 4,0) = x", 1e-9,
+                  _roundtrip_check(wp_inverse_lemniscatic, LEMNISCATIC), _ROUNDTRIP_LEMN),
+    IdentityEntry("wp-roundtrip-equi", "P(P^-1(z); 0,4) = z", 1e-9,
+                  _roundtrip_check(wp_inverse_equianharmonic, EQUIANHARMONIC), _ROUNDTRIP_EQUI),
+    IdentityEntry("u0-digits", "u0 = i 1.402182105325..., real part exactly 0", 5e-12,
+                  _check_u0_digits, _ONE_ROW),
+    IdentityEntry("u0-wp-zero", "P(u0; 0,4) = 0", 1e-9, _check_u0_wp_zero, _ONE_ROW),
+    IdentityEntry("u0-fk-conventions", "elliptic-integral form of u0, convention search", 1e-9,
+                  _check_u0_fk_conventions, _FK_CONVENTIONS, informational=True),
+    IdentityEntry("eq6-oracle", "from-zero incomplete integrals vs quadrature (n=1)", 1e-9,
+                  _check_integral_row, _EQ6_ROWS),
+    IdentityEntry("eq7-oracle", "from-infinity incomplete integrals vs quadrature (n=1)", 1e-9,
+                  _check_integral_row, _EQ7_ROWS),
+    IdentityEntry("eq12-oracle", "general-n incomplete integrals vs quadrature", 1e-9,
+                  _check_integral_row, _EQ12_ROWS),
+    IdentityEntry("cover-cubic", "cover satisfies P'^2 = 4P^3 - (5/3)P +- (7/27)sqrt2", 1e-9,
+                  _check_cover_cubic,
+                  _curve_rows(1, 100, seed=7) + _curve_rows(-1, 100, seed=8) + (_K_PM_ROW,)),
+    IdentityEntry("cover-factored", "cover cubic in factored e-root form", 1e-9,
+                  _check_cover_factored,
+                  _curve_rows(1, 100, seed=9) + ((0.0, 0.0, 1),)
+                  + _curve_rows(-1, 100, seed=10) + ((0.0, 0.0, -1),)),
+    IdentityEntry("du-reduction", "du/dx quadrature matches local P inversion", 1e-7,
+                  _check_du_reduction, _ARCS),
+    IdentityEntry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", 1e-6,
+                  _check_u_derivative, (1.2j, 1.35j, 1.5j, 1.8j), tau_grid=True),
+    IdentityEntry("U-quadrature", "U(0, tau) equals the direct path integral", 1e-8,
+                  _check_u_quadrature, ((1.5j, 0),)),
+    IdentityEntry("II-oracle", "second-kind increments match quadrature", 1e-8,
+                  _check_ii_oracle, _II_SAMPLES),
+    IdentityEntry("III-oracle", "third-kind increments match quadrature", 1e-8,
+                  _check_iii_oracle, _III_SAMPLES),
 )}
 
 
@@ -638,51 +580,48 @@ def identity_names() -> tuple[str, ...]:
     return tuple(REGISTRY)
 
 
-def _status(entry: IdentityEntry, passed: bool) -> str:
-    if entry.informational:
-        return "informational"
-    return "pass" if passed else "fail"
+def _sample_point(sample) -> complex:
+    """Where a sample whose check raised is reported: the sample itself, the
+    first item of a table row, or an integral spec's z; else 0j."""
+    head = sample[0] if isinstance(sample, tuple) else getattr(sample, "z", sample)
+    return complex(head) if isinstance(head, (int, float, complex)) else 0j
+
+
+def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
+    """One record per sample, under one error policy: an out-of-domain
+    sample is skipped, any other package error fails that sample only, and a
+    residual that is not a finite nonnegative real fails even an
+    informational identity."""
+    tol = cfg.tolerances.get(entry.name, entry.tolerance)
+    try:
+        point, residual, tol, meta = entry.check(sample, cfg, tol)
+    except DomainNotSupported as exc:
+        return RunRecord(entry.name, _sample_point(sample), None, tol, "skipped",
+                         _echo_config(cfg, {"reason": str(exc)}))
+    except AbeltauError as exc:
+        return RunRecord(entry.name, _sample_point(sample), None, tol, "fail",
+                         _echo_config(cfg, {"error": f"{type(exc).__name__}: {exc}"}))
+    residual = float(residual)
+    if not 0.0 <= residual < math.inf:  # NaN fails this test too
+        status = "fail"
+    elif entry.informational:
+        status = "informational"
+    else:
+        status = "pass" if residual <= tol else "fail"
+    return RunRecord(entry.name, complex(point), residual, float(tol), status,
+                     _echo_config(cfg, meta))
 
 
 def run_identity_at(name: str, tau: complex, cfg: RunConfig) -> RunRecord:
-    """Evaluate one grid identity at one point; out-of-domain points are
-    reported as skipped."""
+    """Evaluate one tau-grid identity at one point."""
     entry = REGISTRY[name]
-    if entry.point_check is None:
+    if not entry.tau_grid:
         raise DomainError(f"identity {name!r} has no tau-grid form")
-    tol = cfg.tolerances.get(name, entry.tolerance)
-    try:
-        report = entry.point_check(tau, cfg, tol)
-    except DomainNotSupported as exc:
-        return RunRecord(name, complex(tau), None, tol, "skipped",
-                         _echo_config(cfg, {"reason": str(exc)}))
-    except AbeltauError as exc:
-        # an evaluation error at a user-supplied point is a check failure,
-        # not a crash of the whole stream
-        return RunRecord(name, complex(tau), None, tol, "fail",
-                         _echo_config(cfg, {"error": f"{type(exc).__name__}: {exc}"}))
-    return RunRecord(name, report.tau_or_point, report.residual, report.tolerance,
-                     _status(entry, report.passed), report.metadata)
+    return _run_sample(entry, tau, cfg)
 
 
 def run_identity(name: str, cfg: RunConfig) -> list[RunRecord]:
-    """Evaluate one identity over its (possibly overridden) grid or its
-    fixed sample table."""
+    """Evaluate one identity at each of its samples: its (possibly
+    overridden) tau grid or its fixed table."""
     entry = REGISTRY[name]
-    tol = cfg.tolerances.get(name, entry.tolerance)
-    records = []
-    if entry.point_check is not None:
-        grid = cfg.grids.get(name, entry.default_grid)
-        for tau in grid:
-            records.append(run_identity_at(name, tau, cfg))
-    else:
-        try:
-            reports = entry.fixed_check(cfg, tol)
-        except AbeltauError as exc:
-            return [RunRecord(name, 0j, None, tol, "fail",
-                              _echo_config(cfg, {"error": f"{type(exc).__name__}: {exc}"}))]
-        for report in reports:
-            records.append(RunRecord(name, report.tau_or_point, report.residual,
-                                     report.tolerance, _status(entry, report.passed),
-                                     report.metadata))
-    return records
+    return [_run_sample(entry, s, cfg) for s in cfg.grids.get(name, entry.samples)]

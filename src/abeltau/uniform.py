@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import CriticalPointError, DomainError, DomainNotSupported, PoleError
 from .hypergeom import _f21
@@ -32,7 +32,6 @@ __all__ = [
     "SchwarzEquation",
     "CurvePoint",
     "CoverConstants",
-    "VerificationReport",
     "LEMNISCATIC_CHI_EQUATION",
     "EQUIANHARMONIC_Z_EQUATION",
     "eq5_equation",
@@ -193,32 +192,6 @@ class CoverConstants:
         return EllipticInvariants(g2, g3)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """One identity checked at one sample point."""
-
-    identity_id: str
-    tau_or_point: complex
-    residual: float
-    tolerance: float
-    passed: bool
-    metadata: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise DomainError("tolerance must be positive")
-        if self.residual < 0 or not math.isfinite(self.residual):
-            raise DomainError("residual must be a finite nonnegative real")
-        if self.passed != (self.residual <= self.tolerance):
-            raise DomainError("passed flag must equal residual <= tolerance")
-
-    @classmethod
-    def build(cls, identity_id: str, point: complex, residual: float,
-              tolerance: float, metadata: Mapping[str, object] | None = None):
-        return cls(identity_id, complex(point), float(residual), float(tolerance),
-                   float(residual) <= float(tolerance), dict(metadata or {}))
-
-
 def schwarz_stencil(tau: complex, nodes: int = 64) -> DerivativeStencil:
     """Default Schwarzian stencil: radius min(1e-2, Im(tau)/10), keeping the
     sampling circle well inside the half-plane and the convergence regions of
@@ -325,9 +298,8 @@ def u_hyperelliptic(m: int, tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) 
 def schwarz_residual(eq: SchwarzEquation,
                      candidate: Callable[[complex], complex],
                      tau,
-                     stencil: DerivativeStencil | None = None,
-                     tolerance: float = 1e-7) -> VerificationReport:
-    """|[candidate, tau] - Q(candidate(tau))| packaged as a report.
+                     stencil: DerivativeStencil | None = None) -> float:
+    """|[candidate, tau] - Q(candidate(tau))|.
 
     The equation's convergence predicate gates the evaluation point; the
     stencil defaults to schwarz_stencil(tau).
@@ -338,11 +310,7 @@ def schwarz_residual(eq: SchwarzEquation,
     if stencil is None:
         stencil = schwarz_stencil(t)
     bracket = bracket_schwarzian(candidate, t, stencil)
-    residual = abs(bracket - eq.q_value(candidate(t)))
-    return VerificationReport.build(
-        eq.id, t, residual, tolerance,
-        metadata={"stencil_radius": stencil.radius, "stencil_nodes": stencil.nodes},
-    )
+    return abs(bracket - eq.q_value(candidate(t)))
 
 
 def covering_map(p: CurvePoint, c: CoverConstants) -> tuple[complex, complex]:

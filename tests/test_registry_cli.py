@@ -1,6 +1,8 @@
 """Registry coverage and the command-line interface (eval / verify / grid)."""
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,8 @@ import pytest
 
 import abeltau
 from abeltau.cli import format_complex, main, parse_complex
-from abeltau.errors import DomainError
-from abeltau.registry import REGISTRY, RunConfig, run_identity, run_identity_at
+from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
+from abeltau.registry import REGISTRY, IdentityEntry, RunConfig, run_identity, run_identity_at
 
 EXPECTED_IDENTITIES = {
     "jacobi-quartic", "eta-shift", "sqrt-ratio",
@@ -30,10 +32,12 @@ class TestRegistry:
         assert set(REGISTRY) == EXPECTED_IDENTITIES
 
     def test_every_entry_has_one_runner(self):
+        checks = [f.name for f in dataclasses.fields(IdentityEntry) if "check" in f.name]
+        assert checks == ["check"]
         for entry in REGISTRY.values():
-            assert (entry.point_check is None) != (entry.fixed_check is None)
-            if entry.point_check is not None:
-                assert entry.default_grid, entry.name
+            assert callable(entry.check) and entry.samples, entry.name
+            if entry.tau_grid:
+                assert all(complex(t).imag > 0 for t in entry.samples), entry.name
 
     def test_integral_table_has_at_least_twelve_rows(self):
         cfg = RunConfig()
@@ -48,6 +52,9 @@ class TestRegistry:
         with pytest.raises(DomainError):
             cfg.validate()
         cfg = RunConfig(output="yaml")
+        with pytest.raises(DomainError):
+            cfg.validate()
+        cfg = RunConfig(grids={"u0-digits": (1j,)})  # a table has no tau grid
         with pytest.raises(DomainError):
             cfg.validate()
 
@@ -70,6 +77,44 @@ class TestRegistry:
         assert sine.metadata["wp_at_candidate"] < 1e-7
 
 
+class TestRunRecord:
+    """The one record type and its one error policy."""
+
+    @staticmethod
+    def _statuses(monkeypatch, residuals, informational=False):
+        entry = IdentityEntry("stub", "residuals as given", 0.5,
+                              lambda r, cfg, tol: (0j, r, tol, {}), tuple(residuals),
+                              informational=informational)
+        monkeypatch.setitem(REGISTRY, entry.name, entry)
+        return [r.status for r in run_identity(entry.name, RunConfig())]
+
+    def test_status_follows_residual_within_tolerance(self, monkeypatch):
+        assert self._statuses(monkeypatch, (0.1, 0.5, 1.0)) == ["pass", "pass", "fail"]
+        assert self._statuses(monkeypatch, (0.1, 1.0), True) == ["informational"] * 2
+
+    def test_invalid_residual_fails(self, monkeypatch):
+        bad = (math.nan, -1e-3, math.inf)
+        assert self._statuses(monkeypatch, bad) == ["fail"] * 3
+        assert self._statuses(monkeypatch, bad, True) == ["fail"] * 3
+
+    def test_raising_table_row_fails_only_that_row(self, monkeypatch):
+        entry = REGISTRY["eq6-oracle"]
+        raising = {entry.samples[0]: DomainNotSupported("outside"),
+                   entry.samples[1]: AccuracyError("budget spent")}
+
+        def check(spec, cfg, tol):
+            if spec in raising:
+                raise raising[spec]
+            return entry.check(spec, cfg, tol)
+
+        monkeypatch.setitem(REGISTRY, entry.name, dataclasses.replace(entry, check=check))
+        recs = run_identity(entry.name, RunConfig())
+        assert [r.status for r in recs] == ["skipped", "fail", "pass"]
+        assert [r.point for r in recs] == [spec.z for spec in entry.samples]
+        assert recs[1].residual is None
+        assert recs[1].metadata["error"] == "AccuracyError: budget spent"
+
+
 class TestConcurrency:
     def test_pure_functions_thread_safe(self):
         # everything is immutable after construction; a concurrent sweep must
@@ -77,7 +122,7 @@ class TestConcurrency:
         from concurrent.futures import ThreadPoolExecutor
 
         cfg = RunConfig()
-        grid = REGISTRY["schwarz-chi"].default_grid
+        grid = REGISTRY["schwarz-chi"].samples
         sequential = [run_identity_at("schwarz-chi", t, cfg) for t in grid]
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = list(pool.map(lambda t: run_identity_at("schwarz-chi", t, cfg), grid))
@@ -210,6 +255,8 @@ class TestVerify:
         assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 2
         cfg.write_text("unknown-id.tolerance = 1e-8\n")
         assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 2
+        cfg.write_text("grid.u0-digits = 1i\n")
+        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
 
     def test_stencil_flags(self, capsys):
         assert main(["verify", "schwarz-chi", "--stencil-radius", "0.02",
