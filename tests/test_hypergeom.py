@@ -120,12 +120,24 @@ class TestEllipticIntegrals:
     @settings(max_examples=200, deadline=None)
     @given(
         x=st.one_of(st.sampled_from([1.0, -1.0]), st.floats(-1.0, 1.0)),
-        k=st.one_of(st.floats(0.0, 0.95), st.floats(0.0, 2.0).map(lambda y: 1j * y)),
+        k=st.one_of(st.floats(0.0, 0.95), st.floats(0.0, 2.0).map(lambda y: 1j * y),
+                    st.floats(0.95, 1.0 - 1e-9)),
     )
     @example(x=1.0 - 2.0**-53, k=0.95)  # quadrature straight to x was 1.6e-9 off here
+    @example(x=1.0, k=1.0 - 1e-7)  # the endpoint fit was 2e-4 off here
+    @example(x=-1.0, k=1.0 - 1e-9)
+    # the principal root of the integrand's product jumps along this path
+    @example(x=1.9 + 0.1j, k=-0.3 - 0.8j)
     def test_incomplete_matches_mpmath(self, x, k):
         ref = complex(mpmath.ellipf(mpmath.asin(x), mpmath.mpmathify(k) ** 2))
         assert abs(elliptic_F(x, k) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("x", [1.0, -1.0])
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_divergent_endpoint_raises(self, x, k):
+        # F(+-1; +-1) diverges: both branch points of the integrand meet at t = x
+        with pytest.raises(DomainError):
+            elliptic_F(x, k)
 
     def test_frozen_value_for_u0_cross_check(self):
         k = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))
