@@ -296,7 +296,7 @@ def _carlson_rf(x: complex, y: complex, z: complex) -> complex:
         lam = sx * sy + sy * sz + sz * sx
         x, y, z, a = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam), 0.25 * (a + lam)
         scale *= 0.25
-    raise AccuracyError(f"R_F duplication did not converge at ({x0!r}, {y0!r}, {z!r})")
+    raise AccuracyError("R_F duplication did not converge (non-finite argument)")
 
 
 def elliptic_F(x: complex, k: complex) -> complex:

@@ -103,8 +103,7 @@ class RunConfig:
             if key not in REGISTRY:
                 raise DomainError(f"override references unknown identity {key!r}")
         for key in self.grids:
-            if not REGISTRY[key].tau_grid:
-                raise DomainError(f"identity {key!r} has no tau grid to override")
+            self.samples_for(REGISTRY[key])
         for v in self.tolerances.values():
             if not v > 0:
                 raise DomainError("tolerance overrides must be positive")
@@ -115,6 +114,13 @@ class RunConfig:
 
     def stencil_for(self, tau: complex) -> DerivativeStencil:
         return self.stencil if self.stencil is not None else schwarz_stencil(tau)
+
+    def samples_for(self, entry: IdentityEntry) -> tuple:
+        if entry.name not in self.grids:
+            return entry.samples
+        if not entry.tau_grid:
+            raise DomainError(f"identity {entry.name!r} has no tau grid to override")
+        return self.grids[entry.name]
 
 
 @dataclass(frozen=True)
@@ -624,4 +630,4 @@ def run_identity(name: str, cfg: RunConfig) -> list[RunRecord]:
     """Evaluate one identity at each of its samples: its (possibly
     overridden) tau grid or its fixed table."""
     entry = REGISTRY[name]
-    return [_run_sample(entry, s, cfg) for s in cfg.grids.get(name, entry.samples)]
+    return [_run_sample(entry, s, cfg) for s in cfg.samples_for(entry)]

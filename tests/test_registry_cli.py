@@ -57,6 +57,8 @@ class TestRegistry:
         cfg = RunConfig(grids={"u0-digits": (1j,)})  # a table has no tau grid
         with pytest.raises(DomainError):
             cfg.validate()
+        with pytest.raises(DomainError):
+            run_identity("u0-digits", cfg)
 
     def test_grid_override_and_skip(self):
         cfg = RunConfig(grids={"schwarz-u-lemn": (2j,)})
