@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 _SERIES_DISK = 0.95
-_ORACLE_ENDPOINT_OFFSET = 1e-8
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -142,21 +141,6 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec,
         * _f21(b, b - a / n, b - a / n + 1.0, arg, policy)
 
 
-def _power_endpoint_tail(f, p: complex, exponent: complex) -> complex:
-    """int_0^p of f along the ray to p, where f(u) ~ u^exponent * analytic.
-
-    Two-scale fit: samples at p and p/2 determine the first two Taylor
-    coefficients of the analytic factor, which integrate in closed form.
-    Residual error is O(|p|^(Re exponent + 3)).
-    """
-    a0 = complex(exponent)
-    fa = f(p) * principal_power(p, -a0)
-    fb = f(0.5 * p) * principal_power(0.5 * p, -a0)
-    g0 = 2.0 * fb - fa
-    g1_p = 2.0 * (fa - fb)  # g'(0) * p
-    return principal_power(p, a0 + 1.0) * (g0 / (a0 + 1.0) + g1_p / (a0 + 2.0))
-
-
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
                                path: Polyline | None = None,
                                tol: float = 1e-10) -> complex:
@@ -164,10 +148,11 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
 
     from_zero integrates u^(alpha-1) e^(i pi beta) (1-u^n)^(-beta) from 0 to
     z; from_infinity substitutes u -> 1/v and integrates v^(n beta - alpha - 1)
-    (1-v^n)^(-beta) from 0 to 1/z (with an overall minus sign).  A base-point
-    power singularity with Re(exponent) in (-1, 0) is handled by starting the
-    path a small offset away and adding a Richardson-style local power fit
-    for the clipped piece.
+    (1-v^n)^(-beta) from 0 to 1/z (with an overall minus sign).  Both
+    integrate c u^e (1-u^n)^(-beta) from the base point 0 itself: on the first
+    segment [0, v1], u = v1 w^(1/g) with g = 1 + Re(e) turns u^e du into the
+    bounded (v1^(e+1)/g) w^(i Im(e)/g) dw on w in [0, 1], so the tanh-sinh
+    quadrature stays accurate as Re(e) nears -1.
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
@@ -177,36 +162,34 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     if spec.base == "from_zero":
         exponent = a - 1.0
         target = spec.z
-        phase = cmath.exp(1j * math.pi * b)
-
-        def integrand(u: complex) -> complex:
-            return phase * principal_power(u, exponent) \
-                * principal_power(1.0 - u**n, -b)
-
-        outer_sign = 1.0
+        coeff = cmath.exp(1j * math.pi * b)
     else:
         exponent = n * b - a - 1.0
         target = 1.0 / spec.z
+        coeff = -1.0
 
-        def integrand(v: complex) -> complex:
-            return principal_power(v, exponent) * principal_power(1.0 - v**n, -b)
-
-        outer_sign = -1.0
-
-    vertices = list(path.vertices) if path is not None else [0.0 + 0.0j, target]
+    vertices = path.vertices if path is not None else (0.0 + 0.0j, target)
     if vertices[0] != 0:
         raise DomainError("oracle path must start at the integral's base point 0")
 
-    tail = 0.0 + 0.0j
-    if exponent.real < 0:
-        if exponent.real <= -1:
-            raise DomainError("endpoint exponent must be integrable (> -1)")
-        direction = vertices[1] - vertices[0]
-        p = _ORACLE_ENDPOINT_OFFSET * direction / abs(direction)
-        tail = _power_endpoint_tail(integrand, p, exponent)
-        vertices[0] = p
-    quad = contour_quadrature(integrand, Polyline(vertices), tol)
-    return outer_sign * (tail + quad)
+    def regular(u: complex) -> complex:
+        return principal_power(1.0 - u**n, -b)
+
+    def integrand(u: complex) -> complex:
+        return principal_power(u, exponent) * regular(u)
+
+    v1 = vertices[1]
+    g = 1.0 + exponent.real
+    scale = principal_power(v1, exponent + 1.0) / g
+    spin = 1j * exponent.imag / g
+
+    def mapped(w: complex) -> complex:
+        return scale * principal_power(w, spin) * regular(v1 * principal_power(w, 1.0 / g))
+
+    value = contour_quadrature(mapped, (0.0, 1.0), tol)
+    if len(vertices) > 2:
+        value += contour_quadrature(integrand, vertices[1:], tol)
+    return coeff * value
 
 
 # Lanczos approximation, g = 7, 9 coefficients: ~15 correct digits on the

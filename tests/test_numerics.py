@@ -147,29 +147,30 @@ class TestContourQuadrature:
 
     @pytest.mark.parametrize("k", [0.3, 0.95, 0.5j])
     def test_endpoint_singularity_stays_far_below_budget(self, k):
-        # the quadrature elliptic_F(1, k) makes, clipped 1e-8 short of the
-        # t = 1 branch point; refinement that halves each panel's tolerance
-        # per level spends its whole 400 000-evaluation budget here
-        from abeltau.hypergeom import _power_endpoint_tail
-
+        # K(k) = int_0^1 dt / sqrt((1-t^2)(1-k^2 t^2)), written in s = 1 - t so
+        # that the s^(-1/2) branch point sits at 0, where doubles resolve the
+        # distance to it; no clip and no endpoint fit
         evals = [0]
 
-        def f(t):
+        def f(s):
             evals[0] += 1
-            return 1.0 / cmath.sqrt((1.0 - t * t) * (1.0 - k * k * t * t))
+            return 1.0 / cmath.sqrt(s * (2.0 - s) * (1.0 - k * k * (1.0 - s) ** 2))
 
-        quad = contour_quadrature(f, [0.0, 1.0 - 1e-8], 1e-11)
+        quad = contour_quadrature(f, [0.0, 1.0], 1e-11)
         assert evals[0] < 5000
-        tail = _power_endpoint_tail(lambda s: f(1.0 - s), 1e-8, -0.5)
-        assert abs(quad + tail - complex(mpmath.ellipk(k * k))) < 1e-10
+        with mpmath.workdps(40):
+            ref = complex(mpmath.ellipk(mpmath.mpmathify(k) ** 2))
+        assert abs(quad - ref) < 1e-10
 
     def test_accuracy_error_carries_estimate(self):
-        f = lambda u: u**-0.5
+        # an interior singularity: the nodes cluster at the ends, not at 1/3
+        f = lambda u: abs(u - 1.0 / 3.0) ** -0.5
+        exact = 2.0 * math.sqrt(1.0 / 3.0) + 2.0 * math.sqrt(2.0 / 3.0)
         with pytest.raises(AccuracyError) as err:
-            contour_quadrature(f, [1e-300, 1.0], 1e-14)
-        assert err.value.estimate is not None
-        assert abs(err.value.estimate - 2.0) < 1e-5
-        assert err.value.error_bound > 1e-14
+            contour_quadrature(f, [0.0, 1.0], 1e-12)
+        assert cmath.isfinite(err.value.estimate)
+        assert abs(err.value.estimate - exact) < 1e-2
+        assert err.value.error_bound > 1e-12
 
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
