@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 from .errors import AbeltauError, AccuracyError, DomainError
@@ -22,7 +23,6 @@ from .hypergeom import (
     gauss_2f1,
 )
 from .modular import (
-    TruncationPolicy,
     dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -32,7 +32,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .numerics import DerivativeStencil
+from .numerics import DEFAULT_STENCIL
 from .registry import REGISTRY, RunConfig, RunRecord, run_identity, run_identity_at
 from .uniform import (
     u_equianharmonic_root,
@@ -176,15 +176,13 @@ def _read_config_file(path: str, cfg: RunConfig) -> None:
                 points = tuple(parse_complex(v) for v in value.split(",") if v.strip())
                 cfg.grids[key[len("grid."):]] = points
             elif key == "truncation.rel_tol":
-                cfg.truncation = TruncationPolicy(float(value), cfg.truncation.max_terms)
+                cfg.truncation = replace(cfg.truncation, rel_tol=float(value))
             elif key == "truncation.max_terms":
-                cfg.truncation = TruncationPolicy(cfg.truncation.rel_tol, int(value))
+                cfg.truncation = replace(cfg.truncation, max_terms=int(value))
             elif key == "stencil.radius":
-                nodes = cfg.stencil.nodes if cfg.stencil else 64
-                cfg.stencil = DerivativeStencil(float(value), nodes)
+                cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, radius=float(value))
             elif key == "stencil.nodes":
-                radius = cfg.stencil.radius if cfg.stencil else 1e-2
-                cfg.stencil = DerivativeStencil(radius, int(value))
+                cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, nodes=int(value))
             elif key == "output":
                 cfg.output = value
             else:
@@ -201,13 +199,11 @@ def _config_from_args(args, selected_ids: Sequence[str]) -> RunConfig:
         for name in selected_ids:
             cfg.tolerances[name] = args.tol
     if args.max_terms is not None:
-        cfg.truncation = TruncationPolicy(cfg.truncation.rel_tol, args.max_terms)
-    if args.stencil_radius is not None or args.stencil_nodes is not None:
-        radius = args.stencil_radius if args.stencil_radius is not None else (
-            cfg.stencil.radius if cfg.stencil else 1e-2)
-        nodes = args.stencil_nodes if args.stencil_nodes is not None else (
-            cfg.stencil.nodes if cfg.stencil else 64)
-        cfg.stencil = DerivativeStencil(radius, nodes)
+        cfg.truncation = replace(cfg.truncation, max_terms=args.max_terms)
+    if args.stencil_radius is not None:
+        cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, radius=args.stencil_radius)
+    if args.stencil_nodes is not None:
+        cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, nodes=args.stencil_nodes)
     cfg.m_filter = args.m
     cfg.report_path = args.report
     cfg.validate()

@@ -165,7 +165,8 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         coeff = cmath.exp(1j * math.pi * b)
     else:
         exponent = n * b - a - 1.0
-        target = 1.0 / spec.z
+        m = abs(spec.z) ** 2  # by components: 1.0 / z drops the sign of a zero Im(z)
+        target = complex(spec.z.real / m, -spec.z.imag / m)
         coeff = -1.0
 
     vertices = path.vertices if path is not None else (0.0 + 0.0j, target)

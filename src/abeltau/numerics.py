@@ -11,11 +11,10 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import AccuracyError, DomainError
 
@@ -101,6 +100,13 @@ def principal_power(z: complex, a: complex) -> complex:
     return ensure_finite(cmath.exp(a * cmath.log(z)), "principal_power result")
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_roots(n: int, k: int) -> tuple[complex, ...]:
+    """w^(jk), j = 0..n-1, with w = e^(2 pi i / n): the stencil nodes at k = 1,
+    and at k = -m the Fourier row w^(-jm) of the Taylor coefficient c_m."""
+    return tuple(cmath.exp(2j * math.pi * (j * k % n) / n) for j in range(n))
+
+
 def holomorphic_derivatives(
     f: Callable[[complex], complex],
     z0: complex,
@@ -110,24 +116,24 @@ def holomorphic_derivatives(
     """Derivatives f'(z0) ... f^(order)(z0) by trapezoidal Cauchy integrals.
 
     f must be holomorphic on the closed stencil disk; the trapezoid rule on
-    the circle then converges geometrically in the node count.
+    the circle then converges geometrically in the node count.  Only the
+    Taylor coefficients returned are computed, each as a plain discrete
+    Fourier sum c_k = (1/n) sum_j f(z0 + r w^j) w^(-jk).  One sample is
+    subtracted from all first: c_k for k >= 1 ignores a constant, and this
+    keeps |f(z0)| out of the rounding.
     """
     if not isinstance(order, int) or not (1 <= order <= 4):
         raise DomainError(f"derivative order must be an integer in 1..4, got {order}")
     z0 = complex(z0)
     n = stencil.nodes
     r = stencil.radius
-    samples = np.empty(n, dtype=complex)
-    for j in range(n):
-        zj = z0 + r * cmath.exp(2j * math.pi * j / n)
-        samples[j] = ensure_finite(f(zj), f"sample of f at {zj!r}")
-    coeffs = np.fft.fft(samples) / n
-    out = []
-    fact = 1.0
-    for k in range(1, order + 1):
-        fact *= k
-        out.append(complex(coeffs[k]) * fact / r**k)
-    return tuple(out)
+    samples = []
+    for w in _unit_roots(n, 1):
+        zj = z0 + r * w
+        samples.append(ensure_finite(f(zj), f"sample of f at {zj!r}"))
+    samples = [s - samples[0] for s in samples]
+    return tuple(sum(map(operator.mul, samples, _unit_roots(n, -k)))
+                 * math.factorial(k) / (n * r**k) for k in range(1, order + 1))
 
 
 # Tanh-sinh nodes t = k h, |t| <= 6, for the abscissa x = tanh((pi/2) sinh t)

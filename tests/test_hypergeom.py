@@ -250,6 +250,15 @@ class TestIncompleteIntegrals:
         ref = incomplete_integral_2f1(spec)
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
 
+    @pytest.mark.parametrize("alpha, n", [(0.5, 2), (0.3, 1)])
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_oracle_keeps_the_sign_of_a_zero_imaginary_part(self, alpha, n, imag):
+        # z = -2 -0i lies on the cut with argument -pi; 1/z must get argument
+        # +pi, which plain complex division loses
+        spec = IncompleteIntegralSpec(alpha, 0.5, n, complex(-2.0, imag), "from_infinity")
+        ref = incomplete_integral_2f1(spec)
+        assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
+
     def test_oracle_sample_count_on_eq12_rows(self, monkeypatch):
         # a cost guard: these rows take 56-109 samples each from the base point
         evals = [0]

@@ -3,10 +3,14 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import abeltau
 from abeltau.errors import AccuracyError, DomainError
 from abeltau.numerics import (
     DerivativeStencil,
@@ -78,9 +82,10 @@ class TestHolomorphicDerivatives:
         for d, e in zip(ds, expected):
             assert abs(d - e) < 1e-10 * abs(e)
 
-    def test_polynomials_reproduced_to_1e12_relative(self):
+    @pytest.mark.parametrize("nodes", [16, 64, 256])
+    def test_polynomials_reproduced_to_1e12_relative(self, nodes):
         rng = random.Random(17)
-        stencil = DerivativeStencil(radius=1.0)
+        stencil = DerivativeStencil(radius=1.0, nodes=nodes)
         for _ in range(20):
             coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(5)]
             z0 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -110,6 +115,21 @@ class TestHolomorphicDerivatives:
     def test_nonfinite_sample_surfaces(self):
         with pytest.raises(AccuracyError):
             holomorphic_derivatives(lambda z: complex(float("inf"), 0.0), 0.0, 1)
+
+
+def test_package_imports_no_numpy():
+    # a fresh isolated interpreter: only the directory holding abeltau is added
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import abeltau\n"
+        "r = abeltau.schwarz_residual(abeltau.LEMNISCATIC_CHI_EQUATION,"
+        " abeltau.hauptmodul_lemniscatic, 1.1j)\n"
+        "assert r <= 1e-8, r\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    package_root = str(Path(abeltau.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPolyline:

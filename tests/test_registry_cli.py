@@ -260,12 +260,22 @@ class TestVerify:
         cfg.write_text("grid.u0-digits = 1i\n")
         assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
 
-    def test_stencil_flags(self, capsys):
+    def test_stencil_flags(self, tmp_path, capsys):
         assert main(["verify", "schwarz-chi", "--stencil-radius", "0.02",
                      "--output", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[:-1]
         for line in lines:
             assert json.loads(line)["metadata"]["stencil_radius"] == 0.02
+        # the flag overrides the radius and keeps the config file's node count
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stencil.nodes = 128\n")
+        assert main(["verify", "schwarz-chi", "--config", str(cfg),
+                     "--stencil-radius", "0.02", "--output", "json"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[:-1]
+        assert lines
+        for line in lines:
+            meta = json.loads(line)["metadata"]
+            assert (meta["stencil_radius"], meta["stencil_nodes"]) == (0.02, 128)
 
 
 class TestGrid:
