@@ -11,17 +11,13 @@ from .errors import (
     PoleError,
 )
 from .numerics import (
-    DEFAULT_STENCIL,
-    DerivativeStencil,
     Polyline,
     contour_quadrature,
     holomorphic_derivatives,
     principal_power,
 )
 from .modular import (
-    DEFAULT_TRUNCATION,
     TauPoint,
-    TruncationPolicy,
     dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -69,7 +65,6 @@ from .uniform import (
     k_pm,
     reduce_differential,
     schwarz_residual,
-    schwarz_stencil,
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
     u_hyperelliptic,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .errors import AbeltauError, AccuracyError, DomainError
@@ -32,7 +31,6 @@ from .modular import (
     theta3,
     theta4,
 )
-from .numerics import DEFAULT_STENCIL
 from .registry import REGISTRY, RunConfig, RunRecord, run_identity, run_identity_at
 from .uniform import (
     u_equianharmonic_root,
@@ -135,9 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_run_flags(p):
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the selected identities")
-        p.add_argument("--stencil-radius", type=float, default=None)
-        p.add_argument("--stencil-nodes", type=int, default=None)
-        p.add_argument("--max-terms", type=int, default=None)
         p.add_argument("--output", choices=("human", "json", "json-lines"),
                        default=None)
         p.add_argument("--report", default=None, metavar="PATH",
@@ -175,14 +170,6 @@ def _read_config_file(path: str, cfg: RunConfig) -> None:
             elif key.startswith("grid."):
                 points = tuple(parse_complex(v) for v in value.split(",") if v.strip())
                 cfg.grids[key[len("grid."):]] = points
-            elif key == "truncation.rel_tol":
-                cfg.truncation = replace(cfg.truncation, rel_tol=float(value))
-            elif key == "truncation.max_terms":
-                cfg.truncation = replace(cfg.truncation, max_terms=int(value))
-            elif key == "stencil.radius":
-                cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, radius=float(value))
-            elif key == "stencil.nodes":
-                cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, nodes=int(value))
             elif key == "output":
                 cfg.output = value
             else:
@@ -198,12 +185,6 @@ def _config_from_args(args, selected_ids: Sequence[str]) -> RunConfig:
     if args.tol is not None:
         for name in selected_ids:
             cfg.tolerances[name] = args.tol
-    if args.max_terms is not None:
-        cfg.truncation = replace(cfg.truncation, max_terms=args.max_terms)
-    if args.stencil_radius is not None:
-        cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, radius=args.stencil_radius)
-    if args.stencil_nodes is not None:
-        cfg.stencil = replace(cfg.stencil or DEFAULT_STENCIL, nodes=args.stencil_nodes)
     cfg.m_filter = args.m
     cfg.report_path = args.report
     cfg.validate()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
-from .modular import DEFAULT_TRUNCATION, TruncationPolicy
+from .modular import _MAX_TERMS, _REL_TOL
 from .numerics import Polyline, contour_quadrature, ensure_finite, principal_power
 
 __all__ = [
@@ -59,17 +59,16 @@ class HypergeometricParams:
             raise DomainError(f"2F1 lower parameter c={self.c} is a nonpositive integer")
 
 
-def _f21_series(a: complex, b: complex, c: complex, z: complex,
-                policy: TruncationPolicy) -> complex:
+def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     term = 1.0 + 0.0j
     acc = 1.0 + 0.0j
     mag = 1.0
     small_run = 0
-    for k in range(policy.max_terms):
+    for k in range(_MAX_TERMS):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
         acc += term
         mag += abs(term)
-        if abs(term) <= policy.rel_tol * mag:
+        if abs(term) <= _REL_TOL * mag:
             small_run += 1
             if small_run >= 2:
                 return ensure_finite(acc, "2F1 series")
@@ -78,8 +77,7 @@ def _f21_series(a: complex, b: complex, c: complex, z: complex,
     raise AccuracyError("2F1 series did not converge within max_terms")
 
 
-def gauss_2f1(params: HypergeometricParams, z: complex,
-              policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     """2F1(a, b; c | z) by power series for |z| <= 0.95, else by the Pfaff
     transformation (1-z)^(-a) 2F1(a, c-b; c | z/(z-1)) when that argument is
     in the series disk.  Anything else is a hard DomainNotSupported: no
@@ -88,17 +86,17 @@ def gauss_2f1(params: HypergeometricParams, z: complex,
     z = complex(z)
     a, b, c = params.a, params.b, params.c
     if abs(z) <= _SERIES_DISK:
-        return _f21_series(a, b, c, z, policy)
+        return _f21_series(a, b, c, z)
     w = z / (z - 1.0)
     if abs(w) <= _SERIES_DISK:
-        return principal_power(1.0 - z, -a) * _f21_series(a, c - b, c, w, policy)
+        return principal_power(1.0 - z, -a) * _f21_series(a, c - b, c, w)
     raise DomainNotSupported(
         f"2F1 argument {z!r} outside both the series disk and the Pfaff-reachable region"
     )
 
 
-def _f21(a, b, c, z, policy=DEFAULT_TRUNCATION) -> complex:
-    return gauss_2f1(HypergeometricParams(a, b, c), z, policy)
+def _f21(a, b, c, z) -> complex:
+    return gauss_2f1(HypergeometricParams(a, b, c), z)
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,16 @@ class IncompleteIntegralSpec:
             raise DomainError(f"unknown base {self.base!r}")
 
 
-def incomplete_integral_2f1(spec: IncompleteIntegralSpec,
-                            policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     """Closed hypergeometric form of the incomplete integral."""
     a, b, n, z = spec.alpha, spec.beta, spec.n, spec.z
     if spec.base == "from_zero":
         arg = z**n
         return (cmath.exp(1j * math.pi * b) / a) * principal_power(z, a) \
-            * _f21(b, a / n, a / n + 1.0, arg, policy)
+            * _f21(b, a / n, a / n + 1.0, arg)
     arg = z**(-n)
     return principal_power(z, a - n * b) / (a - n * b) \
-        * _f21(b, b - a / n, b - a / n + 1.0, arg, policy)
+        * _f21(b, b - a / n, b - a / n + 1.0, arg)
 
 
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,

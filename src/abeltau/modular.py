@@ -16,8 +16,6 @@ from .errors import AccuracyError, DomainError
 
 __all__ = [
     "TauPoint",
-    "TruncationPolicy",
-    "DEFAULT_TRUNCATION",
     "MIN_IM_TAU",
     "theta2",
     "theta3",
@@ -47,24 +45,6 @@ class TauPoint:
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Stop rule for q-series: quit after two consecutive terms fall below
-    rel_tol times the accumulated magnitude (guards parity cancellation)."""
-
-    rel_tol: float = 1e-16
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise DomainError("rel_tol must be positive")
-        if not (self.max_terms > 0):
-            raise DomainError("max_terms must be positive")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
-
-
 def _tau_value(tau) -> complex:
     t = tau.value if isinstance(tau, TauPoint) else complex(tau)
     if not (t.imag > 0):
@@ -77,11 +57,17 @@ def _tau_value(tau) -> complex:
     return t
 
 
+# Series stop rule, shared with the 2F1 series: quit after two consecutive
+# terms fall below _REL_TOL times the accumulated magnitude (guards parity
+# cancellation); _MAX_TERMS terms without that is an AccuracyError.
+_REL_TOL = 1e-16
+_MAX_TERMS = 10_000
+
+
 class _StopRule:
     """Two-consecutive-small-terms accumulator."""
 
-    def __init__(self, policy: TruncationPolicy):
-        self.policy = policy
+    def __init__(self):
         self.acc = 0.0 + 0.0j
         self.mag = 0.0
         self.small_run = 0
@@ -90,14 +76,14 @@ class _StopRule:
         """Accumulate; return True once the stop rule has fired."""
         self.acc += term
         self.mag += abs(term)
-        if abs(term) <= self.policy.rel_tol * self.mag:
+        if abs(term) <= _REL_TOL * self.mag:
             self.small_run += 1
         else:
             self.small_run = 0
         return self.small_run >= 2
 
 
-def theta2(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def theta2(tau) -> complex:
     """theta_2(tau) = exp(pi i tau/4) * sum_k exp((k^2+k) pi i tau), k over Z.
 
     The k and -(k+1) terms coincide, so the symmetric sum is twice the k >= 0
@@ -105,17 +91,17 @@ def theta2(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     in tau), never a principal root of the nome.
     """
     t = _tau_value(tau)
-    s = _StopRule(policy)
-    for k in range(policy.max_terms):
+    s = _StopRule()
+    for k in range(_MAX_TERMS):
         if s.add(2.0 * cmath.exp((k * k + k) * 1j * _PI * t)):
             return cmath.exp(0.25j * _PI * t) * s.acc
     raise AccuracyError("theta2: truncation budget exhausted")
 
 
-def _theta34(t: complex, alternating: bool, policy: TruncationPolicy) -> complex:
-    s = _StopRule(policy)
+def _theta34(t: complex, alternating: bool) -> complex:
+    s = _StopRule()
     s.add(1.0 + 0.0j)
-    for k in range(1, policy.max_terms):
+    for k in range(1, _MAX_TERMS):
         term = 2.0 * cmath.exp(k * k * 1j * _PI * t)
         if alternating and (k % 2):
             term = -term
@@ -124,17 +110,17 @@ def _theta34(t: complex, alternating: bool, policy: TruncationPolicy) -> complex
     raise AccuracyError("theta series: truncation budget exhausted")
 
 
-def theta3(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def theta3(tau) -> complex:
     """theta_3(tau) = sum_k exp(k^2 pi i tau)."""
-    return _theta34(_tau_value(tau), False, policy)
+    return _theta34(_tau_value(tau), False)
 
 
-def theta4(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def theta4(tau) -> complex:
     """theta_4(tau) = sum_k (-1)^k exp(k^2 pi i tau)."""
-    return _theta34(_tau_value(tau), True, policy)
+    return _theta34(_tau_value(tau), True)
 
 
-def dedekind_eta(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def dedekind_eta(tau) -> complex:
     """eta(tau) = exp(pi i tau/12) prod_k (1 - exp(2 pi i k tau)).
 
     Evaluated through Euler's pentagonal-number series for the product,
@@ -143,9 +129,9 @@ def dedekind_eta(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     """
     t = _tau_value(tau)
     x = 2j * _PI * t  # log of the expansion variable
-    s = _StopRule(policy)
+    s = _StopRule()
     s.add(1.0 + 0.0j)
-    for n in range(1, policy.max_terms):
+    for n in range(1, _MAX_TERMS):
         sign = -1.0 if n % 2 else 1.0
         fired = s.add(sign * cmath.exp(n * (3 * n - 1) // 2 * x))
         fired = s.add(sign * cmath.exp(n * (3 * n + 1) // 2 * x)) and fired
@@ -154,23 +140,23 @@ def dedekind_eta(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
     raise AccuracyError("dedekind_eta: truncation budget exhausted")
 
 
-def hauptmodul_lemniscatic(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def hauptmodul_lemniscatic(tau) -> complex:
     """chi(tau) = theta_2(tau)^2 / theta_3(tau)^2."""
-    return theta2(tau, policy) ** 2 / theta3(tau, policy) ** 2
+    return theta2(tau) ** 2 / theta3(tau) ** 2
 
 
-def hauptmodul_equianharmonic(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def hauptmodul_equianharmonic(tau) -> complex:
     """z(tau) = 9 eta(9 tau)^3 / eta(tau)^3 + 1."""
     t = _tau_value(tau)
-    return 9.0 * dedekind_eta(9.0 * t, policy) ** 3 / dedekind_eta(t, policy) ** 3 + 1.0
+    return 9.0 * dedekind_eta(9.0 * t) ** 3 / dedekind_eta(t) ** 3 + 1.0
 
 
-def hauptmodul_hyperelliptic(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def hauptmodul_hyperelliptic(tau) -> complex:
     """z(tau) = theta_2(tau) / theta_3(tau), the degree-one theta quotient."""
-    return theta2(tau, policy) / theta3(tau, policy)
+    return theta2(tau) / theta3(tau)
 
 
-def sqrt_theta_ratio(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def sqrt_theta_ratio(tau) -> complex:
     """Single-valued square root of theta_2/theta_3:
 
         sqrt(theta_2(tau)/theta_3(tau)) = sqrt(2) theta_2(tau) / theta_2(tau/2).
@@ -180,4 +166,4 @@ def sqrt_theta_ratio(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> comp
     is needed.
     """
     t = _tau_value(tau)
-    return math.sqrt(2.0) * theta2(t, policy) / theta2(0.5 * t, policy)
+    return math.sqrt(2.0) * theta2(t) / theta2(0.5 * t)

@@ -19,9 +19,7 @@ from typing import Callable, Sequence
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "DerivativeStencil",
     "Polyline",
-    "DEFAULT_STENCIL",
     "ensure_finite",
     "principal_power",
     "holomorphic_derivatives",
@@ -29,6 +27,7 @@ __all__ = [
 ]
 
 _MAX_QUAD_EVALS = 400_000
+_STENCIL_NODES = 64  # samples on the Cauchy circle of holomorphic_derivatives
 
 
 def ensure_finite(value: complex, context: str = "value") -> complex:
@@ -37,28 +36,6 @@ def ensure_finite(value: complex, context: str = "value") -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise AccuracyError(f"non-finite {context}: {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class DerivativeStencil:
-    """Sampling circle for Cauchy-integral differentiation.
-
-    The radius must keep the circle inside the caller-declared analyticity
-    disk of the function being differentiated.
-    """
-
-    radius: float = 1e-2
-    nodes: int = 64
-
-    def __post_init__(self):
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise DomainError(f"stencil radius must be positive and finite, got {self.radius}")
-        n = self.nodes
-        if n < 16 or (n & (n - 1)) != 0:
-            raise DomainError(f"stencil nodes must be a power of two >= 16, got {n}")
-
-
-DEFAULT_STENCIL = DerivativeStencil()
 
 
 @dataclass(frozen=True)
@@ -100,10 +77,12 @@ def principal_power(z: complex, a: complex) -> complex:
     return ensure_finite(cmath.exp(a * cmath.log(z)), "principal_power result")
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_roots(n: int, k: int) -> tuple[complex, ...]:
-    """w^(jk), j = 0..n-1, with w = e^(2 pi i / n): the stencil nodes at k = 1,
-    and at k = -m the Fourier row w^(-jm) of the Taylor coefficient c_m."""
+@functools.cache
+def _unit_roots(k: int) -> tuple[complex, ...]:
+    """w^(jk), j = 0..n-1, with w = e^(2 pi i / n) and n = _STENCIL_NODES: the
+    stencil nodes at k = 1, and at k = -m the Fourier row w^(-jm) of the
+    Taylor coefficient c_m."""
+    n = _STENCIL_NODES
     return tuple(cmath.exp(2j * math.pi * (j * k % n) / n) for j in range(n))
 
 
@@ -111,29 +90,34 @@ def holomorphic_derivatives(
     f: Callable[[complex], complex],
     z0: complex,
     order: int,
-    stencil: DerivativeStencil = DEFAULT_STENCIL,
+    radius: float = 1e-2,
 ) -> tuple[complex, ...]:
-    """Derivatives f'(z0) ... f^(order)(z0) by trapezoidal Cauchy integrals.
+    """Derivatives f'(z0) ... f^(order)(z0) by trapezoidal Cauchy integrals
+    on the circle of the given radius about z0, at _STENCIL_NODES points.
 
-    f must be holomorphic on the closed stencil disk; the trapezoid rule on
-    the circle then converges geometrically in the node count.  Only the
-    Taylor coefficients returned are computed, each as a plain discrete
-    Fourier sum c_k = (1/n) sum_j f(z0 + r w^j) w^(-jk).  One sample is
-    subtracted from all first: c_k for k >= 1 ignores a constant, and this
-    keeps |f(z0)| out of the rounding.
+    f must be holomorphic on the closed disk, which the caller keeps inside
+    the function's analyticity domain; the trapezoid rule on the circle then
+    converges geometrically in the node count.  Only the Taylor coefficients
+    returned are computed, each as a plain discrete Fourier sum
+    c_k = (1/n) sum_j f(z0 + r w^j) w^(-jk).  One sample is subtracted from
+    all first: c_k for k >= 1 ignores a constant, and this keeps |f(z0)| out
+    of the rounding.
     """
     if not isinstance(order, int) or not (1 <= order <= 4):
         raise DomainError(f"derivative order must be an integer in 1..4, got {order}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise DomainError(f"stencil radius must be positive and finite, got {radius}")
     z0 = complex(z0)
-    n = stencil.nodes
-    r = stencil.radius
     samples = []
-    for w in _unit_roots(n, 1):
-        zj = z0 + r * w
-        samples.append(ensure_finite(f(zj), f"sample of f at {zj!r}"))
+    for w in _unit_roots(1):
+        zj = z0 + radius * w
+        value = complex(f(zj))
+        if not cmath.isfinite(value):  # the message is built only when raised
+            raise AccuracyError(f"non-finite sample of f at {zj!r}: {value!r}")
+        samples.append(value)
     samples = [s - samples[0] for s in samples]
-    return tuple(sum(map(operator.mul, samples, _unit_roots(n, -k)))
-                 * math.factorial(k) / (n * r**k) for k in range(1, order + 1))
+    return tuple(sum(map(operator.mul, samples, _unit_roots(-k))) * math.factorial(k)
+                 / (_STENCIL_NODES * radius**k) for k in range(1, order + 1))
 
 
 # Tanh-sinh nodes t = k h, |t| <= 6, for the abscissa x = tanh((pi/2) sinh t)

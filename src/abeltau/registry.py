@@ -25,8 +25,6 @@ from .hypergeom import (
     oracle_incomplete_integral,
 )
 from .modular import (
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -36,7 +34,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .numerics import DerivativeStencil, contour_quadrature, holomorphic_derivatives
+from .numerics import _STENCIL_NODES, contour_quadrature, holomorphic_derivatives
 from .uniform import (
     CoverConstants,
     CurvePoint,
@@ -50,8 +48,8 @@ from .uniform import (
     lemniscatic_predicate,
     reduce_differential,
     k_pm,
+    _schwarz_radius,
     schwarz_residual,
-    schwarz_stencil,
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
     u_hyperelliptic,
@@ -92,8 +90,6 @@ class RunConfig:
 
     tolerances: dict[str, float] = field(default_factory=dict)
     grids: dict[str, tuple[complex, ...]] = field(default_factory=dict)
-    truncation: TruncationPolicy = DEFAULT_TRUNCATION
-    stencil: DerivativeStencil | None = None
     output: str = "human"
     m_filter: int | None = None
     report_path: str | None = None
@@ -111,9 +107,6 @@ class RunConfig:
             raise DomainError(f"unknown output mode {self.output!r}")
         if self.m_filter is not None and self.m_filter not in (0, 1, 2, 3):
             raise DomainError("m filter must be in 0..3")
-
-    def stencil_for(self, tau: complex) -> DerivativeStencil:
-        return self.stencil if self.stencil is not None else schwarz_stencil(tau)
 
     def samples_for(self, entry: IdentityEntry) -> tuple:
         if entry.name not in self.grids:
@@ -133,10 +126,6 @@ class RunRecord:
     tolerance: float
     status: str  # pass | fail | informational | skipped
     metadata: Mapping[str, object] = field(default_factory=dict)
-
-    @property
-    def counts_as_failure(self) -> bool:
-        return self.status == "fail"
 
     def to_json_dict(self) -> dict:
         return {
@@ -178,47 +167,30 @@ class IdentityEntry:
     informational: bool = False
 
 
-def _echo_config(cfg: RunConfig, extra: Mapping[str, object] | None = None) -> dict:
-    meta = {
-        "trunc_rel_tol": cfg.truncation.rel_tol,
-        "trunc_max_terms": cfg.truncation.max_terms,
-    }
-    if cfg.stencil is not None:
-        meta["stencil_radius"] = cfg.stencil.radius
-        meta["stencil_nodes"] = cfg.stencil.nodes
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 # --------------------------------------------------------------------------
 # tau-grid checks
 
 def _check_jacobi_quartic(tau, cfg, tol):
-    p = cfg.truncation
-    t2, t3, t4 = theta2(tau, p) ** 4, theta3(tau, p) ** 4, theta4(tau, p) ** 4
+    t2, t3, t4 = theta2(tau) ** 4, theta3(tau) ** 4, theta4(tau) ** 4
     return tau, abs(t2 + t4 - t3) / abs(t3), tol, {}
 
 
 def _check_eta_shift(tau, cfg, tol):
-    p = cfg.truncation
-    base = dedekind_eta(tau, p)
-    residual = abs(dedekind_eta(tau + 1.0, p) - cmath.exp(1j * math.pi / 12.0) * base) / abs(base)
+    base = dedekind_eta(tau)
+    residual = abs(dedekind_eta(tau + 1.0) - cmath.exp(1j * math.pi / 12.0) * base) / abs(base)
     return tau, residual, tol, {}
 
 
 def _check_sqrt_ratio(tau, cfg, tol):
-    p = cfg.truncation
-    target = hauptmodul_hyperelliptic(tau, p)
-    return tau, abs(sqrt_theta_ratio(tau, p) ** 2 - target) / abs(target), tol, {}
+    target = hauptmodul_hyperelliptic(tau)
+    return tau, abs(sqrt_theta_ratio(tau) ** 2 - target) / abs(target), tol, {}
 
 
 def _schwarz_point_check(equation, candidate):
     def check(tau, cfg, tol):
-        stencil = cfg.stencil_for(tau)
-        residual = schwarz_residual(equation, candidate, tau, stencil)
-        return tau, residual, tol, {"stencil_radius": stencil.radius,
-                                    "stencil_nodes": stencil.nodes}
+        residual = schwarz_residual(equation, candidate, tau)
+        return tau, residual, tol, {"stencil_radius": _schwarz_radius(tau),
+                                    "stencil_nodes": _STENCIL_NODES}
     return check
 
 
@@ -232,21 +204,20 @@ _EQ5_ROOTFREE = eq5_equation(
 def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio: 1/sqrt(z^5-z) = i/(s(tau) sqrt(1-z^4))."""
-    p = cfg.truncation
     if not hyperelliptic_predicate(tau):
         raise DomainNotSupported(f"tau = {tau!r} outside the theta-ratio predicate")
-    stencil = cfg.stencil_for(tau)
-    z = hauptmodul_hyperelliptic(tau, p)
-    (z_prime,) = holomorphic_derivatives(lambda s: hauptmodul_hyperelliptic(s, p), tau, 1, stencil)
-    root = sqrt_theta_ratio(tau, p) * cmath.sqrt(1.0 - z**4)
+    radius = _schwarz_radius(tau)
+    z = hauptmodul_hyperelliptic(tau)
+    (z_prime,) = holomorphic_derivatives(hauptmodul_hyperelliptic, tau, 1, radius)
+    root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
     per_m = {}
     for m in ms:
-        (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s, p), tau, 1, stencil)
+        (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s), tau, 1, radius)
         rhs = 1j * z**m * z_prime / root
         per_m[f"m{m}"] = abs(lhs - rhs) / abs(rhs)
-    return tau, max(per_m.values()), tol, {"stencil_radius": stencil.radius,
-                                           "stencil_nodes": stencil.nodes,
+    return tau, max(per_m.values()), tol, {"stencil_radius": radius,
+                                           "stencil_nodes": _STENCIL_NODES,
                                            "branch": "sqrt_theta_ratio", **per_m}
 
 
@@ -278,7 +249,7 @@ _ROUNDTRIP_EQUI = (2, 3, 4, 10, 2j, 5j, -2 + 2j, 3 - 2j, 1.2 + 1.2j, 1.5)
 
 def _roundtrip_check(inverse, inv):
     def check(x, cfg, tol):
-        u = inverse(complex(x), cfg.truncation)
+        u = inverse(complex(x))
         return x, abs(wp(u, inv) - x), tol, {"u": u, "invariants": inv.as_tuple}
     return check
 
@@ -359,7 +330,7 @@ _EQ12_ROWS = (
 
 
 def _check_integral_row(spec, cfg, tol):
-    value = incomplete_integral_2f1(spec, cfg.truncation)
+    value = incomplete_integral_2f1(spec)
     oracle = oracle_incomplete_integral(spec, tol=1e-10)
     residual = abs(value - oracle) / (1.0 + abs(value))
     return spec.z, residual, tol, {"alpha": spec.alpha, "beta": spec.beta,
@@ -458,8 +429,8 @@ def _check_du_reduction(row, cfg, tol):
 
 def _check_u_quadrature(row, cfg, tol):
     tau, m = row
-    z = hauptmodul_hyperelliptic(tau, cfg.truncation)
-    value = u_hyperelliptic(m, tau, cfg.truncation)
+    z = hauptmodul_hyperelliptic(tau)
+    value = u_hyperelliptic(m, tau)
     oracle = oracle_incomplete_integral(IncompleteIntegralSpec(0.5, 0.5, 4, z, "from_zero"),
                                         tol=1e-10)
     return tau, abs(value - oracle), tol, {"m": m, "z": z, "value": value}
@@ -471,9 +442,8 @@ def _curve_w(inv: EllipticInvariants, z: complex) -> complex:
 
 def _branch_sign(inv, inverse, z1) -> float:
     """Sign s making s*sqrt(4z^3-g2 z-g3) the dz/du branch of the
-    hypergeometric inverse, fixed from the Cauchy derivative of u(z)."""
-    (du_dz,) = holomorphic_derivatives(lambda z: inverse(z), z1, 1, DerivativeStencil(0.1))
-    w_expected = 1.0 / du_dz
+    hypergeometric inverse u(z): dz/du = P'(u) at u = u(z1)."""
+    w_expected = wp_prime(inverse(z1), inv)
     w0 = _curve_w(inv, z1)
     return 1.0 if abs(w0 - w_expected) <= abs(-w0 - w_expected) else -1.0
 
@@ -603,10 +573,10 @@ def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
         point, residual, tol, meta = entry.check(sample, cfg, tol)
     except DomainNotSupported as exc:
         return RunRecord(entry.name, _sample_point(sample), None, tol, "skipped",
-                         _echo_config(cfg, {"reason": str(exc)}))
+                         {"reason": str(exc)})
     except AbeltauError as exc:
         return RunRecord(entry.name, _sample_point(sample), None, tol, "fail",
-                         _echo_config(cfg, {"error": f"{type(exc).__name__}: {exc}"}))
+                         {"error": f"{type(exc).__name__}: {exc}"})
     residual = float(residual)
     if not 0.0 <= residual < math.inf:  # NaN fails this test too
         status = "fail"
@@ -614,8 +584,7 @@ def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
         status = "informational"
     else:
         status = "pass" if residual <= tol else "fail"
-    return RunRecord(entry.name, complex(point), residual, float(tol), status,
-                     _echo_config(cfg, meta))
+    return RunRecord(entry.name, complex(point), residual, float(tol), status, meta)
 
 
 def run_identity_at(name: str, tau: complex, cfg: RunConfig) -> RunRecord:

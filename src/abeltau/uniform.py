@@ -17,15 +17,13 @@ from typing import Callable
 from .errors import CriticalPointError, DomainError, DomainNotSupported, PoleError
 from .hypergeom import _f21
 from .modular import (
-    DEFAULT_TRUNCATION,
-    TruncationPolicy,
     hauptmodul_equianharmonic,
     hauptmodul_lemniscatic,
     theta2,
     theta3,
     _tau_value,
 )
-from .numerics import DEFAULT_STENCIL, DerivativeStencil, holomorphic_derivatives, principal_power
+from .numerics import holomorphic_derivatives, principal_power
 from .weier import EllipticInvariants, u0_constant, wp
 
 __all__ = [
@@ -35,7 +33,6 @@ __all__ = [
     "LEMNISCATIC_CHI_EQUATION",
     "EQUIANHARMONIC_Z_EQUATION",
     "eq5_equation",
-    "schwarz_stencil",
     "bracket_schwarzian",
     "u_lemniscatic",
     "u_equianharmonic_root",
@@ -192,19 +189,19 @@ class CoverConstants:
         return EllipticInvariants(g2, g3)
 
 
-def schwarz_stencil(tau: complex, nodes: int = 64) -> DerivativeStencil:
-    """Default Schwarzian stencil: radius min(1e-2, Im(tau)/10), keeping the
-    sampling circle well inside the half-plane and the convergence regions of
-    the shipped grids."""
-    t = complex(tau)
-    return DerivativeStencil(radius=min(1e-2, t.imag / 10.0), nodes=nodes)
+def _schwarz_radius(tau: complex) -> float:
+    """Cauchy-circle radius min(1e-2, Im(tau)/10) of the tau derivatives,
+    keeping the circle well inside the half-plane and the convergence
+    regions of the shipped grids."""
+    return min(1e-2, complex(tau).imag / 10.0)
 
 
 def bracket_schwarzian(f: Callable[[complex], complex], tau0: complex,
-                       stencil: DerivativeStencil = DEFAULT_STENCIL) -> complex:
+                       radius: float = 1e-2) -> complex:
     """[f, tau] = f'''/f'^3 - (3/2) f''^2/f'^4 at tau0, i.e. the classical
-    Schwarzian {f, tau} divided by f'(tau0)^2.  Vanishes on Moebius maps."""
-    d1, d2, d3 = holomorphic_derivatives(f, tau0, 3, stencil)
+    Schwarzian {f, tau} divided by f'(tau0)^2, from derivatives on a Cauchy
+    circle of the given radius.  Vanishes on Moebius maps."""
+    d1, d2, d3 = holomorphic_derivatives(f, tau0, 3, radius)
     if abs(d1) < 1e-10:
         raise CriticalPointError(f"f'({tau0!r}) ~ 0; bracket undefined at a critical point")
     return d3 / d1**3 - 1.5 * d2 * d2 / d1**4
@@ -227,7 +224,7 @@ def hyperelliptic_predicate(tau: complex) -> bool:
     return abs(lam) <= HYPERELLIPTIC_PREDICATE_RATIO
 
 
-def u_lemniscatic(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def u_lemniscatic(tau) -> complex:
     """u(tau) = (theta3/theta2) 2F1(1/2, 1/4; 5/4 | theta3^4/theta2^4),
     the holomorphic integral of y^2 = 4x^3 - 4x as a function of tau.
 
@@ -235,44 +232,44 @@ def u_lemniscatic(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex
     defined; requires |chi(tau)| > 1/0.95.
     """
     t = _tau_value(tau)
-    t2 = theta2(t, policy)
-    t3 = theta3(t, policy)
+    t2 = theta2(t)
+    t3 = theta3(t)
     chi = t2 * t2 / (t3 * t3)
     if not abs(chi) > LEMNISCATIC_PREDICATE_MODULUS:
         raise DomainNotSupported(
             f"|chi(tau)| = {abs(chi):g} <= {LEMNISCATIC_PREDICATE_MODULUS:g} at tau = {t!r}"
         )
     ratio = t3 / t2
-    return ratio * _f21(0.5, 0.25, 1.25, ratio**4, policy)
+    return ratio * _f21(0.5, 0.25, 1.25, ratio**4)
 
 
-def u_equianharmonic_root(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def u_equianharmonic_root(tau) -> complex:
     """u(tau) = z(tau)^(-1/2) 2F1(1/2, 1/6; 7/6 | z(tau)^-3) with the
     equianharmonic Hauptmodul z; principal square root."""
     t = _tau_value(tau)
-    z = hauptmodul_equianharmonic(t, policy)
+    z = hauptmodul_equianharmonic(t)
     if not abs(z) > EQUIANHARMONIC_ROOT_PREDICATE_MODULUS:
         raise DomainNotSupported(
             f"|z(tau)| = {abs(z):g} <= {EQUIANHARMONIC_ROOT_PREDICATE_MODULUS:g} at tau = {t!r}"
         )
-    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3, policy)
+    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3)
 
 
-def u_equianharmonic_rootfree(tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def u_equianharmonic_rootfree(tau) -> complex:
     """Root-free sibling of u_equianharmonic_root on the complementary region:
 
         u(tau) = u0 + (i/2) z(tau) 2F1(1/2, 1/3; 4/3 | z(tau)^3),  |z|^3 <= 0.95.
     """
     t = _tau_value(tau)
-    z = hauptmodul_equianharmonic(t, policy)
+    z = hauptmodul_equianharmonic(t)
     if abs(z) ** 3 > ROOTFREE_PREDICATE_CUBE:
         raise DomainNotSupported(
             f"|z(tau)|^3 = {abs(z) ** 3:g} > {ROOTFREE_PREDICATE_CUBE:g} at tau = {t!r}"
         )
-    return u0_constant() + 0.5j * z * _f21(0.5, 1.0 / 3.0, 4.0 / 3.0, z**3, policy)
+    return u0_constant() + 0.5j * z * _f21(0.5, 1.0 / 3.0, 4.0 / 3.0, z**3)
 
 
-def u_hyperelliptic(m: int, tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def u_hyperelliptic(m: int, tau) -> complex:
     """The base Abelian integrals of w^2 = z^5 - z as functions of tau:
 
         U(m, tau) = (2 sqrt(2) i/(2m+1)) theta2^(m+1) / (theta3^m theta2(tau/2))
@@ -283,33 +280,30 @@ def u_hyperelliptic(m: int, tau, policy: TruncationPolicy = DEFAULT_TRUNCATION) 
     if not isinstance(m, int) or not (0 <= m <= 3):
         raise DomainError(f"m must be an integer in 0..3, got {m!r}")
     t = _tau_value(tau)
-    t2 = theta2(t, policy)
-    t3 = theta3(t, policy)
+    t2 = theta2(t)
+    t3 = theta3(t)
     lam = (t2 / t3) ** 4
     if abs(lam) > HYPERELLIPTIC_PREDICATE_RATIO:
         raise DomainNotSupported(
             f"|theta2^4/theta3^4| = {abs(lam):g} > {HYPERELLIPTIC_PREDICATE_RATIO:g} at tau = {t!r}"
         )
     prefactor = (2.0 * math.sqrt(2.0) * 1j / (2 * m + 1)) \
-        * t2 ** (m + 1) / (t3**m * theta2(0.5 * t, policy))
-    return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam, policy)
+        * t2 ** (m + 1) / (t3**m * theta2(0.5 * t))
+    return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam)
 
 
 def schwarz_residual(eq: SchwarzEquation,
                      candidate: Callable[[complex], complex],
-                     tau,
-                     stencil: DerivativeStencil | None = None) -> float:
+                     tau) -> float:
     """|[candidate, tau] - Q(candidate(tau))|.
 
     The equation's convergence predicate gates the evaluation point; the
-    stencil defaults to schwarz_stencil(tau).
+    bracket's Cauchy circle has radius min(1e-2, Im(tau)/10).
     """
     t = _tau_value(tau)
     if not eq.convergence_predicate(t):
         raise DomainNotSupported(f"tau = {t!r} violates the predicate of {eq.id!r}")
-    if stencil is None:
-        stencil = schwarz_stencil(t)
-    bracket = bracket_schwarzian(candidate, t, stencil)
+    bracket = bracket_schwarzian(candidate, t, _schwarz_radius(t))
     return abs(bracket - eq.q_value(candidate(t)))
 
 

@@ -18,8 +18,7 @@ from functools import lru_cache
 
 from .errors import DomainError, DomainNotSupported, PoleError
 from .hypergeom import _f21, euler_beta
-from .modular import DEFAULT_TRUNCATION, TruncationPolicy
-from .numerics import DerivativeStencil, ensure_finite, holomorphic_derivatives, principal_power
+from .numerics import ensure_finite, holomorphic_derivatives, principal_power
 
 __all__ = [
     "EllipticInvariants",
@@ -156,7 +155,7 @@ def wp_prime(u: complex, inv) -> complex:
     return _wp_pair(u, _invariants(inv))[1]
 
 
-def wp_inverse_lemniscatic(x: complex, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def wp_inverse_lemniscatic(x: complex) -> complex:
     """Principal branch of P^-1 on the curve y^2 = 4x^3 - 4x:
 
         u = x^(-1/2) 2F1(1/2, 1/4; 5/4 | x^-2),   valid for |x^-2| <= 0.95.
@@ -167,10 +166,10 @@ def wp_inverse_lemniscatic(x: complex, policy: TruncationPolicy = DEFAULT_TRUNCA
     x = complex(x)
     if x == 0 or abs(1.0 / (x * x)) > 0.95:
         raise DomainNotSupported(f"|1/x^2| > 0.95 at x = {x!r}; series form not valid")
-    return principal_power(x, -0.5) * _f21(0.5, 0.25, 1.25, x**-2, policy)
+    return principal_power(x, -0.5) * _f21(0.5, 0.25, 1.25, x**-2)
 
 
-def wp_inverse_equianharmonic(z: complex, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> complex:
+def wp_inverse_equianharmonic(z: complex) -> complex:
     """Principal branch of P^-1 on y^2 = 4z^3 - 4:
 
         u = z^(-1/2) 2F1(1/2, 1/6; 7/6 | z^-3),   valid for |z^-3| <= 0.95.
@@ -178,7 +177,7 @@ def wp_inverse_equianharmonic(z: complex, policy: TruncationPolicy = DEFAULT_TRU
     z = complex(z)
     if z == 0 or abs(z**-3) > 0.95:
         raise DomainNotSupported(f"|1/z^3| > 0.95 at z = {z!r}; series form not valid")
-    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3, policy)
+    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3)
 
 
 def u0_constant() -> complex:
@@ -254,11 +253,10 @@ def weier_zeta(u: complex, inv) -> complex:
         raise DomainNotSupported(
             f"|u| = {abs(u):g} leaves no room for the differentiation circle"
         )
-    stencil = DerivativeStencil(radius=radius, nodes=64)
     sigma_u = weier_sigma(u, inv)
     if sigma_u == 0:
         raise PoleError(f"sigma vanishes at u = {u!r}")
-    (sigma_prime,) = holomorphic_derivatives(lambda w: weier_sigma(w, inv), u, 1, stencil)
+    (sigma_prime,) = holomorphic_derivatives(lambda w: weier_sigma(w, inv), u, 1, radius)
     return sigma_prime / sigma_u
 
 

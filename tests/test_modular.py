@@ -11,10 +11,10 @@ import math
 
 import pytest
 
+from abeltau import modular
 from abeltau.errors import AccuracyError, DomainError
 from abeltau.modular import (
     TauPoint,
-    TruncationPolicy,
     dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -205,20 +205,14 @@ class TestDomainsAndPolicies:
         with pytest.raises(DomainError):
             theta3(-1j)
 
-    def test_truncation_policy_validation(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(rel_tol=-1e-16)
-        with pytest.raises(DomainError):
-            TruncationPolicy(max_terms=0)
-
     def test_tighter_policy_agrees(self):
-        tight = TruncationPolicy(rel_tol=1e-17, max_terms=100_000)
+        # the stop rule against the brute-force sum, which never stops early
         for tau in (0.4j, 0.2 + 0.9j):
             a = theta3(tau)
-            b = theta3(tau, tight)
+            b = theta_oracle(3, tau)
             assert abs(a - b) < 1e-15 * abs(b)
 
-    def test_max_terms_exhaustion(self):
-        starved = TruncationPolicy(rel_tol=1e-16, max_terms=3)
+    def test_max_terms_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(modular, "_MAX_TERMS", 3)
         with pytest.raises(AccuracyError):
-            theta3(0.011j, starved)
+            theta3(0.011j)

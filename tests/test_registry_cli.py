@@ -230,9 +230,7 @@ class TestVerify:
                                 "status", "metadata"}
             assert rec["status"] == "pass"
             assert isinstance(rec["point"], list) and len(rec["point"]) == 2
-            # reproducibility: the run's truncation policy is echoed
-            assert rec["metadata"]["trunc_rel_tol"] == 1e-16
-            assert rec["metadata"]["trunc_max_terms"] == 10000
+            assert rec["metadata"] == {}  # the check reports nothing; no settings echoed
 
     def test_report_file(self, tmp_path, capsys):
         path = tmp_path / "report.jsonl"
@@ -260,22 +258,23 @@ class TestVerify:
         cfg.write_text("grid.u0-digits = 1i\n")
         assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
 
-    def test_stencil_flags(self, tmp_path, capsys):
-        assert main(["verify", "schwarz-chi", "--stencil-radius", "0.02",
-                     "--output", "json"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()[:-1]
-        for line in lines:
-            assert json.loads(line)["metadata"]["stencil_radius"] == 0.02
-        # the flag overrides the radius and keeps the config file's node count
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("stencil.nodes = 128\n")
-        assert main(["verify", "schwarz-chi", "--config", str(cfg),
-                     "--stencil-radius", "0.02", "--output", "json"]) == 0
+    def test_numerical_settings_are_not_options(self, tmp_path, capsys):
+        # the Cauchy circle is fixed by tau, and the records still report it
+        assert main(["verify", "schwarz-chi", "--output", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[:-1]
         assert lines
         for line in lines:
-            meta = json.loads(line)["metadata"]
-            assert (meta["stencil_radius"], meta["stencil_nodes"]) == (0.02, 128)
+            rec = json.loads(line)
+            assert rec["metadata"] == {"stencil_radius": min(1e-2, rec["point"][1] / 10.0),
+                                       "stencil_nodes": 64}
+        for flag, value in (("--stencil-radius", "0.02"), ("--stencil-nodes", "128"),
+                            ("--max-terms", "100")):
+            assert main(["verify", "schwarz-chi", flag, value]) == 2
+        cfg = tmp_path / "run.cfg"
+        for key, value in (("stencil.radius", "0.02"), ("stencil.nodes", "128"),
+                           ("truncation.rel_tol", "1e-17"), ("truncation.max_terms", "100")):
+            cfg.write_text(f"{key} = {value}\n")
+            assert main(["verify", "schwarz-chi", "--config", str(cfg)]) == 2
 
 
 class TestGrid:

@@ -12,7 +12,7 @@ from abeltau.modular import (
     hauptmodul_lemniscatic,
     sqrt_theta_ratio,
 )
-from abeltau.numerics import DerivativeStencil, holomorphic_derivatives
+from abeltau.numerics import holomorphic_derivatives
 from abeltau.uniform import (
     CoverConstants,
     CurvePoint,
@@ -28,7 +28,6 @@ from abeltau.uniform import (
     lemniscatic_predicate,
     reduce_differential,
     schwarz_residual,
-    schwarz_stencil,
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
     u_hyperelliptic,
@@ -36,7 +35,7 @@ from abeltau.uniform import (
 )
 from abeltau.weier import EQUIANHARMONIC, LEMNISCATIC, u0_constant, wp, wp_inverse_lemniscatic
 
-WIDE = DerivativeStencil(0.5)
+WIDE = 0.5  # Cauchy-circle radius for entire and Moebius test functions
 
 # z(tau) vanishes on the Re = 1/2 line at this height (up to rounding)
 ROOTFREE_ZERO_TAU = 0.5 + 0.2886751345948129j
@@ -86,7 +85,9 @@ class TestSchwarzEquationType:
     def test_moebius_solves_trivial_equation(self):
         zero_q = SchwarzEquation(id="zero", q_num=(0.0,), q_den=(1.0,))
         mob = lambda t: (t - 1.0) / (2.0 * t + 5.0j)
-        assert schwarz_residual(zero_q, mob, 0.8j, WIDE) <= 1e-10
+        # |[mob, tau] - Q(mob(tau))| on a wide circle, as schwarz_residual forms it
+        r = abs(bracket_schwarzian(mob, 0.8j, WIDE) - zero_q.q_value(mob(0.8j)))
+        assert r <= 1e-10, r
 
 
 class TestHauptmodulEquations:
@@ -101,10 +102,11 @@ class TestHauptmodulEquations:
             assert r <= 1e-8, (tau, r)
 
     def test_equianharmonic_near_cusp_with_wider_stencil(self):
-        # near tau = 1.1i the right side is ~6e3; the default 1e-2 radius
-        # leaves too much differentiation noise, a caller-chosen Im/10 works
-        r = schwarz_residual(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic,
-                             1.1j, DerivativeStencil(0.11))
+        # near tau = 1.1i the right side is ~6e3; schwarz_residual's 1e-2
+        # radius leaves too much differentiation noise, a radius of Im/10 works
+        tau = 1.1j
+        bracket = bracket_schwarzian(hauptmodul_equianharmonic, tau, 0.11)
+        r = abs(bracket - EQUIANHARMONIC_Z_EQUATION.q_value(hauptmodul_equianharmonic(tau)))
         assert r <= 1e-8, r
 
 
@@ -171,9 +173,8 @@ class TestTauRepresentations:
     def test_eq5_bracket_sign_invariance(self):
         # [u,tau] and P(2u) are both even in u, so either sign of +-u passes
         tau = 0.5 + 0.7j
-        st = schwarz_stencil(tau)
-        plus = bracket_schwarzian(u_equianharmonic_rootfree, tau, st)
-        minus = bracket_schwarzian(lambda t: -u_equianharmonic_rootfree(t), tau, st)
+        plus = bracket_schwarzian(u_equianharmonic_rootfree, tau)
+        minus = bracket_schwarzian(lambda t: -u_equianharmonic_rootfree(t), tau)
         assert abs(plus - minus) < 1e-9 * abs(plus)
 
     def test_predicate_gate_in_schwarz_residual(self):
@@ -203,11 +204,10 @@ class TestHyperellipticFamily:
 
     def test_derivative_identity_spot(self):
         tau = 1.5j
-        st = schwarz_stencil(tau)
         z = hauptmodul_hyperelliptic(tau)
-        (zp,) = holomorphic_derivatives(hauptmodul_hyperelliptic, tau, 1, st)
+        (zp,) = holomorphic_derivatives(hauptmodul_hyperelliptic, tau, 1)
         for m in range(4):
-            (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s), tau, 1, st)
+            (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s), tau, 1)
             rhs = 1j * z**m * zp / (sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4))
             assert abs(lhs - rhs) < 1e-6 * abs(rhs), m
 
