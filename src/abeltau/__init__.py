@@ -17,7 +17,6 @@ from .numerics import (
     principal_power,
 )
 from .modular import (
-    TauPoint,
     dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -58,7 +57,6 @@ from .uniform import (
     CurvePoint,
     EQUIANHARMONIC_Z_EQUATION,
     LEMNISCATIC_CHI_EQUATION,
-    SchwarzEquation,
     bracket_schwarzian,
     covering_map,
     eq5_equation,

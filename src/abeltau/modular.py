@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "TauPoint",
     "MIN_IM_TAU",
     "theta2",
     "theta3",
@@ -32,21 +30,8 @@ MIN_IM_TAU = 1e-2
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class TauPoint:
-    """A point of the upper half-plane (the modular variable)."""
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if not (v.imag > 0):
-            raise DomainError(f"tau must have Im(tau) > 0, got {v!r}")
-        object.__setattr__(self, "value", v)
-
-
 def _tau_value(tau) -> complex:
-    t = tau.value if isinstance(tau, TauPoint) else complex(tau)
+    t = complex(tau)
     if not (t.imag > 0):
         raise DomainError(f"tau must lie in the upper half-plane, got {t!r}")
     if t.imag < MIN_IM_TAU:

@@ -2,10 +2,9 @@
 at every sample of a tau grid or of a fixed table.
 
 The registry is the coverage map of the verification suite; `verify`/`grid`
-in the CLI and the acceptance tests all drive it.  Identities whose printed
-source formula carries an unresolved convention (the elliptic-integral form
-of the P-zero constant) run informationally: they report but never fail a
-run.
+in the CLI and the acceptance tests all drive it.  Every record passes,
+fails or is skipped: a sample outside a uniformizer's convergence region is
+refused by that uniformizer's own gate and reported as skipped.
 """
 
 from __future__ import annotations
@@ -42,10 +41,6 @@ from .uniform import (
     LEMNISCATIC_CHI_EQUATION,
     covering_map,
     eq5_equation,
-    equianharmonic_root_predicate,
-    equianharmonic_rootfree_predicate,
-    hyperelliptic_predicate,
-    lemniscatic_predicate,
     reduce_differential,
     k_pm,
     _schwarz_radius,
@@ -124,7 +119,7 @@ class RunRecord:
     point: complex
     residual: float | None
     tolerance: float
-    status: str  # pass | fail | informational | skipped
+    status: str  # pass | fail | skipped
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -164,7 +159,6 @@ class IdentityEntry:
     check: Check
     samples: tuple
     tau_grid: bool = False
-    informational: bool = False
 
 
 # --------------------------------------------------------------------------
@@ -186,26 +180,22 @@ def _check_sqrt_ratio(tau, cfg, tol):
     return tau, abs(sqrt_theta_ratio(tau) ** 2 - target) / abs(target), tol, {}
 
 
-def _schwarz_point_check(equation, candidate):
+def _schwarz_point_check(q, candidate):
     def check(tau, cfg, tol):
-        residual = schwarz_residual(equation, candidate, tau)
+        residual = schwarz_residual(q, candidate, tau)
         return tau, residual, tol, {"stencil_radius": _schwarz_radius(tau),
                                     "stencil_nodes": _STENCIL_NODES}
     return check
 
 
-_EQ5_LEMN = eq5_equation(LEMNISCATIC, lemniscatic_predicate, "schwarz-u-lemn")
-_EQ5_ROOT = eq5_equation(EQUIANHARMONIC, equianharmonic_root_predicate, "schwarz-u-equi-root")
-_EQ5_ROOTFREE = eq5_equation(
-    EQUIANHARMONIC, equianharmonic_rootfree_predicate, "schwarz-u-equi-rootfree"
-)
+_Q_LEMN = eq5_equation(LEMNISCATIC)
+_Q_EQUI = eq5_equation(EQUIANHARMONIC)
 
 
 def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio: 1/sqrt(z^5-z) = i/(s(tau) sqrt(1-z^4))."""
-    if not hyperelliptic_predicate(tau):
-        raise DomainNotSupported(f"tau = {tau!r} outside the theta-ratio predicate")
+    u_hyperelliptic(0, tau)  # its own gate refuses tau outside the theta-ratio region
     radius = _schwarz_radius(tau)
     z = hauptmodul_hyperelliptic(tau)
     (z_prime,) = holomorphic_derivatives(hauptmodul_hyperelliptic, tau, 1, radius)
@@ -265,44 +255,16 @@ def _check_u0_wp_zero(_, cfg, tol):
     return u0, abs(wp(u0, EQUIANHARMONIC)), tol, {}
 
 
-# The four standard (modulus|parameter) x (sine|amplitude) readings of
-# i/(2*3^(1/4)) F(3^(1/4)(sqrt3 - 1), .) - 3^(-1/4) K(.): (name, F argument,
-# F modulus, K modulus).
-_FK_X = 3.0 ** 0.25 * (math.sqrt(3.0) - 1.0)
-_FK_SECOND = (math.sqrt(6.0) + math.sqrt(2.0)) / 4.0
-_FK_K = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))
-_FK_CONVENTIONS = (
-    ("modulus-sine", _FK_X, _FK_SECOND, _FK_K),
-    ("modulus-amplitude", math.sin(_FK_X), _FK_SECOND, _FK_K),
-    ("parameter-sine", _FK_X, math.sqrt(_FK_SECOND), math.sqrt(_FK_K)),
-    ("parameter-amplitude", math.sin(_FK_X), math.sqrt(_FK_SECOND), math.sqrt(_FK_K)),
-)
-
-
-def _check_u0_fk_conventions(row, cfg, tol):
-    """One reading of the elliptic-integral expression of the P-zero
-    constant.
-
-    Informational: none of the four reproduces u0 itself in these
-    conventions; the modulus-sine reading lands on the rotated P-zero
-    u0 e^(i pi/3) (same modulus, P vanishes there), which the metadata
-    records.
-    """
-    name, x, k_f, k_k = row
-    u0 = u0_constant()
-    cand = 1j / (2.0 * 3.0**0.25) * elliptic_F(x, k_f) - 3.0 ** -0.25 * elliptic_K(k_k)
-    residual = abs(cand - u0)
-    rotations = min(
-        min(abs(cand - u0 * cmath.exp(1j * math.pi * k / 3.0)),
-            abs(cand + u0 * cmath.exp(1j * math.pi * k / 3.0)))
-        for k in range(6)
-    )
-    return cand, residual, tol, {
-        "convention": name,
-        "wp_at_candidate": abs(wp(cand, EQUIANHARMONIC)),
-        "nearest_rotated_zero": rotations,
-        "matched_convention": name if residual <= tol else "none",
-    }
+def _check_u0_fk(_, cfg, tol):
+    """i/(2 3^(1/4)) F(3^(1/4)(sqrt3 - 1), sin 75) - 3^(-1/4) K(sin 15), F and K
+    taking the modulus, is the rotated P-zero e^(i pi/3) u0: by homogeneity
+    (DLMF 23.10.17) P(lambda z; lambda^-4 g2, lambda^-6 g3) = lambda^-2 P(z; g2, g3),
+    and with g2 = 0 and lambda = e^(i pi/3), lambda^-6 = 1."""
+    x = 3.0 ** 0.25 * (math.sqrt(3.0) - 1.0)
+    sin75 = (math.sqrt(6.0) + math.sqrt(2.0)) / 4.0
+    sin15 = (math.sqrt(3.0) - 1.0) / (2.0 * math.sqrt(2.0))
+    value = 1j / (2.0 * 3.0**0.25) * elliptic_F(x, sin75) - 3.0 ** -0.25 * elliptic_K(sin15)
+    return value, abs(value - cmath.exp(1j * math.pi / 3.0) * u0_constant()), tol, {}
 
 
 _EQ6_ROWS = (
@@ -506,13 +468,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   _schwarz_point_check(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic),
                   (0.5j, 0.55j, 0.6j, 0.05 + 0.55j, -0.05 + 0.6j), tau_grid=True),
     IdentityEntry("schwarz-u-lemn", "[u,tau] = -2 P(2u; 4,0) for the lemniscatic u(tau)", 1e-7,
-                  _schwarz_point_check(_EQ5_LEMN, u_lemniscatic),
+                  _schwarz_point_check(_Q_LEMN, u_lemniscatic),
                   (1 + 0.8j, 1 + 0.9j, -1 + 0.85j, 1 + 0.75j, 0.98 + 0.8j), tau_grid=True),
     IdentityEntry("schwarz-u-equi-root", "[u,tau] = -2 P(2u; 0,4), root form", 1e-7,
-                  _schwarz_point_check(_EQ5_ROOT, u_equianharmonic_root),
+                  _schwarz_point_check(_Q_EQUI, u_equianharmonic_root),
                   (0.55j, 0.6j, 0.65j, 0.75j, 0.85j), tau_grid=True),
     IdentityEntry("schwarz-u-equi-rootfree", "[u,tau] = -2 P(2u; 0,4), root-free form", 1e-7,
-                  _schwarz_point_check(_EQ5_ROOTFREE, u_equianharmonic_rootfree),
+                  _schwarz_point_check(_Q_EQUI, u_equianharmonic_rootfree),
                   (0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j),
                   tau_grid=True),
     IdentityEntry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 1e-9,
@@ -524,8 +486,9 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
     IdentityEntry("u0-digits", "u0 = i 1.402182105325..., real part exactly 0", 5e-12,
                   _check_u0_digits, _ONE_ROW),
     IdentityEntry("u0-wp-zero", "P(u0; 0,4) = 0", 1e-9, _check_u0_wp_zero, _ONE_ROW),
-    IdentityEntry("u0-fk-conventions", "elliptic-integral form of u0, convention search", 1e-9,
-                  _check_u0_fk_conventions, _FK_CONVENTIONS, informational=True),
+    IdentityEntry("u0-fk-conventions",
+                  "i/(2 3^(1/4)) F(3^(1/4)(sqrt3-1), sin 75) - 3^(-1/4) K(sin 15) = e^(i pi/3) u0",
+                  1e-12, _check_u0_fk, _ONE_ROW),
     IdentityEntry("eq6-oracle", "from-zero incomplete integrals vs quadrature (n=1)", 1e-9,
                   _check_integral_row, _EQ6_ROWS),
     IdentityEntry("eq7-oracle", "from-infinity incomplete integrals vs quadrature (n=1)", 1e-9,
@@ -566,8 +529,7 @@ def _sample_point(sample) -> complex:
 def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
     """One record per sample, under one error policy: an out-of-domain
     sample is skipped, any other package error fails that sample only, and a
-    residual that is not a finite nonnegative real fails even an
-    informational identity."""
+    residual that is not a finite nonnegative real fails."""
     tol = cfg.tolerances.get(entry.name, entry.tolerance)
     try:
         point, residual, tol, meta = entry.check(sample, cfg, tol)
@@ -578,12 +540,7 @@ def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
         return RunRecord(entry.name, _sample_point(sample), None, tol, "fail",
                          {"error": f"{type(exc).__name__}: {exc}"})
     residual = float(residual)
-    if not 0.0 <= residual < math.inf:  # NaN fails this test too
-        status = "fail"
-    elif entry.informational:
-        status = "informational"
-    else:
-        status = "pass" if residual <= tol else "fail"
+    status = "pass" if 0.0 <= residual < math.inf and residual <= tol else "fail"  # NaN fails
     return RunRecord(entry.name, complex(point), residual, float(tol), status, meta)
 
 

@@ -18,7 +18,6 @@ from .errors import CriticalPointError, DomainError, DomainNotSupported, PoleErr
 from .hypergeom import _f21
 from .modular import (
     hauptmodul_equianharmonic,
-    hauptmodul_lemniscatic,
     theta2,
     theta3,
     _tau_value,
@@ -27,7 +26,6 @@ from .numerics import holomorphic_derivatives, principal_power
 from .weier import EllipticInvariants, u0_constant, wp
 
 __all__ = [
-    "SchwarzEquation",
     "CurvePoint",
     "CoverConstants",
     "LEMNISCATIC_CHI_EQUATION",
@@ -44,75 +42,43 @@ __all__ = [
     "k_pm",
 ]
 
-# Convergence predicates of the shipped uniformizers.  Points outside are
-# refused, never extrapolated.
+# Convergence regions of the shipped uniformizers.  Each u_* function tests
+# its own region and refuses a point outside it, never extrapolates.
 LEMNISCATIC_PREDICATE_MODULUS = 1.0 / 0.95          # |chi(tau)| must exceed this
 EQUIANHARMONIC_ROOT_PREDICATE_MODULUS = 0.95 ** (-1.0 / 3.0)
 ROOTFREE_PREDICATE_CUBE = 0.95                      # |z(tau)|^3 at most this
 HYPERELLIPTIC_PREDICATE_RATIO = 0.95                # |theta2^4/theta3^4| at most this
 
+# The right-hand sides Q of the bracket equations [x, tau] = Q(x).  The
+# rational ones are evaluated in Horner form; each raises PoleError at its
+# singular points.
 
-def _poly_eval(coeffs: tuple[complex, ...], x: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-@dataclass(frozen=True)
-class SchwarzEquation:
-    """A named right-hand side Q for the bracket equation [x, tau] = Q(x).
-
-    Either a rational Q given by ascending numerator/denominator coefficients,
-    or the torus form Q(u) = -2 P(2u; g2, g3) selected by invariants_for_eq5.
-    """
-
-    id: str
-    q_num: tuple[complex, ...] | None = None
-    q_den: tuple[complex, ...] | None = None
-    invariants_for_eq5: EllipticInvariants | None = None
-    convergence_predicate: Callable[[complex], bool] = lambda tau: True
-    singular_set: tuple[complex, ...] = ()
-
-    def __post_init__(self):
-        rational = self.q_num is not None and self.q_den is not None
-        if rational == (self.invariants_for_eq5 is not None):
-            raise DomainError(
-                "SchwarzEquation needs either rational coefficients or eq-5 invariants"
-            )
-
-    def q_value(self, x: complex) -> complex:
-        x = complex(x)
-        if self.invariants_for_eq5 is not None:
-            return -2.0 * wp(2.0 * x, self.invariants_for_eq5)
-        for s in self.singular_set:
-            if x == s:
-                raise PoleError(f"Q({self.id}) is singular at {s!r}")
-        return _poly_eval(self.q_num, x) / _poly_eval(self.q_den, x)
+_CUBE_ROOTS_OF_UNITY = (1.0, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3))
 
 
-# [x,tau] = -(1/2)(x^2+1)^2 / (x^3-x)^2, singular at the branch points 0, +-1
-LEMNISCATIC_CHI_EQUATION = SchwarzEquation(
-    id="lemniscatic-chi",
-    q_num=(-0.5, 0.0, -1.0, 0.0, -0.5),
-    q_den=(0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 1.0),
-    singular_set=(0.0, 1.0, -1.0),
-)
-
-# [z,tau] = -(1/2) z(z^3+8) / (z^3-1)^2, singular at the cube roots of unity
-EQUIANHARMONIC_Z_EQUATION = SchwarzEquation(
-    id="equianharmonic-z",
-    q_num=(0.0, -4.0, 0.0, 0.0, -0.5),
-    q_den=(1.0, 0.0, 0.0, -2.0, 0.0, 0.0, 1.0),
-    singular_set=(1.0, cmath.exp(2j * math.pi / 3), cmath.exp(-2j * math.pi / 3)),
-)
+def LEMNISCATIC_CHI_EQUATION(x: complex) -> complex:
+    """Q(x) = -(1/2)(x^2+1)^2 / (x^3-x)^2, singular at the branch points 0, +-1."""
+    x = complex(x)
+    if x in (0.0, 1.0, -1.0):
+        raise PoleError(f"Q(lemniscatic-chi) is singular at {x!r}")
+    num = (((-0.5 * x) * x - 1.0) * x) * x - 0.5
+    den = ((((x * x - 2.0) * x) * x + 1.0) * x) * x
+    return num / den
 
 
-def eq5_equation(inv: EllipticInvariants,
-                 predicate: Callable[[complex], bool],
-                 id: str) -> SchwarzEquation:
-    """Torus-form equation [u, tau] = -2 P(2u; g2, g3)."""
-    return SchwarzEquation(id=id, invariants_for_eq5=inv, convergence_predicate=predicate)
+def EQUIANHARMONIC_Z_EQUATION(x: complex) -> complex:
+    """Q(x) = -(1/2) x(x^3+8) / (x^3-1)^2, singular at the cube roots of unity."""
+    x = complex(x)
+    if x in _CUBE_ROOTS_OF_UNITY:
+        raise PoleError(f"Q(equianharmonic-z) is singular at {x!r}")
+    num = (((-0.5 * x) * x) * x - 4.0) * x
+    den = ((((x * x) * x - 2.0) * x) * x) * x + 1.0
+    return num / den
+
+
+def eq5_equation(inv: EllipticInvariants) -> Callable[[complex], complex]:
+    """Q(u) = -2 P(2u; g2, g3) of the torus-form equation [u, tau] = Q(u)."""
+    return lambda u: -2.0 * wp(2.0 * complex(u), inv)
 
 
 @dataclass(frozen=True)
@@ -207,23 +173,6 @@ def bracket_schwarzian(f: Callable[[complex], complex], tau0: complex,
     return d3 / d1**3 - 1.5 * d2 * d2 / d1**4
 
 
-def lemniscatic_predicate(tau: complex) -> bool:
-    return abs(hauptmodul_lemniscatic(tau)) > LEMNISCATIC_PREDICATE_MODULUS
-
-
-def equianharmonic_root_predicate(tau: complex) -> bool:
-    return abs(hauptmodul_equianharmonic(tau)) > EQUIANHARMONIC_ROOT_PREDICATE_MODULUS
-
-
-def equianharmonic_rootfree_predicate(tau: complex) -> bool:
-    return abs(hauptmodul_equianharmonic(tau)) ** 3 <= ROOTFREE_PREDICATE_CUBE
-
-
-def hyperelliptic_predicate(tau: complex) -> bool:
-    lam = theta2(tau) ** 4 / theta3(tau) ** 4
-    return abs(lam) <= HYPERELLIPTIC_PREDICATE_RATIO
-
-
 def u_lemniscatic(tau) -> complex:
     """u(tau) = (theta3/theta2) 2F1(1/2, 1/4; 5/4 | theta3^4/theta2^4),
     the holomorphic integral of y^2 = 4x^3 - 4x as a function of tau.
@@ -292,19 +241,19 @@ def u_hyperelliptic(m: int, tau) -> complex:
     return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam)
 
 
-def schwarz_residual(eq: SchwarzEquation,
+def schwarz_residual(q: Callable[[complex], complex],
                      candidate: Callable[[complex], complex],
                      tau) -> float:
-    """|[candidate, tau] - Q(candidate(tau))|.
+    """|[candidate, tau] - q(candidate(tau))|.
 
-    The equation's convergence predicate gates the evaluation point; the
-    bracket's Cauchy circle has radius min(1e-2, Im(tau)/10).
+    candidate(tau) is evaluated first, so a uniformizer's own gate refuses a
+    point outside its region; the bracket's Cauchy circle has radius
+    min(1e-2, Im(tau)/10).
     """
     t = _tau_value(tau)
-    if not eq.convergence_predicate(t):
-        raise DomainNotSupported(f"tau = {t!r} violates the predicate of {eq.id!r}")
+    value = candidate(t)
     bracket = bracket_schwarzian(candidate, t, _schwarz_radius(t))
-    return abs(bracket - eq.q_value(candidate(t)))
+    return abs(bracket - q(value))
 
 
 def covering_map(p: CurvePoint, c: CoverConstants) -> tuple[complex, complex]:

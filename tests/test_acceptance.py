@@ -43,6 +43,13 @@ def test_criterion_02_wp_zero():
     assert records[0].tolerance == 1e-9
 
 
+def test_criterion_11_u0_elliptic_integral_form():
+    # the F/K expression of the P-zero is e^(i pi/3) u0 (DLMF 23.10.17)
+    records = _run_criterion(11, "F/K form of u0 = e^(i pi/3) u0 < 1e-12",
+                             ["u0-fk-conventions"], 0.1)
+    assert len(records) == 1 and records[0].tolerance == 1e-12
+
+
 def test_criterion_03_hauptmodul_schwarz_residuals():
     # the equianharmonic formula-variant question resolved in favor of the
     # printed Hauptmodul, so schwarz-z asserts rather than reports

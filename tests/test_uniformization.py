@@ -18,14 +18,10 @@ from abeltau.uniform import (
     CurvePoint,
     EQUIANHARMONIC_Z_EQUATION,
     LEMNISCATIC_CHI_EQUATION,
-    SchwarzEquation,
     bracket_schwarzian,
     covering_map,
     eq5_equation,
-    equianharmonic_root_predicate,
-    equianharmonic_rootfree_predicate,
     k_pm,
-    lemniscatic_predicate,
     reduce_differential,
     schwarz_residual,
     u_equianharmonic_root,
@@ -61,32 +57,31 @@ class TestBracketSchwarzian:
 
 
 class TestSchwarzEquationType:
+    """The right-hand sides Q of [x, tau] = Q(x) are plain functions of x."""
+
     def test_rational_evaluation(self):
-        q = LEMNISCATIC_CHI_EQUATION
         for x in (0.3 + 0.1j, 2.0, -0.7j):
             expected = -0.5 * (x**2 + 1.0) ** 2 / (x**3 - x) ** 2
-            assert abs(q.q_value(x) - expected) < 1e-13 * abs(expected)
-        q2 = EQUIANHARMONIC_Z_EQUATION
+            assert abs(LEMNISCATIC_CHI_EQUATION(x) - expected) < 1e-13 * abs(expected)
         for z in (0.4, 1.3 + 0.2j):
             expected = -0.5 * z * (z**3 + 8.0) / (z**3 - 1.0) ** 2
-            assert abs(q2.q_value(z) - expected) < 1e-13 * abs(expected)
+            assert abs(EQUIANHARMONIC_Z_EQUATION(z) - expected) < 1e-13 * abs(expected)
+        u = 0.3 + 0.2j
+        assert eq5_equation(LEMNISCATIC)(u) == -2.0 * wp(2.0 * u, LEMNISCATIC)
 
     def test_singular_set(self):
-        with pytest.raises(PoleError):
-            LEMNISCATIC_CHI_EQUATION.q_value(1.0)
-
-    def test_constructor_needs_exactly_one_form(self):
-        with pytest.raises(DomainError):
-            SchwarzEquation(id="bad")
-        with pytest.raises(DomainError):
-            SchwarzEquation(id="bad", q_num=(1.0,), q_den=(1.0,),
-                            invariants_for_eq5=LEMNISCATIC)
+        for x in (0.0, 1.0, -1.0):
+            with pytest.raises(PoleError):
+                LEMNISCATIC_CHI_EQUATION(x)
+        for k in (0, 1, -1):
+            with pytest.raises(PoleError):
+                EQUIANHARMONIC_Z_EQUATION(cmath.exp(2j * math.pi * k / 3))
 
     def test_moebius_solves_trivial_equation(self):
-        zero_q = SchwarzEquation(id="zero", q_num=(0.0,), q_den=(1.0,))
+        zero_q = lambda x: 0.0
         mob = lambda t: (t - 1.0) / (2.0 * t + 5.0j)
         # |[mob, tau] - Q(mob(tau))| on a wide circle, as schwarz_residual forms it
-        r = abs(bracket_schwarzian(mob, 0.8j, WIDE) - zero_q.q_value(mob(0.8j)))
+        r = abs(bracket_schwarzian(mob, 0.8j, WIDE) - zero_q(mob(0.8j)))
         assert r <= 1e-10, r
 
 
@@ -106,7 +101,7 @@ class TestHauptmodulEquations:
         # radius leaves too much differentiation noise, a radius of Im/10 works
         tau = 1.1j
         bracket = bracket_schwarzian(hauptmodul_equianharmonic, tau, 0.11)
-        r = abs(bracket - EQUIANHARMONIC_Z_EQUATION.q_value(hauptmodul_equianharmonic(tau)))
+        r = abs(bracket - EQUIANHARMONIC_Z_EQUATION(hauptmodul_equianharmonic(tau)))
         assert r <= 1e-8, r
 
 
@@ -122,9 +117,9 @@ class TestTauRepresentations:
                        - hauptmodul_lemniscatic(tau)) < 1e-9, tau
 
     def test_lemniscatic_eq5_grid(self):
-        eq = eq5_equation(LEMNISCATIC, lemniscatic_predicate, "eq5")
+        q = eq5_equation(LEMNISCATIC)
         for tau in (1 + 0.8j, 1 + 0.9j, -1 + 0.85j, 1 + 0.75j, 0.98 + 0.8j):
-            r = schwarz_residual(eq, u_lemniscatic, tau)
+            r = schwarz_residual(q, u_lemniscatic, tau)
             assert r <= 1e-7, (tau, r)
 
     def test_lemniscatic_domain_refusal(self):
@@ -142,9 +137,9 @@ class TestTauRepresentations:
             u_equianharmonic_root(1.2j)
 
     def test_equianharmonic_root_eq5_grid(self):
-        eq = eq5_equation(EQUIANHARMONIC, equianharmonic_root_predicate, "eq5")
+        q = eq5_equation(EQUIANHARMONIC)
         for tau in (0.55j, 0.6j, 0.65j, 0.75j, 0.85j):
-            r = schwarz_residual(eq, u_equianharmonic_root, tau)
+            r = schwarz_residual(q, u_equianharmonic_root, tau)
             assert r <= 1e-7, (tau, r)
 
     def test_rootfree_small_z_limit(self):
@@ -165,9 +160,9 @@ class TestTauRepresentations:
             u_equianharmonic_rootfree(0.5 + 1j)
 
     def test_rootfree_eq5_grid(self):
-        eq = eq5_equation(EQUIANHARMONIC, equianharmonic_rootfree_predicate, "eq5")
+        q = eq5_equation(EQUIANHARMONIC)
         for tau in (0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j):
-            r = schwarz_residual(eq, u_equianharmonic_rootfree, tau)
+            r = schwarz_residual(q, u_equianharmonic_rootfree, tau)
             assert r <= 1e-7, (tau, r)
 
     def test_eq5_bracket_sign_invariance(self):
@@ -178,9 +173,9 @@ class TestTauRepresentations:
         assert abs(plus - minus) < 1e-9 * abs(plus)
 
     def test_predicate_gate_in_schwarz_residual(self):
-        eq = eq5_equation(LEMNISCATIC, lemniscatic_predicate, "eq5")
-        with pytest.raises(DomainNotSupported):
-            schwarz_residual(eq, u_lemniscatic, 2j)
+        # the refusal is u_lemniscatic's own gate, met before any bracket sample
+        with pytest.raises(DomainNotSupported, match=r"\|chi\(tau\)\|"):
+            schwarz_residual(eq5_equation(LEMNISCATIC), u_lemniscatic, 2j)
 
 
 class TestHyperellipticFamily:
