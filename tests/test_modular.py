@@ -190,10 +190,20 @@ class TestDomainsAndPolicies:
             with pytest.raises(AccuracyError):
                 fn(0.5 + 0.005j)
 
+    def test_tau_point_requires_upper_half_plane(self):
+        # every operation on tau shares one gate: Im(tau) > 0
+        fns = (theta2, theta3, theta4, dedekind_eta, hauptmodul_lemniscatic,
+               hauptmodul_equianharmonic, hauptmodul_hyperelliptic,
+               sqrt_theta_ratio)
+        for fn in fns:
+            for tau in (1.0 - 0.2j, 1.0):  # Im(tau) <= 0
+                with pytest.raises(DomainError):
+                    fn(tau)
+        assert theta3(0.5j) == theta3(complex(0.0, 0.5))
+
     def test_lower_half_plane_rejected(self):
-        for tau in (-1j, 1.0 - 0.2j, 1.0):  # Im(tau) <= 0
-            with pytest.raises(DomainError):
-                theta3(tau)
+        with pytest.raises(DomainError):
+            theta3(-1j)
 
     def test_tighter_policy_agrees(self):
         # the stop rule against the brute-force sum, which never stops early
