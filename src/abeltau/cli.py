@@ -8,6 +8,7 @@ Exit codes (exactly these, always): 0 all pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -120,6 +121,7 @@ def _as_small_int(v: complex) -> int:
     return int(v.real)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abeltau",

@@ -22,7 +22,7 @@ from typing import Literal
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
 from .modular import _MAX_TERMS, _REL_TOL
-from .numerics import Polyline, contour_quadrature, ensure_finite, principal_power
+from .numerics import Polyline, _Jet, contour_quadrature, ensure_finite, principal_power
 
 __all__ = [
     "HypergeometricParams",
@@ -77,26 +77,71 @@ def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     raise AccuracyError("2F1 series did not converge within max_terms")
 
 
+def _f21_jet(a: complex, b: complex, c: complex, z: _Jet) -> _Jet:
+    """The jet of 2F1(a, b; c | z).  With t_n the series coefficients and
+    Q_k = t_(k+3) z0^k, one pass sums
+
+        F    = 1 + t1 z0 + t2 z0^2 + z0^3 sum Q_k,
+        F'   = t1 + 2 t2 z0 + z0^2 sum (k+3) Q_k,
+        F''  = 2 t2 + z0 sum (k+3)(k+2) Q_k,
+        F''' = sum (k+3)(k+2)(k+1) Q_k,
+
+    under the stop rule on the third derivative's terms, which decay slowest.
+    """
+    x = z.c[0]
+    t1 = a * b / c
+    t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
+    q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
+    s0 = s1 = s2 = s3 = 0j
+    mag = 0.0
+    small_run = 0
+    for k in range(_MAX_TERMS):
+        m1 = k + 3
+        m2 = (k + 2) * m1
+        d = (k + 1) * m2 * q
+        s0 += q
+        s1 += m1 * q
+        s2 += m2 * q
+        s3 += d
+        mag += abs(d)
+        if abs(d) <= _REL_TOL * mag:
+            small_run += 1
+            if small_run >= 2:
+                return z.compose(1.0 + (t1 + (t2 + x * s0) * x) * x,
+                                 t1 + (2.0 * t2 + x * s1) * x, 2.0 * t2 + x * s2, s3)
+        else:
+            small_run = 0
+        q *= (a + m1) * (b + m1) / ((c + m1) * (k + 4.0)) * x
+    raise AccuracyError("2F1 jet series did not converge within max_terms")
+
+
+def _gauss_2f1(params: HypergeometricParams, z):
+    """gauss_2f1 on a number or a jet z."""
+    a, b, c = params.a, params.b, params.c
+    series = _f21_jet if isinstance(z, _Jet) else _f21_series
+    if abs(z) <= _SERIES_DISK:
+        return series(a, b, c, z)
+    w = z / (z - 1.0)
+    if abs(w) <= _SERIES_DISK:
+        return principal_power(1.0 - z, -a) * series(a, c - b, c, w)
+    raise DomainNotSupported(
+        f"2F1 argument {z!r} outside both the series disk and the Pfaff-reachable region"
+    )
+
+
 def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     """2F1(a, b; c | z) by power series for |z| <= 0.95, else by the Pfaff
     transformation (1-z)^(-a) 2F1(a, c-b; c | z/(z-1)) when that argument is
     in the series disk.  Anything else is a hard DomainNotSupported: no
     silent analytic continuation.
     """
-    z = complex(z)
-    a, b, c = params.a, params.b, params.c
-    if abs(z) <= _SERIES_DISK:
-        return _f21_series(a, b, c, z)
-    w = z / (z - 1.0)
-    if abs(w) <= _SERIES_DISK:
-        return principal_power(1.0 - z, -a) * _f21_series(a, c - b, c, w)
-    raise DomainNotSupported(
-        f"2F1 argument {z!r} outside both the series disk and the Pfaff-reachable region"
-    )
+    return _gauss_2f1(params, complex(z))
 
 
-def _f21(a, b, c, z) -> complex:
-    return gauss_2f1(HypergeometricParams(a, b, c), z)
+def _f21(a, b, c, z):
+    """2F1(a, b; c | z) for a number z, or its jet for a jet z, which goes
+    to the kernel directly: the public gauss_2f1 takes numbers."""
+    return (_gauss_2f1 if isinstance(z, _Jet) else gauss_2f1)(HypergeometricParams(a, b, c), z)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import cmath
 import math
 
 from .errors import AccuracyError, DomainError
+from .numerics import _Jet
 
 __all__ = [
     "MIN_IM_TAU",
@@ -30,8 +31,10 @@ MIN_IM_TAU = 1e-2
 _PI = math.pi
 
 
-def _tau_value(tau) -> complex:
-    t = complex(tau)
+def _tau_value(tau):
+    """tau as a complex number, or a jet in tau unchanged; its value checked."""
+    jet = isinstance(tau, _Jet)
+    t = tau.c[0] if jet else complex(tau)
     if not (t.imag > 0):
         raise DomainError(f"tau must lie in the upper half-plane, got {t!r}")
     if t.imag < MIN_IM_TAU:
@@ -39,7 +42,7 @@ def _tau_value(tau) -> complex:
             f"Im(tau) = {t.imag:g} below supported minimum {MIN_IM_TAU:g}; "
             "q-series would lose digits"
         )
-    return t
+    return tau if jet else t
 
 
 # Series stop rule, shared with the 2F1 series: quit after two consecutive
@@ -68,6 +71,26 @@ class _StopRule:
         return self.small_run >= 2
 
 
+def _jet_series(tau: _Jet, terms) -> _Jet:
+    """The jet of sum_k a_k exp(lam_k tau) for (a_k, lam_k) in terms, |lam_k|
+    increasing, from the termwise derivatives a_k lam_k^j exp(lam_k tau0).
+    The stop rule watches the third derivative's terms, which decay slowest;
+    where they are small, so are the lower ones."""
+    t = tau.c[0]
+    f0 = f1 = f2 = 0j
+    s = _StopRule()
+    for a, lam in terms:
+        e = a * cmath.exp(lam * t)
+        f0 += e
+        e *= lam
+        f1 += e
+        e *= lam
+        f2 += e
+        if s.add(e * lam):
+            return tau.compose(f0, f1, f2, s.acc)
+    raise AccuracyError("q-series jet: truncation budget exhausted")
+
+
 def theta2(tau) -> complex:
     """theta_2(tau) = exp(pi i tau/4) * sum_k exp((k^2+k) pi i tau), k over Z.
 
@@ -76,6 +99,8 @@ def theta2(tau) -> complex:
     in tau), never a principal root of the nome.
     """
     t = _tau_value(tau)
+    if isinstance(t, _Jet):  # the prefactor folds into the exponents
+        return _jet_series(t, ((2.0, (k * k + k + 0.25) * 1j * _PI) for k in range(_MAX_TERMS)))
     s = _StopRule()
     for k in range(_MAX_TERMS):
         if s.add(2.0 * cmath.exp((k * k + k) * 1j * _PI * t)):
@@ -83,7 +108,11 @@ def theta2(tau) -> complex:
     raise AccuracyError("theta2: truncation budget exhausted")
 
 
-def _theta34(t: complex, alternating: bool) -> complex:
+def _theta34(t, alternating: bool):
+    if isinstance(t, _Jet):
+        sign = -1.0 if alternating else 1.0
+        return _jet_series(t, ((2.0 * sign**k if k else 1.0, k * k * 1j * _PI)
+                               for k in range(_MAX_TERMS)))
     s = _StopRule()
     s.add(1.0 + 0.0j)
     for k in range(1, _MAX_TERMS):
@@ -105,6 +134,15 @@ def theta4(tau) -> complex:
     return _theta34(_tau_value(tau), True)
 
 
+def _pentagonal_terms():
+    """(sign, exponent) of Euler's series, exponents increasing."""
+    yield 1.0, 0
+    for n in range(1, _MAX_TERMS):
+        sign = -1.0 if n % 2 else 1.0
+        yield sign, n * (3 * n - 1) // 2
+        yield sign, n * (3 * n + 1) // 2
+
+
 def dedekind_eta(tau) -> complex:
     """eta(tau) = exp(pi i tau/12) prod_k (1 - exp(2 pi i k tau)).
 
@@ -113,6 +151,9 @@ def dedekind_eta(tau) -> complex:
     needs far fewer terms than the raw product at equal accuracy.
     """
     t = _tau_value(tau)
+    if isinstance(t, _Jet):  # the prefactor folds into the exponents
+        return _jet_series(t, ((sign, 2j * _PI * (e + 1.0 / 24.0))
+                               for sign, e in _pentagonal_terms()))
     x = 2j * _PI * t  # log of the expansion variable
     s = _StopRule()
     s.add(1.0 + 0.0j)

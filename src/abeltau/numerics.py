@@ -1,8 +1,8 @@
-"""Complex-arithmetic primitives: principal powers, Cauchy-circle derivatives,
-and tanh-sinh contour quadrature over polylines.
+"""Complex-arithmetic primitives: principal powers, order-3 Taylor jets,
+Cauchy-circle derivatives, and tanh-sinh contour quadrature over polylines.
 
 Everything here is pure and reentrant; values are plain Python complex numbers
-(IEEE double, ~15.95 significant digits).
+(IEEE double, ~15.95 significant digits) or jets of them.
 """
 
 from __future__ import annotations
@@ -61,12 +61,119 @@ class Polyline:
         return sum(abs(b - a) for a, b in self.segments())
 
 
+class _Jet:
+    """Order-3 Taylor jet f(x0 + h) = c0 + c1 h + c2 h^2 + c3 h^3 + O(h^4)
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
+
+    Arithmetic with jets and numbers carries the derivatives exactly to
+    rounding, so code written for complex numbers runs on jets unchanged.
+    There is no __complex__: a path that would drop the derivatives raises
+    TypeError.  abs() is |c0|, for the convergence gates, and repr() that of
+    c0, so that an error message names the point.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c0, c1=0j, c2=0j, c3=0j):
+        self.c = (c0, c1, c2, c3)
+
+    def __repr__(self) -> str:
+        return repr(self.c[0])
+
+    def __abs__(self) -> float:
+        return abs(self.c[0])
+
+    def derivatives(self) -> tuple[complex, complex, complex, complex]:
+        """f, f', f'', f''' at x0; a non-finite one is an AccuracyError."""
+        c0, c1, c2, c3 = self.c
+        ds = (complex(c0), complex(c1), 2.0 * c2, 6.0 * c3)
+        if not all(map(cmath.isfinite, ds)):
+            raise AccuracyError(f"non-finite Taylor jet: {ds!r}")
+        return ds
+
+    def compose(self, f0, f1, f2, f3) -> "_Jet":
+        """The jet of F(self), given F and its first three derivatives at c0."""
+        _, a1, a2, a3 = self.c
+        return _Jet(f0, f1 * a1, f1 * a2 + 0.5 * f2 * a1 * a1,
+                    f1 * a3 + f2 * a1 * a2 + f3 * a1 * a1 * a1 / 6.0)
+
+    def __add__(self, other) -> "_Jet":
+        a0, a1, a2, a3 = self.c
+        if isinstance(other, _Jet):
+            b0, b1, b2, b3 = other.c
+            return _Jet(a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+        return _Jet(a0 + other, a1, a2, a3)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Jet":
+        a0, a1, a2, a3 = self.c
+        return _Jet(-a0, -a1, -a2, -a3)
+
+    def __sub__(self, other) -> "_Jet":
+        return self + -other
+
+    def __rsub__(self, other) -> "_Jet":
+        return -self + other
+
+    def __mul__(self, other) -> "_Jet":
+        a0, a1, a2, a3 = self.c
+        if isinstance(other, _Jet):
+            b0, b1, b2, b3 = other.c
+            return _Jet(a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+        return _Jet(a0 * other, a1 * other, a2 * other, a3 * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            return self * (1.0 / other)
+        a0, a1, a2, a3 = self.c
+        b0, b1, b2, b3 = other.c
+        q0 = a0 / b0
+        q1 = (a1 - q0 * b1) / b0
+        q2 = (a2 - q0 * b2 - q1 * b1) / b0
+        return _Jet(q0, q1, q2, (a3 - q0 * b3 - q1 * b2 - q2 * b1) / b0)
+
+    def __rtruediv__(self, other) -> "_Jet":
+        return _Jet(other) / self
+
+    def __pow__(self, n: int) -> "_Jet":
+        if not isinstance(n, int):
+            return NotImplemented
+        x = self.c[0]
+        ds, falling = [], 1  # falling = n (n-1) ... (n-k+1)
+        for k in range(4):
+            ds.append(falling * x ** (n - k) if falling else 0j)
+            falling *= n - k
+        return self.compose(*ds)
+
+    def exp(self) -> "_Jet":
+        e = cmath.exp(self.c[0])
+        return self.compose(e, e, e, e)
+
+    def log(self) -> "_Jet":
+        """Principal logarithm."""
+        x = self.c[0]
+        if x == 0:
+            raise DomainError("the logarithm has a branch point at 0")
+        r = 1.0 / x
+        return self.compose(cmath.log(x), r, -r * r, 2.0 * r * r * r)
+
+
 def principal_power(z: complex, a: complex) -> complex:
     """z**a = exp(a Log z) with the principal logarithm, Im(Log) in (-pi, pi].
 
-    z = 0 is allowed only for Re(a) > 0 (the limit value 0).
+    z = 0 is allowed only for Re(a) > 0 (the limit value 0).  A jet z takes
+    the branch of its value c0, so its derivatives are those of that branch.
     """
-    z = complex(z)
+    try:  # no isinstance test on the scalar path: the oracle's integrands call this
+        z = complex(z)
+    except TypeError:  # a jet has no __complex__
+        if not isinstance(z, _Jet):
+            raise
+        return (complex(a) * z.log()).exp()
     a = complex(a)
     if z == 0:
         if a.real <= 0:

@@ -33,7 +33,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .numerics import _STENCIL_NODES, contour_quadrature, holomorphic_derivatives
+from .numerics import _Jet, contour_quadrature
 from .uniform import (
     CoverConstants,
     CurvePoint,
@@ -43,7 +43,6 @@ from .uniform import (
     eq5_equation,
     reduce_differential,
     k_pm,
-    _schwarz_radius,
     schwarz_residual,
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
@@ -182,9 +181,7 @@ def _check_sqrt_ratio(tau, cfg, tol):
 
 def _schwarz_point_check(q, candidate):
     def check(tau, cfg, tol):
-        residual = schwarz_residual(q, candidate, tau)
-        return tau, residual, tol, {"stencil_radius": _schwarz_radius(tau),
-                                    "stencil_nodes": _STENCIL_NODES}
+        return tau, schwarz_residual(q, candidate, tau), tol, {}
     return check
 
 
@@ -194,21 +191,19 @@ _Q_EQUI = eq5_equation(EQUIANHARMONIC)
 
 def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
-    root branch fixed by sqrt_theta_ratio: 1/sqrt(z^5-z) = i/(s(tau) sqrt(1-z^4))."""
-    u_hyperelliptic(0, tau)  # its own gate refuses tau outside the theta-ratio region
-    radius = _schwarz_radius(tau)
-    z = hauptmodul_hyperelliptic(tau)
-    (z_prime,) = holomorphic_derivatives(hauptmodul_hyperelliptic, tau, 1, radius)
-    root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
+    root branch fixed by sqrt_theta_ratio: 1/sqrt(z^5-z) = i/(s(tau) sqrt(1-z^4)).
+    The derivatives are those of the jets in tau; the first u_hyperelliptic
+    call's own gate refuses tau outside the theta-ratio region."""
+    jet = _Jet(complex(tau), 1.0)
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
+    lhs = {m: u_hyperelliptic(m, jet).derivatives()[1] for m in ms}
+    z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
+    root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
     per_m = {}
     for m in ms:
-        (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s), tau, 1, radius)
         rhs = 1j * z**m * z_prime / root
-        per_m[f"m{m}"] = abs(lhs - rhs) / abs(rhs)
-    return tau, max(per_m.values()), tol, {"stencil_radius": radius,
-                                           "stencil_nodes": _STENCIL_NODES,
-                                           "branch": "sqrt_theta_ratio", **per_m}
+        per_m[f"m{m}"] = abs(lhs[m] - rhs) / abs(rhs)
+    return tau, max(per_m.values()), tol, {"branch": "sqrt_theta_ratio", **per_m}
 
 
 # --------------------------------------------------------------------------

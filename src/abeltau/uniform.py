@@ -22,7 +22,7 @@ from .modular import (
     theta3,
     _tau_value,
 )
-from .numerics import holomorphic_derivatives, principal_power
+from .numerics import _Jet, principal_power
 from .weier import EllipticInvariants, u0_constant, wp
 
 __all__ = [
@@ -155,22 +155,22 @@ class CoverConstants:
         return EllipticInvariants(g2, g3)
 
 
-def _schwarz_radius(tau: complex) -> float:
-    """Cauchy-circle radius min(1e-2, Im(tau)/10) of the tau derivatives,
-    keeping the circle well inside the half-plane and the convergence
-    regions of the shipped grids."""
-    return min(1e-2, complex(tau).imag / 10.0)
-
-
-def bracket_schwarzian(f: Callable[[complex], complex], tau0: complex,
-                       radius: float = 1e-2) -> complex:
-    """[f, tau] = f'''/f'^3 - (3/2) f''^2/f'^4 at tau0, i.e. the classical
-    Schwarzian {f, tau} divided by f'(tau0)^2, from derivatives on a Cauchy
-    circle of the given radius.  Vanishes on Moebius maps."""
-    d1, d2, d3 = holomorphic_derivatives(f, tau0, 3, radius)
+def _bracket(jet: _Jet, tau0: complex) -> tuple[complex, complex]:
+    """(f(tau0), [f, tau] at tau0) from the Taylor jet of f at tau0."""
+    d0, d1, d2, d3 = jet.derivatives()
     if abs(d1) < 1e-10:
         raise CriticalPointError(f"f'({tau0!r}) ~ 0; bracket undefined at a critical point")
-    return d3 / d1**3 - 1.5 * d2 * d2 / d1**4
+    return d0, d3 / d1**3 - 1.5 * d2 * d2 / d1**4
+
+
+def bracket_schwarzian(f: Callable[[complex], complex], tau0: complex) -> complex:
+    """[f, tau] = f'''/f'^3 - (3/2) f''^2/f'^4 at tau0, i.e. the classical
+    Schwarzian {f, tau} divided by f'(tau0)^2, from the Taylor jet f returns
+    on a jet in tau.  f must accept a jet: arithmetic, integer powers and the
+    package's theta, eta, 2F1 and principal powers do.  Vanishes on Moebius
+    maps."""
+    tau0 = complex(tau0)
+    return _bracket(f(_Jet(tau0, 1.0)), tau0)[1]
 
 
 def u_lemniscatic(tau) -> complex:
@@ -244,15 +244,12 @@ def u_hyperelliptic(m: int, tau) -> complex:
 def schwarz_residual(q: Callable[[complex], complex],
                      candidate: Callable[[complex], complex],
                      tau) -> float:
-    """|[candidate, tau] - q(candidate(tau))|.
-
-    candidate(tau) is evaluated first, so a uniformizer's own gate refuses a
-    point outside its region; the bracket's Cauchy circle has radius
-    min(1e-2, Im(tau)/10).
+    """|[candidate, tau] - q(candidate(tau))|, the value and the bracket from
+    one evaluation of candidate on a jet in tau, so a uniformizer's own gate
+    refuses a point outside its region.
     """
     t = _tau_value(tau)
-    value = candidate(t)
-    bracket = bracket_schwarzian(candidate, t, _schwarz_radius(t))
+    value, bracket = _bracket(candidate(_Jet(t, 1.0)), t)
     return abs(bracket - q(value))
 
 

@@ -11,9 +11,20 @@ from pathlib import Path
 import pytest
 
 import abeltau
+from abeltau import cli
 from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
 from abeltau.registry import REGISTRY, IdentityEntry, RunConfig, run_identity, run_identity_at
+
+
+def _fresh_run(argv):
+    """`python -m abeltau argv` in a child importing the same abeltau as this
+    process, installed or not."""
+    package_root = str(Path(abeltau.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "abeltau", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
 
 EXPECTED_IDENTITIES = {
     "jacobi-quartic", "eta-shift", "sqrt-ratio",
@@ -190,15 +201,23 @@ class TestEval:
         assert main(["eval", "theta2", "0.005i"]) == 3
 
     def test_module_entrypoint(self):
-        # the child imports the same abeltau as this process, installed or not
-        package_root = str(Path(abeltau.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "abeltau", "eval", "theta3", "i"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _fresh_run(["eval", "theta3", "i"])
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.08643481121331+0i"
+
+    def test_one_process_matches_fresh_runs(self, capsys):
+        # the parser is built once per process; reusing it changes no output
+        region = "-0.1,0.1,1.1,1.3"
+        runs = (["grid", "schwarz-chi", "--region", region, "--steps", "2"],
+                ["verify", "--steps", "2"],
+                ["verify", "schwarz-chi", "U-derivative", "--output", "json"],
+                ["grid", "schwarz-chi", "--region", region, "--steps", "2"])
+        for argv in runs:
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            proc = _fresh_run(argv)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert cli._build_parser.cache_info().currsize == 1
 
 
 class TestVerify:
@@ -255,14 +274,12 @@ class TestVerify:
         assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
 
     def test_numerical_settings_are_not_options(self, tmp_path, capsys):
-        # the Cauchy circle is fixed by tau, and the records still report it
+        # the derivatives come from Taylor jets, which have no setting to report
         assert main(["verify", "schwarz-chi", "--output", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[:-1]
         assert lines
         for line in lines:
-            rec = json.loads(line)
-            assert rec["metadata"] == {"stencil_radius": min(1e-2, rec["point"][1] / 10.0),
-                                       "stencil_nodes": 64}
+            assert json.loads(line)["metadata"] == {}
         for flag, value in (("--stencil-radius", "0.02"), ("--stencil-nodes", "128"),
                             ("--max-terms", "100")):
             assert main(["verify", "schwarz-chi", flag, value]) == 2
@@ -273,7 +290,29 @@ class TestVerify:
             assert main(["verify", "schwarz-chi", "--config", str(cfg)]) == 2
 
 
+# The whole rectangles the tau-grid benchmark draws its 2x2 sweeps from:
+# centre range plus or minus half-width (benchmarks/workloads.py, _GRID_RECTS).
+BENCHMARK_RECTS = {
+    "schwarz-chi": (-0.1, 0.1, 1.1, 1.3),
+    "schwarz-z": (-0.05, 0.05, 0.5, 0.6),
+    "schwarz-u-lemn": (0.95, 1.05, 0.75, 0.9),
+    "schwarz-u-equi-root": (-0.02, 0.02, 0.63, 0.77),
+    "schwarz-u-equi-rootfree": (0.45, 0.55, 0.6, 0.8),
+    "U-derivative": (-0.1, 0.1, 1.2, 1.8),
+}
+
+
 class TestGrid:
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_RECTS))
+    def test_benchmark_rectangles_never_fail(self, name):
+        re0, re1, im0, im1 = BENCHMARK_RECTS[name]
+        cfg = RunConfig()
+        for j in range(5):
+            for k in range(5):
+                tau = complex(re0 + (re1 - re0) * k / 4, im0 + (im1 - im0) * j / 4)
+                rec = run_identity_at(name, tau, cfg)
+                assert rec.status != "fail", rec
+
     def test_schwarz_chi_rectangle(self, capsys):
         assert main(["grid", "schwarz-chi", "--region", "-0.2,0.2,1.0,1.4",
                      "--steps", "5"]) == 0

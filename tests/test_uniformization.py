@@ -5,7 +5,13 @@ import math
 
 import pytest
 
-from abeltau.errors import CriticalPointError, DomainError, DomainNotSupported, PoleError
+from abeltau.errors import (
+    AccuracyError,
+    CriticalPointError,
+    DomainError,
+    DomainNotSupported,
+    PoleError,
+)
 from abeltau.modular import (
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
@@ -31,29 +37,43 @@ from abeltau.uniform import (
 )
 from abeltau.weier import EQUIANHARMONIC, LEMNISCATIC, u0_constant, wp, wp_inverse_lemniscatic
 
-WIDE = 0.5  # Cauchy-circle radius for entire and Moebius test functions
-
 # z(tau) vanishes on the Re = 1/2 line at this height (up to rounding)
 ROOTFREE_ZERO_TAU = 0.5 + 0.2886751345948129j
 
 
+def jet_exp(t):
+    """exp on the Taylor jet that bracket_schwarzian passes in."""
+    return t.exp()
+
+
 class TestBracketSchwarzian:
+    """f is called on a Taylor jet in tau: arithmetic and the jet's exp work."""
+
     def test_moebius_annihilated(self):
         mob = lambda t: (2.0 * t + 1.0) / (t - 3.0j)
-        assert abs(bracket_schwarzian(mob, 1 + 1j, WIDE)) < 1e-12
+        assert abs(bracket_schwarzian(mob, 1 + 1j)) < 1e-12
 
     def test_exponential(self):
-        assert abs(bracket_schwarzian(cmath.exp, 0.0, WIDE) + 0.5) < 1e-12
+        assert abs(bracket_schwarzian(jet_exp, 0.0) + 0.5) < 1e-12
         tau0 = 0.3j
         expected = -cmath.exp(-2.0 * tau0) / 2.0
-        assert abs(bracket_schwarzian(cmath.exp, tau0, WIDE) - expected) < 1e-12
+        assert abs(bracket_schwarzian(jet_exp, tau0) - expected) < 1e-12
 
     def test_square(self):
-        assert abs(bracket_schwarzian(lambda t: t * t, 1.0, WIDE) + 0.375) < 1e-12
+        assert abs(bracket_schwarzian(lambda t: t * t, 1.0) + 0.375) < 1e-12
 
     def test_critical_point(self):
         with pytest.raises(CriticalPointError):
-            bracket_schwarzian(lambda t: t * t, 0.0, WIDE)
+            bracket_schwarzian(lambda t: t * t, 0.0)
+
+    def test_dropping_the_derivatives_raises(self):
+        # a jet has no __complex__, so cmath cannot silently take its value
+        with pytest.raises(TypeError):
+            bracket_schwarzian(cmath.exp, 0.0)
+
+    def test_non_finite_derivative_raises(self):
+        with pytest.raises(AccuracyError):
+            bracket_schwarzian(lambda t: t * complex(math.inf, 0.0), 1.0)
 
 
 class TestSchwarzEquationType:
@@ -80,9 +100,8 @@ class TestSchwarzEquationType:
     def test_moebius_solves_trivial_equation(self):
         zero_q = lambda x: 0.0
         mob = lambda t: (t - 1.0) / (2.0 * t + 5.0j)
-        # |[mob, tau] - Q(mob(tau))| on a wide circle, as schwarz_residual forms it
-        r = abs(bracket_schwarzian(mob, 0.8j, WIDE) - zero_q(mob(0.8j)))
-        assert r <= 1e-10, r
+        r = schwarz_residual(zero_q, mob, 0.8j)
+        assert r <= 1e-14, r
 
 
 class TestHauptmodulEquations:
@@ -96,11 +115,10 @@ class TestHauptmodulEquations:
             r = schwarz_residual(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic, tau)
             assert r <= 1e-8, (tau, r)
 
-    def test_equianharmonic_near_cusp_with_wider_stencil(self):
-        # near tau = 1.1i the right side is ~6e3; schwarz_residual's 1e-2
-        # radius leaves too much differentiation noise, a radius of Im/10 works
+    def test_equianharmonic_near_cusp(self):
+        # near tau = 1.1i the right side is ~6e3; the jets resolve it
         tau = 1.1j
-        bracket = bracket_schwarzian(hauptmodul_equianharmonic, tau, 0.11)
+        bracket = bracket_schwarzian(hauptmodul_equianharmonic, tau)
         r = abs(bracket - EQUIANHARMONIC_Z_EQUATION(hauptmodul_equianharmonic(tau)))
         assert r <= 1e-8, r
 

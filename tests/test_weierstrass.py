@@ -2,9 +2,11 @@
 constant, and the second/third-kind integrals."""
 
 import cmath
+import functools
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from abeltau.errors import DomainError, DomainNotSupported, PoleError
@@ -229,3 +231,68 @@ class TestThirdKind:
         pa = wp(alpha, LEMNISCATIC)
         with pytest.raises(PoleError):
             integral_third_kind(pa, ThirdKindParam(alpha), LEMNISCATIC)
+
+
+@functools.cache
+def _gauss_legendre_48(prec):
+    return mp.calculus.quadrature.GaussLegendre(mp.mp).get_nodes(0, 1, 5, prec)
+
+
+class TestSigmaDisk:
+    """sigma and zeta on the widened disk |u| <= 2.0, and the third-kind
+    integrals that need it, against a 40-digit reference: P from Jacobi's sn,
+    zeta(u) = 1/u - int_0^u (P - 1/s^2) ds and
+    log(sigma(u)/u) = -int_0^u (u - s)(P - 1/s^2) ds by 48-point Gauss-Legendre
+    (the nearest lattice point is beyond 2.6, so the rule is exact to 40 digits)."""
+
+    @staticmethod
+    def _zeta_sigma(u, inv):
+        """(zeta(u), sigma(u)); the caller sets 40 digits."""
+        if inv is LEMNISCATIC:
+            e1, e2, e3 = mp.mpf(1), mp.mpf(0), mp.mpf(-1)
+        else:
+            e1, e2, e3 = mp.mpf(1), mp.expjpi(mp.mpf(2) / 3), mp.expjpi(mp.mpf(-2) / 3)
+        a, m = mp.sqrt(e1 - e3), (e2 - e3) / (e1 - e3)
+        nodes = _gauss_legendre_48(mp.mp.prec)
+        u = mp.mpc(u)
+        flat = tilted = 0
+        for r, w in nodes:
+            d = w * (e3 + (e1 - e3) / mp.ellipfun("sn", a * u * r, m=m) ** 2 - 1 / (u * r) ** 2)
+            flat += d
+            tilted += d * (1 - r)
+        return 1 / u - u * flat, u * mp.exp(-u * u * tilted)
+
+    @pytest.mark.parametrize("inv", [LEMNISCATIC, EQUIANHARMONIC])
+    def test_sigma_and_zeta_on_the_disk_edge(self, inv):
+        rng = random.Random(20)
+        for _ in range(4):
+            u = rng.uniform(1.7, 1.99) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            with mp.workdps(40):
+                zeta, sigma = map(complex, self._zeta_sigma(u, inv))
+            assert abs(weier_sigma(u, inv) - sigma) <= 1e-14 * abs(sigma), u
+            assert abs(weier_zeta(u, inv) - zeta) <= 5e-14 * abs(zeta), u
+
+    @pytest.mark.parametrize("z, alpha, inv", [
+        # the integral_third_kind calls of the eval-mix benchmark at seeds 10,
+        # 16 and 17, whose |u - alpha| = 1.779, 1.703 and 1.765 passed the old
+        # disk radius 1.7
+        (-1.1382153083324007 - 0.06117708904412606j, 0.05581080751321401 - 0.7289232434955939j,
+         LEMNISCATIC),
+        (-0.7289785803931226 - 0.8569431225810548j, -0.35276047054880294 - 0.7023443699744738j,
+         LEMNISCATIC),
+        (-0.6261300455444924 + 0.930944207789321j, -0.06903282899747484 + 0.7828161042079633j,
+         EQUIANHARMONIC),
+    ])
+    def test_third_kind_beyond_the_old_disk(self, z, alpha, inv):
+        with mp.workdps(40):
+            x = mp.mpc(z)
+            if inv is LEMNISCATIC:
+                u = x ** mp.mpf(-0.5) * mp.hyp2f1(0.5, 0.25, 1.25, x**-2)
+            else:
+                u = x ** mp.mpf(-0.5) * mp.hyp2f1(0.5, mp.mpf(1) / 6, mp.mpf(7) / 6, x**-3)
+            assert abs(u - alpha) > 1.7
+            zeta_alpha, _ = self._zeta_sigma(alpha, inv)
+            ratio = self._zeta_sigma(u - alpha, inv)[1] / self._zeta_sigma(u, inv)[1]
+            expected = complex(mp.log(ratio) + zeta_alpha * u)
+        got = integral_third_kind(z, ThirdKindParam(alpha), inv)
+        assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), (got, expected)
