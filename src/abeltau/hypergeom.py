@@ -59,71 +59,62 @@ class HypergeometricParams:
             raise DomainError(f"2F1 lower parameter c={self.c} is a nonpositive integer")
 
 
-def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
-    term = 1.0 + 0.0j
-    acc = 1.0 + 0.0j
-    mag = 1.0
-    small_run = 0
-    for k in range(_MAX_TERMS):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * z
-        acc += term
-        mag += abs(term)
-        if abs(term) <= _REL_TOL * mag:
-            small_run += 1
-            if small_run >= 2:
-                return ensure_finite(acc, "2F1 series")
-        else:
-            small_run = 0
-    raise AccuracyError("2F1 series did not converge within max_terms")
+def _f21_series(a: complex, b: complex, c: complex, z):
+    """2F1(a, b; c | z) for a number z, or its jet for a jet z.  With t_n the
+    series coefficients, x the value of z and Q_n = t_n x^(n-3), one pass sums
 
+        F    = 1 + t1 x + t2 x^2 + x^3 sum Q_n,
+        F'   = t1 + 2 t2 x + x^2 sum n Q_n,
+        F''  = 2 t2 + x sum n (n-1) Q_n,
+        F''' = sum n (n-1)(n-2) Q_n,                n >= 3,
 
-def _f21_jet(a: complex, b: complex, c: complex, z: _Jet) -> _Jet:
-    """The jet of 2F1(a, b; c | z).  With t_n the series coefficients and
-    Q_k = t_(k+3) z0^k, one pass sums
-
-        F    = 1 + t1 z0 + t2 z0^2 + z0^3 sum Q_k,
-        F'   = t1 + 2 t2 z0 + z0^2 sum (k+3) Q_k,
-        F''  = 2 t2 + z0 sum (k+3)(k+2) Q_k,
-        F''' = sum (k+3)(k+2)(k+1) Q_k,
-
-    under the stop rule on the third derivative's terms, which decay slowest.
+    and a number F alone, from its own terms x^3 Q_n = t_n x^n.  The stop
+    rule watches the terms of the highest derivative summed: those of F,
+    after its leading 1, for a number; those of F''' for a jet, which decay
+    slowest.
     """
-    x = z.c[0]
+    jet = isinstance(z, _Jet)
+    x = z.c[0] if jet else z
     t1 = a * b / c
     t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
     q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
+    if not jet:
+        q *= x * x * x
     s0 = s1 = s2 = s3 = 0j
-    mag = 0.0
+    mag = 0.0 if jet else 1.0
     small_run = 0
-    for k in range(_MAX_TERMS):
-        m1 = k + 3
-        m2 = (k + 2) * m1
-        d = (k + 1) * m2 * q
+    for n in range(3, _MAX_TERMS + 3):
         s0 += q
-        s1 += m1 * q
-        s2 += m2 * q
-        s3 += d
-        mag += abs(d)
-        if abs(d) <= _REL_TOL * mag:
+        d = q
+        if jet:
+            m = n * (n - 1)
+            s1 += n * q
+            s2 += m * q
+            d = (n - 2) * m * q
+            s3 += d
+        size = abs(d)
+        mag += size
+        if size <= _REL_TOL * mag:
             small_run += 1
             if small_run >= 2:
-                return z.compose(1.0 + (t1 + (t2 + x * s0) * x) * x,
-                                 t1 + (2.0 * t2 + x * s1) * x, 2.0 * t2 + x * s2, s3)
+                if jet:
+                    return z.compose(1.0 + (t1 + (t2 + x * s0) * x) * x,
+                                     t1 + (2.0 * t2 + x * s1) * x, 2.0 * t2 + x * s2, s3)
+                return ensure_finite(1.0 + (t1 + t2 * x) * x + s0, "2F1 series")
         else:
             small_run = 0
-        q *= (a + m1) * (b + m1) / ((c + m1) * (k + 4.0)) * x
-    raise AccuracyError("2F1 jet series did not converge within max_terms")
+        q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+    raise AccuracyError("2F1 series did not converge within max_terms")
 
 
 def _gauss_2f1(params: HypergeometricParams, z):
     """gauss_2f1 on a number or a jet z."""
     a, b, c = params.a, params.b, params.c
-    series = _f21_jet if isinstance(z, _Jet) else _f21_series
     if abs(z) <= _SERIES_DISK:
-        return series(a, b, c, z)
+        return _f21_series(a, b, c, z)
     w = z / (z - 1.0)
     if abs(w) <= _SERIES_DISK:
-        return principal_power(1.0 - z, -a) * series(a, c - b, c, w)
+        return principal_power(1.0 - z, -a) * _f21_series(a, c - b, c, w)
     raise DomainNotSupported(
         f"2F1 argument {z!r} outside both the series disk and the Pfaff-reachable region"
     )
@@ -282,18 +273,18 @@ def elliptic_K(k: complex) -> complex:
     arithmetic-geometric mean of 1 and sqrt(1 - k^2)."""
     k = complex(k)
     m = k * k
-    if m.imag == 0 and m.real >= 1.0:
-        raise DomainError(f"elliptic_K needs k^2 outside [1, inf), got k={k!r}")
+    if not cmath.isfinite(k) or (m.imag == 0 and m.real >= 1.0):
+        raise DomainError(f"elliptic_K needs a finite k with k^2 outside [1, inf), got k={k!r}")
     a = 1.0 + 0.0j
     b = cmath.sqrt(1.0 - m)
     for _ in range(64):
-        if abs(a - b) <= 1e-17 * abs(a):
-            break
+        if abs(a - b) <= 1e-14 * abs(a):  # the mean (a + b)/2 is then exact to rounding
+            return math.pi / (a + b)
         a, b = 0.5 * (a + b), cmath.sqrt(a * b)
         # right-choice branch: keep the means in the same half-plane
         if abs(a - b) > abs(a + b):
             b = -b
-    return math.pi / (2.0 * a)
+    raise AccuracyError(f"elliptic_K: the AGM did not converge in 64 steps at k={k!r}")
 
 
 # Carlson's R_F: with r = 1e-16 in Q = (3r)^(-1/6) max|A0 - arg|, the

@@ -28,20 +28,17 @@ __all__ = [
 
 MIN_IM_TAU = 1e-2
 
-_PI = math.pi
+_PI_I = 1j * math.pi
 
 
 def _tau_value(tau):
     """tau as a complex number, or a jet in tau unchanged; its value checked."""
     jet = isinstance(tau, _Jet)
     t = tau.c[0] if jet else complex(tau)
-    if not (t.imag > 0):
-        raise DomainError(f"tau must lie in the upper half-plane, got {t!r}")
+    if not (cmath.isfinite(t) and t.imag > 0):
+        raise DomainError(f"tau must be finite and in the upper half-plane, got {t!r}")
     if t.imag < MIN_IM_TAU:
-        raise AccuracyError(
-            f"Im(tau) = {t.imag:g} below supported minimum {MIN_IM_TAU:g}; "
-            "q-series would lose digits"
-        )
+        raise AccuracyError(f"Im(tau) = {t.imag:g} < {MIN_IM_TAU:g}: the q-series would lose digits")
     return tau if jet else t
 
 
@@ -52,43 +49,40 @@ _REL_TOL = 1e-16
 _MAX_TERMS = 10_000
 
 
-class _StopRule:
-    """Two-consecutive-small-terms accumulator."""
+def _q_series(tau, terms):
+    """sum_k a_k exp(lam_k tau) over (a_k, lam_k) in terms, |lam_k| increasing,
+    for a number tau; for a jet in tau, its jet from the termwise derivatives
+    a_k lam_k^j exp(lam_k tau0), j <= 3.
 
-    def __init__(self):
-        self.acc = 0.0 + 0.0j
-        self.mag = 0.0
-        self.small_run = 0
-
-    def add(self, term: complex) -> bool:
-        """Accumulate; return True once the stop rule has fired."""
-        self.acc += term
-        self.mag += abs(term)
-        if abs(term) <= _REL_TOL * self.mag:
-            self.small_run += 1
-        else:
-            self.small_run = 0
-        return self.small_run >= 2
-
-
-def _jet_series(tau: _Jet, terms) -> _Jet:
-    """The jet of sum_k a_k exp(lam_k tau) for (a_k, lam_k) in terms, |lam_k|
-    increasing, from the termwise derivatives a_k lam_k^j exp(lam_k tau0).
-    The stop rule watches the third derivative's terms, which decay slowest;
-    where they are small, so are the lower ones."""
-    t = tau.c[0]
-    f0 = f1 = f2 = 0j
-    s = _StopRule()
+    The stop rule watches the terms of the highest derivative summed: the
+    value's for a number, the third derivative's for a jet, which decay
+    slowest; where they are small, so are the lower ones.  terms ends at the
+    budget, after _MAX_TERMS values of its index.
+    """
+    jet = isinstance(tau, _Jet)
+    t = tau.c[0] if jet else tau
+    f0 = f1 = f2 = f3 = 0j
+    mag = 0.0
+    small_run = 0
     for a, lam in terms:
         e = a * cmath.exp(lam * t)
         f0 += e
-        e *= lam
-        f1 += e
-        e *= lam
-        f2 += e
-        if s.add(e * lam):
-            return tau.compose(f0, f1, f2, s.acc)
-    raise AccuracyError("q-series jet: truncation budget exhausted")
+        if jet:
+            e *= lam
+            f1 += e
+            e *= lam
+            f2 += e
+            e *= lam
+            f3 += e
+        size = abs(e)
+        mag += size
+        if size <= _REL_TOL * mag:
+            small_run += 1
+            if small_run >= 2:
+                return tau.compose(f0, f1, f2, f3) if jet else f0
+        else:
+            small_run = 0
+    raise AccuracyError("q-series: truncation budget exhausted")
 
 
 def theta2(tau) -> complex:
@@ -96,51 +90,35 @@ def theta2(tau) -> complex:
 
     The k and -(k+1) terms coincide, so the symmetric sum is twice the k >= 0
     half.  The quarter-power prefactor is exp(pi i tau/4) itself (holomorphic
-    in tau), never a principal root of the nome.
+    in tau), never a principal root of the nome; it folds into the exponents.
     """
-    t = _tau_value(tau)
-    if isinstance(t, _Jet):  # the prefactor folds into the exponents
-        return _jet_series(t, ((2.0, (k * k + k + 0.25) * 1j * _PI) for k in range(_MAX_TERMS)))
-    s = _StopRule()
-    for k in range(_MAX_TERMS):
-        if s.add(2.0 * cmath.exp((k * k + k) * 1j * _PI * t)):
-            return cmath.exp(0.25j * _PI * t) * s.acc
-    raise AccuracyError("theta2: truncation budget exhausted")
+    return _q_series(_tau_value(tau),
+                     ((2.0, (k * k + k + 0.25) * _PI_I) for k in range(_MAX_TERMS)))
 
 
-def _theta34(t, alternating: bool):
-    if isinstance(t, _Jet):
-        sign = -1.0 if alternating else 1.0
-        return _jet_series(t, ((2.0 * sign**k if k else 1.0, k * k * 1j * _PI)
-                               for k in range(_MAX_TERMS)))
-    s = _StopRule()
-    s.add(1.0 + 0.0j)
+def _theta34_terms(sign: float):
+    yield 1.0, 0j
     for k in range(1, _MAX_TERMS):
-        term = 2.0 * cmath.exp(k * k * 1j * _PI * t)
-        if alternating and (k % 2):
-            term = -term
-        if s.add(term):
-            return s.acc
-    raise AccuracyError("theta series: truncation budget exhausted")
+        yield 2.0 * sign**k, k * k * _PI_I
 
 
 def theta3(tau) -> complex:
     """theta_3(tau) = sum_k exp(k^2 pi i tau)."""
-    return _theta34(_tau_value(tau), False)
+    return _q_series(_tau_value(tau), _theta34_terms(1.0))
 
 
 def theta4(tau) -> complex:
     """theta_4(tau) = sum_k (-1)^k exp(k^2 pi i tau)."""
-    return _theta34(_tau_value(tau), True)
+    return _q_series(_tau_value(tau), _theta34_terms(-1.0))
 
 
 def _pentagonal_terms():
-    """(sign, exponent) of Euler's series, exponents increasing."""
-    yield 1.0, 0
+    """(sign, exponent) of Euler's series below, exp(pi i tau/12) folded in."""
+    yield 1.0, _PI_I / 12.0
     for n in range(1, _MAX_TERMS):
         sign = -1.0 if n % 2 else 1.0
-        yield sign, n * (3 * n - 1) // 2
-        yield sign, n * (3 * n + 1) // 2
+        yield sign, (n * (3 * n - 1) + 1.0 / 12.0) * _PI_I
+        yield sign, (n * (3 * n + 1) + 1.0 / 12.0) * _PI_I
 
 
 def dedekind_eta(tau) -> complex:
@@ -150,20 +128,7 @@ def dedekind_eta(tau) -> complex:
     sum_n (-1)^n x^(n(3n-1)/2) over n in Z with x = exp(2 pi i tau), which
     needs far fewer terms than the raw product at equal accuracy.
     """
-    t = _tau_value(tau)
-    if isinstance(t, _Jet):  # the prefactor folds into the exponents
-        return _jet_series(t, ((sign, 2j * _PI * (e + 1.0 / 24.0))
-                               for sign, e in _pentagonal_terms()))
-    x = 2j * _PI * t  # log of the expansion variable
-    s = _StopRule()
-    s.add(1.0 + 0.0j)
-    for n in range(1, _MAX_TERMS):
-        sign = -1.0 if n % 2 else 1.0
-        fired = s.add(sign * cmath.exp(n * (3 * n - 1) // 2 * x))
-        fired = s.add(sign * cmath.exp(n * (3 * n + 1) // 2 * x)) and fired
-        if fired:
-            return cmath.exp(1j * _PI * t / 12.0) * s.acc
-    raise AccuracyError("dedekind_eta: truncation budget exhausted")
+    return _q_series(_tau_value(tau), _pentagonal_terms())
 
 
 def hauptmodul_lemniscatic(tau) -> complex:
@@ -191,5 +156,4 @@ def sqrt_theta_ratio(tau) -> complex:
     tau; it is the branch used everywhere a square root of the theta quotient
     is needed.
     """
-    t = _tau_value(tau)
-    return math.sqrt(2.0) * theta2(t) / theta2(0.5 * t)
+    return math.sqrt(2.0) * theta2(tau) / theta2(0.5 * tau)

@@ -269,7 +269,8 @@ def contour_quadrature(
     a singular endpoint is best placed at 0, where doubles resolve the
     distance to it.  If the estimates disagree by more than tol when the
     next level would pass the evaluation budget, or when they agree only to
-    rounding level, the best estimate is surfaced inside an AccuracyError.
+    rounding level, the best estimate is surfaced inside an AccuracyError; its
+    error bound is the larger distance to the two estimates before it.
     """
     if not isinstance(path, Polyline):
         path = Polyline(path)
@@ -281,7 +282,7 @@ def contour_quadrature(
             for a, b, half in segments]
     total = sum(mids)
     mass = sum(map(abs, mids))  # scale of the contributions so far, for the floor
-    value = error = math.inf
+    value = older = error = bound = math.inf
     for level in itertools.count():
         gaps, weights = _ts_level(level)
         if evals + 2 * len(gaps) * len(segments) > _MAX_QUAD_EVALS:
@@ -304,13 +305,14 @@ def contour_quadrature(
         estimate = total * 2.0**-level  # total holds the sum over the level's grid
         if level >= 2:
             error = abs(estimate - value)
-        value = estimate
+            bound = max(error, abs(estimate - older))  # reported if it gives up
+        older, value = value, estimate
         if error <= tol or error <= 4e-16 * abs(estimate):
             break
     if not error <= tol:
         raise AccuracyError(
-            f"quadrature failed to reach tol={tol:g} (error bound {error:.3g})",
+            f"quadrature failed to reach tol={tol:g} (error bound {bound:.3g})",
             estimate=value,
-            error_bound=error,
+            error_bound=bound,
         )
     return value

@@ -65,6 +65,8 @@ class EllipticInvariants:
         g2, g3 = complex(self.g2), complex(self.g3)
         object.__setattr__(self, "g2", g2)
         object.__setattr__(self, "g3", g3)
+        if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+            raise DomainError(f"invariants must be finite: {self!r}")
         if g2**3 - 27.0 * g3**2 == 0:
             raise DomainError(f"degenerate invariants (zero discriminant): {self!r}")
 

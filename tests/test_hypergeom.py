@@ -6,14 +6,15 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abeltau import hypergeom
-from abeltau.errors import AbeltauError, DomainError, DomainNotSupported
+from abeltau.errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from abeltau.hypergeom import (
     HypergeometricParams,
     IncompleteIntegralSpec,
+    _f21,
     elliptic_F,
     elliptic_K,
     euler_beta,
@@ -22,7 +23,7 @@ from abeltau.hypergeom import (
     incomplete_integral_2f1,
     oracle_incomplete_integral,
 )
-from abeltau.numerics import Polyline, contour_quadrature
+from abeltau.numerics import Polyline, _Jet, contour_quadrature
 from abeltau.registry import REGISTRY
 
 
@@ -70,6 +71,29 @@ class TestGauss2F1:
             HypergeometricParams(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             HypergeometricParams(1.0, 1.0, -3.0)
+
+    # 0 <= a, b <= 1 <= c: the coefficients are positive and non-increasing,
+    # so 2F1 has no zero in the unit disk (Enestrom-Kakeya) and a relative
+    # error is well defined; the Pfaff series (a, c - b; c) keeps that shape
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), c=st.floats(1.0, 2.0),
+           r=st.floats(0.0, 0.95), phi=st.floats(-math.pi, math.pi), pfaff=st.booleans())
+    def test_against_mpmath(self, a, b, c, r, phi, pfaff):
+        z = cmath.rect(r, phi)
+        if pfaff:  # z/(z - 1) is an involution: w in the disk maps to z
+            z = z / (z - 1.0)
+        # the round trip back to w can round past the disk's edge, where the
+        # gate refuses by design; the region is what the gate computes
+        assume(abs(z) <= 0.95 or abs(z / (z - 1.0)) <= 0.95)
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(f21(a, b, c, z) - ref) <= 1e-13 * abs(ref)
+
+    def test_max_terms_exhaustion_on_numbers_and_jets(self, monkeypatch):
+        monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
+        for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-3.0, 1.0)):  # series and Pfaff
+            with pytest.raises(AccuracyError):
+                _f21(0.5, 0.25, 1.25, z)
 
 
 class TestGammaBeta:
@@ -155,6 +179,16 @@ class TestEllipticIntegrals:
         for k in (1.0, 1.5, -2.0):
             with pytest.raises(DomainError):
                 elliptic_K(k)
+
+    @pytest.mark.parametrize("k", (math.nan, complex(1.0, math.nan), complex(0.0, math.inf)))
+    def test_non_finite_modulus_rejected(self, k):
+        with pytest.raises(DomainError):
+            elliptic_K(k)
+
+    def test_agm_that_does_not_converge_raises(self):
+        # k^2 overflows to -inf, and the means never meet
+        with pytest.raises(AccuracyError):
+            elliptic_K(1e200j)
 
 
 class TestIncompleteIntegralSpec:

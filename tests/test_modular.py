@@ -9,7 +9,10 @@ stop-rule machinery.
 import cmath
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abeltau import modular
 from abeltau.errors import AccuracyError, DomainError
@@ -23,6 +26,7 @@ from abeltau.modular import (
     theta3,
     theta4,
 )
+from abeltau.numerics import _Jet
 
 TAU_GRID = (0.3j, 0.2 + 0.5j, 1j, -0.4 + 1.7j, 1 + 2j, 0.05j)
 
@@ -123,6 +127,26 @@ class TestDedekindEta:
             assert abs(got - expected) < 1e-12 * abs(expected)
 
 
+def _mp_references(tau):
+    """theta2, theta3, theta4 and eta at tau from mpmath's jtheta and its
+    q-Pochhammer symbol; theta2's quarter power is exp(pi i tau/4)."""
+    t = mp.mpc(tau)
+    q = mp.expjpi(t)
+    return {theta2: mp.jtheta(2, 0, q) / q**0.25 * mp.expjpi(t / 4),
+            theta3: mp.jtheta(3, 0, q), theta4: mp.jtheta(4, 0, q),
+            dedekind_eta: mp.expjpi(t / 12) * mp.qp(q**2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(re=st.floats(-1.0, 1.0), im=st.floats(0.2, 3.0))
+def test_theta_and_eta_against_mpmath(re, im):
+    tau = complex(re, im)
+    with mp.workdps(40):
+        refs = {fn: complex(v) for fn, v in _mp_references(tau).items()}
+    for fn, ref in refs.items():
+        assert abs(fn(tau) - ref) <= 1e-13 * abs(ref), fn.__name__
+
+
 class TestHauptmoduln:
     def test_lemniscatic_at_i(self):
         assert abs(hauptmodul_lemniscatic(1j) - 2.0**-0.5) < 1e-14
@@ -213,6 +237,17 @@ class TestDomainsAndPolicies:
             assert abs(a - b) < 1e-15 * abs(b)
 
     def test_max_terms_exhaustion(self, monkeypatch):
+        # every q-series, on a number and on a jet, gives up at its budget
         monkeypatch.setattr(modular, "_MAX_TERMS", 3)
-        with pytest.raises(AccuracyError):
-            theta3(0.011j)
+        for fn in (theta2, theta3, theta4, dedekind_eta):
+            for tau in (0.011j, _Jet(0.011j, 1.0)):
+                with pytest.raises(AccuracyError):
+                    fn(tau)
+
+    @pytest.mark.parametrize("tau", (complex(math.nan, 1.0), complex(0.3, math.inf),
+                                     complex(math.inf, 1.0), _Jet(complex(math.nan, 1.0), 1.0)))
+    def test_non_finite_tau_rejected(self, monkeypatch, tau):
+        # refused at the gate, before any series term is summed
+        monkeypatch.setattr(modular, "_MAX_TERMS", 0)
+        with pytest.raises(DomainError):
+            theta3(tau)

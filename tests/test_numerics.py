@@ -181,6 +181,7 @@ class TestContourQuadrature:
         assert cmath.isfinite(err.value.estimate)
         assert abs(err.value.estimate - exact) < 1e-2
         assert err.value.error_bound > 1e-12
+        assert err.value.error_bound >= abs(err.value.estimate - exact)
 
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):

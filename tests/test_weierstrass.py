@@ -80,6 +80,11 @@ class TestWpBasics:
         with pytest.raises(DomainError):
             EllipticInvariants(3.0, 1.0)  # g2^3 = 27 g3^2
 
+    @pytest.mark.parametrize("g2, g3", ((math.nan, 1.0), (1.0, complex(0.0, math.inf))))
+    def test_non_finite_invariants_rejected(self, g2, g3):
+        with pytest.raises(DomainError):
+            EllipticInvariants(g2, g3)
+
 
 class TestWpInverses:
     def test_large_argument_asymptotics(self):
