@@ -8,6 +8,16 @@ elliptic integrals, and the incomplete-integral <-> 2F1 identities
 
 together with a brute-force contour-quadrature oracle for both.
 
+Every 2F1 those forms and the uniformizers need has c = b + 1, an incomplete
+beta function in disguise (DLMF 8.17.7): B_z(b, 1-a) = (z^b/b) 2F1(a, b; b+1 | z).
+Where z is nearer to 1 than to 0, the private _f21 sums it from that end
+through B_z(p, q) = B(p, q) - B_(1-z)(q, p) (DLMF 8.17.4):
+
+    2F1(a, b; b+1 | z) = b z^(-b) [B(b, 1-a)
+                          - (1-z)^(1-a)/(1-a) 2F1(1-a, 1-b; 2-a | 1-z)],
+
+a series in 1 - z, which needs far fewer terms there than the one in z.
+
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
 principal powers, i.e. (u^n - 1) = e^(-i pi) (1 - u^n) on the base interval.
@@ -17,7 +27,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
@@ -41,7 +53,7 @@ _SERIES_DISK = 0.95
 
 def _is_nonpositive_integer(z: complex) -> bool:
     z = complex(z)
-    return z.imag == 0 and z.real <= 0 and z.real == int(z.real)
+    return z.imag == 0 and z.real <= 0 and z.real.is_integer()
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,8 @@ class HypergeometricParams:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b) and cmath.isfinite(self.c)):
+            raise DomainError(f"2F1 parameters must be finite: {self!r}")
         if _is_nonpositive_integer(self.c):
             raise DomainError(f"2F1 lower parameter c={self.c} is a nonpositive integer")
 
@@ -71,7 +85,10 @@ def _f21_series(a: complex, b: complex, c: complex, z):
     and a number F alone, from its own terms x^3 Q_n = t_n x^n.  The stop
     rule watches the terms of the highest derivative summed: those of F,
     after its leading 1, for a number; those of F''' for a jet, which decay
-    slowest.
+    slowest.  A jet's magnitude starts at the smallest normal float over the
+    relative tolerance, so that a term below the normal range counts as
+    small: with a tiny t1, Q_n can stall at the smallest subnormal while
+    n(n-1)(n-2) Q_n grows.
     """
     jet = isinstance(z, _Jet)
     x = z.c[0] if jet else z
@@ -81,7 +98,7 @@ def _f21_series(a: complex, b: complex, c: complex, z):
     if not jet:
         q *= x * x * x
     s0 = s1 = s2 = s3 = 0j
-    mag = 0.0 if jet else 1.0
+    mag = sys.float_info.min / _REL_TOL if jet else 1.0
     small_run = 0
     for n in range(3, _MAX_TERMS + 3):
         s0 += q
@@ -129,10 +146,58 @@ def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     return _gauss_2f1(params, complex(z))
 
 
+# The complement route is taken while its sums lose at most three bits to
+# cancellation; past that the series in z is the more accurate.
+_COMPLEMENT_MAX_LOSS = 8.0
+
+
+@lru_cache(maxsize=32)
+def _complete_beta(p: complex, q: complex) -> complex:
+    return euler_beta(p, q)
+
+
+def _complement(a: complex, b: complex, z):
+    """2F1(a, b; b+1 | z) = b z^(-b) [B - T] (module docstring) for a number
+    z, or its jet in z for the identity jet z; None where a sum loses more
+    than three bits: B - T, which cancels where 2F1 is small against B, and
+    for a jet each Taylor coefficient of the product b z^(-b) [B - T], whose
+    terms cancel where a derivative of 2F1 is small against 2F1 (a near 0).
+    """
+    beta = _complete_beta(b, 1.0 - a)
+    rest = beta - principal_power(1.0 - z, 1.0 - a) / (1.0 - a) \
+        * _f21(1.0 - a, 1.0 - b, 2.0 - a, 1.0 - z)
+    if not abs(beta) <= _COMPLEMENT_MAX_LOSS * abs(rest) < math.inf:  # nor a B that overflowed
+        return None
+    scale = b * principal_power(z, -b)
+    f = scale * rest
+    if isinstance(z, _Jet):
+        for k in range(1, 4):
+            terms = sum(abs(scale.c[j]) * abs(rest.c[k - j]) for j in range(k + 1))
+            if terms > _COMPLEMENT_MAX_LOSS * abs(f.c[k]):
+                return None
+    return f
+
+
 def _f21(a, b, c, z):
-    """2F1(a, b; c | z) for a number z, or its jet for a jet z, which goes
-    to the kernel directly: the public gauss_2f1 takes numbers."""
-    return (_gauss_2f1 if isinstance(z, _Jet) else gauss_2f1)(HypergeometricParams(a, b, c), z)
+    """2F1(a, b; c | z) for a number z, or its jet for a jet z, under the
+    domain gates of gauss_2f1.  A number goes through the public gauss_2f1, a
+    jet to the kernel directly: the public function takes numbers.
+
+    With c = b + 1, Re b > 0, Re a < 1 and z in the series disk but nearer to
+    1 than to 0, |1 - z| < |z|, it sums the complement form of the module
+    docstring instead, whose series in 1 - z is the shorter one there, unless
+    its cancellation would cost more than three bits (_complement).  A jet
+    takes the derivatives in z from that form, as the series does.
+    """
+    params = HypergeometricParams(a, b, c)
+    jet = isinstance(z, _Jet)
+    x = z.c[0] if jet else z
+    if abs(1.0 - x) < abs(x) <= _SERIES_DISK and params.c == params.b + 1.0 \
+            and params.b.real > 0 and params.a.real < 1:
+        f = _complement(params.a, params.b, _Jet(x, 1.0) if jet else x)
+        if f is not None:
+            return z.compose(*f.derivatives()) if jet else f
+    return (_gauss_2f1 if jet else gauss_2f1)(params, z)
 
 
 @dataclass(frozen=True)
@@ -242,9 +307,16 @@ _LANCZOS_C = (
 )
 
 
+def _finite(z: complex, name: str) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} needs a finite argument, got {z!r}")
+    return z
+
+
 def gamma_fn(z: complex) -> complex:
     """Gamma(z) by the Lanczos series, reflection formula for Re(z) < 1/2."""
-    z = complex(z)
+    z = _finite(z, "gamma_fn")
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma_fn pole at {z!r}")
     if z.real < 0.5:
@@ -261,7 +333,7 @@ def gamma_fn(z: complex) -> complex:
 
 def euler_beta(a: complex, b: complex) -> complex:
     """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b); symmetric as computed."""
-    a, b = complex(a), complex(b)
+    a, b = _finite(a, "euler_beta"), _finite(b, "euler_beta")
     for v in (a, b, a + b):
         if _is_nonpositive_integer(v):
             raise DomainError(f"euler_beta pole: argument {v!r}")

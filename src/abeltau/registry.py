@@ -48,6 +48,8 @@ from .uniform import (
     u_equianharmonic_rootfree,
     u_hyperelliptic,
     u_lemniscatic,
+    _hyperelliptic_thetas,
+    _u_hyperelliptic,
 )
 from .weier import (
     EQUIANHARMONIC,
@@ -191,14 +193,16 @@ _Q_EQUI = eq5_equation(EQUIANHARMONIC)
 
 def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
-    root branch fixed by sqrt_theta_ratio: 1/sqrt(z^5-z) = i/(s(tau) sqrt(1-z^4)).
-    The derivatives are those of the jets in tau; the first u_hyperelliptic
-    call's own gate refuses tau outside the theta-ratio region."""
-    jet = _Jet(complex(tau), 1.0)
+    root branch fixed by sqrt_theta_ratio, s = sqrt(2) theta2(tau)/theta2(tau/2):
+    1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every U(m, .), z and s come from one
+    set of theta jets in tau, whose gate refuses tau outside the theta-ratio
+    region."""
+    thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
+    t2, t3, t2_half, _ = thetas
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
-    lhs = {m: u_hyperelliptic(m, jet).derivatives()[1] for m in ms}
-    z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
-    root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
+    lhs = {m: _u_hyperelliptic(m, thetas).derivatives()[1] for m in ms}
+    z, z_prime = (t2 / t3).derivatives()[:2]
+    root = (math.sqrt(2.0) * t2 / t2_half).derivatives()[0] * cmath.sqrt(1.0 - z**4)
     per_m = {}
     for m in ms:
         rhs = 1j * z**m * z_prime / root

@@ -218,6 +218,29 @@ def u_equianharmonic_rootfree(tau) -> complex:
     return u0_constant() + 0.5j * z * _f21(0.5, 1.0 / 3.0, 4.0 / 3.0, z**3)
 
 
+def _hyperelliptic_thetas(tau):
+    """(theta2(tau), theta3(tau), theta2(tau/2), lam = theta2^4/theta3^4) for a
+    number or a jet tau: the series U(m, tau) is made of, for every m at once.
+    Refuses tau outside the region |lam| <= 0.95 before it sums theta2(tau/2).
+    """
+    t = _tau_value(tau)
+    t2 = theta2(t)
+    t3 = theta3(t)
+    lam = (t2 / t3) ** 4
+    if abs(lam) > HYPERELLIPTIC_PREDICATE_RATIO:
+        raise DomainNotSupported(
+            f"|theta2^4/theta3^4| = {abs(lam):g} > {HYPERELLIPTIC_PREDICATE_RATIO:g} at tau = {t!r}"
+        )
+    return t2, t3, theta2(0.5 * t), lam
+
+
+def _u_hyperelliptic(m: int, thetas) -> complex:
+    """U(m, tau) from the _hyperelliptic_thetas of tau."""
+    t2, t3, t2_half, lam = thetas
+    prefactor = (2.0 * math.sqrt(2.0) * 1j / (2 * m + 1)) * t2 ** (m + 1) / (t3**m * t2_half)
+    return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam)
+
+
 def u_hyperelliptic(m: int, tau) -> complex:
     """The base Abelian integrals of w^2 = z^5 - z as functions of tau:
 
@@ -228,17 +251,7 @@ def u_hyperelliptic(m: int, tau) -> complex:
     """
     if not isinstance(m, int) or not (0 <= m <= 3):
         raise DomainError(f"m must be an integer in 0..3, got {m!r}")
-    t = _tau_value(tau)
-    t2 = theta2(t)
-    t3 = theta3(t)
-    lam = (t2 / t3) ** 4
-    if abs(lam) > HYPERELLIPTIC_PREDICATE_RATIO:
-        raise DomainNotSupported(
-            f"|theta2^4/theta3^4| = {abs(lam):g} > {HYPERELLIPTIC_PREDICATE_RATIO:g} at tau = {t!r}"
-        )
-    prefactor = (2.0 * math.sqrt(2.0) * 1j / (2 * m + 1)) \
-        * t2 ** (m + 1) / (t3**m * theta2(0.5 * t))
-    return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam)
+    return _u_hyperelliptic(m, _hyperelliptic_thetas(tau))
 
 
 def schwarz_residual(q: Callable[[complex], complex],

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import DomainError, DomainNotSupported, PoleError
 from .hypergeom import _f21, euler_beta
@@ -184,6 +184,7 @@ def wp_inverse_equianharmonic(z: complex) -> complex:
     return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3)
 
 
+@cache
 def u0_constant() -> complex:
     """The purely imaginary zero of P(.; 0, 4): u0 = (i/6) B(1/6, 1/3).
 

@@ -72,6 +72,15 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             HypergeometricParams(1.0, 1.0, -3.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_params_rejected(self, bad, slot):
+        # refused at once, not after the whole term budget of the series
+        params = [0.5, 0.25, 1.25]
+        params[slot] = bad
+        with pytest.raises(DomainError):
+            HypergeometricParams(*params)
+
     # 0 <= a, b <= 1 <= c: the coefficients are positive and non-increasing,
     # so 2F1 has no zero in the unit disk (Enestrom-Kakeya) and a relative
     # error is well defined; the Pfaff series (a, c - b; c) keeps that shape
@@ -93,6 +102,59 @@ class TestGauss2F1:
         monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
         for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-3.0, 1.0)):  # series and Pfaff
             with pytest.raises(AccuracyError):
+                _f21(0.5, 0.25, 1.25, z)
+
+
+def complement_region_z(r, s):
+    """A z with |z| = r in [0.5, 0.95] and Re z >= 1/2, i.e. |1 - z| <= |z|,
+    s in [-1, 1] sweeping its arc."""
+    return cmath.rect(r, s * math.acos(0.5 / r))
+
+
+class TestComplementRoute:
+    """_f21 with c = b + 1 sums z nearer to 1 than to 0 as a series in 1 - z."""
+
+    # 0 <= a, b and c = b + 1: positive, non-increasing coefficients for
+    # a <= 1, so no zero in the disk and a well-defined relative error; a near
+    # 1 and b up to 3 is where B - T cancels and the series in z takes over
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 3.0),
+           r=st.floats(0.5, 0.95), s=st.floats(-1.0, 1.0))
+    def test_against_mpmath(self, a, b, r, s):
+        z = complement_region_z(r, s)
+        assume(abs(z) <= 0.95)  # r = 0.95 can round past the gate's disk
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp2f1(a, b, b + 1.0, z))
+        assert abs(_f21(a, b, b + 1.0, z) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.0 / 6.0), (0.5, 0.875), (0.0, 1.0),
+                                      (0.75, 0.25 + 0.5j)])
+    def test_routes_agree_at_the_switch_line(self, monkeypatch, a, b):
+        # Re z = 1/2 +- 1e-12 straddles |1 - z| = |z|: the near side takes the
+        # complement route, the far side the series in z; both agree with the
+        # series in z, which the public gauss_2f1 always sums
+        used = []
+        complete_beta = hypergeom._complete_beta
+        monkeypatch.setattr(hypergeom, "_complete_beta",
+                            lambda p, q: used.append(p) or complete_beta(p, q))
+        params = HypergeometricParams(a, b, b + 1.0)
+        for y in (0.0, 0.4, -0.7):
+            for side in (1.0, -1.0):
+                z = complex(0.5 + side * 1e-12, y)
+                used.clear()
+                value = _f21(a, b, b + 1.0, z)
+                jet = _f21(a, b, b + 1.0, _Jet(z, 1.0))
+                assert bool(used) == (side > 0), (z, used)
+                assert abs(value - gauss_2f1(params, z)) <= 1e-14 * abs(value)
+                # relative to F itself where a derivative vanishes (a = 0: F = 1)
+                for got, want in zip(jet.derivatives(),
+                                     hypergeom._gauss_2f1(params, _Jet(z, 1.0)).derivatives()):
+                    assert abs(got - want) <= 1e-13 * max(abs(want), abs(value)), (z, got, want)
+
+    def test_gates_unchanged(self):
+        # Re z > 1/2 beyond the series disk stays refused
+        for z in (0.96, 0.6 + 0.8j, 0.99):
+            with pytest.raises(DomainNotSupported):
                 _f21(0.5, 0.25, 1.25, z)
 
 
@@ -133,6 +195,15 @@ class TestGammaBeta:
     def test_beta_pole(self):
         with pytest.raises(DomainError):
             euler_beta(0.5, -0.5)  # a + b = 0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+    def test_non_finite_arguments_rejected(self, bad):
+        with pytest.raises(DomainError):
+            gamma_fn(bad)
+        with pytest.raises(DomainError):
+            euler_beta(bad, 0.5)
+        with pytest.raises(DomainError):
+            euler_beta(0.5, bad)
 
 
 class TestEllipticIntegrals:

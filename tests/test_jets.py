@@ -6,7 +6,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abeltau.errors import AccuracyError, DomainError
@@ -113,9 +113,31 @@ def test_tau_jets_match_mpmath(name, fr, fi):
 def test_2f1_jets_on_both_branches(r, phi, pfaff):
     w = r * cmath.exp(1j * phi)
     z = w / (w - 1.0) if pfaff else w  # Pfaff: z/(z-1) = w in the series disk
+    # the round trip back to w can round past the disk's edge, where the gate
+    # refuses by design; the region is what the gate computes
+    assume(abs(z) <= 0.95 or abs(z / (z - 1.0)) <= 0.95)
     a, b, c = 0.5, 0.3 + 0.2j, 1.25
     _assert_jet_matches(_f21(a, b, c, _Jet(z, 1.0)),
                         lambda x: mp.hyp2f1(a, b, c, x), z)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 3.0), r=st.floats(0.5, 0.95),
+       s=st.floats(-1.0, 1.0))
+# a subnormal b: the terms of the series in z must not stall at the
+# smallest subnormal and run the series out of terms
+@example(a=1.0, b=2.2e-313, r=0.75, s=0.0)
+# a near 0: 2F1 is nearly constant, and the product rule of the complement
+# form cancels in every derivative
+@example(a=0.0, b=1.0, r=0.75, s=0.0)
+@example(a=1e-4, b=3.0, r=0.75, s=0.5)
+def test_2f1_jets_on_the_complement_route(a, b, r, s):
+    # c = b + 1 and |1 - z| <= |z|: the series in 1 - z, or in z where the
+    # complement's subtraction would cancel
+    z = cmath.rect(r, s * math.acos(0.5 / r))
+    assume(abs(z) <= 0.95)  # r = 0.95 can round past the gate's disk
+    _assert_jet_matches(_f21(a, b, b + 1.0, _Jet(z, 1.0)),
+                        lambda x: mp.hyp2f1(a, b, b + 1, x), z)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 """Registry coverage and the command-line interface (eval / verify / grid)."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -14,7 +15,10 @@ import abeltau
 from abeltau import cli
 from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
+from abeltau.modular import hauptmodul_hyperelliptic, sqrt_theta_ratio
+from abeltau.numerics import _Jet
 from abeltau.registry import REGISTRY, IdentityEntry, RunConfig, run_identity, run_identity_at
+from abeltau.uniform import u_hyperelliptic
 
 
 def _fresh_run(argv):
@@ -75,6 +79,25 @@ class TestRegistry:
         cfg = RunConfig(grids={"schwarz-u-lemn": (2j,)})
         recs = run_identity("schwarz-u-lemn", cfg)
         assert [r.status for r in recs] == ["skipped"]
+
+    def test_u_derivative_skips_tau_outside_the_theta_ratio_region(self):
+        # |theta2^4/theta3^4| = 0.97 > 0.95 at tau = 0.5i
+        rec = run_identity_at("U-derivative", 0.5j, RunConfig())
+        assert rec.status == "skipped" and rec.residual is None
+        assert "theta2^4/theta3^4" in rec.metadata["reason"]
+
+    @pytest.mark.parametrize("tau", [1.2j, 1.5j, 0.05 + 1.7j])
+    def test_u_derivative_as_from_the_public_functions(self, tau):
+        # one set of theta jets serves all of U(m, .), z and sqrt_theta_ratio;
+        # the residuals are those of the public functions, bit for bit
+        jet = _Jet(tau, 1.0)
+        z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
+        root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
+        rec = run_identity_at("U-derivative", tau, RunConfig())
+        for m in range(4):
+            rhs = 1j * z**m * z_prime / root
+            lhs = u_hyperelliptic(m, jet).derivatives()[1]
+            assert rec.metadata[f"m{m}"] == abs(lhs - rhs) / abs(rhs)
 
     def test_point_runner_rejects_fixed_identities(self):
         with pytest.raises(DomainError):
