@@ -8,15 +8,14 @@ elliptic integrals, and the incomplete-integral <-> 2F1 identities
 
 together with a brute-force contour-quadrature oracle for both.
 
-Every 2F1 those forms and the uniformizers need has c = b + 1, an incomplete
-beta function in disguise (DLMF 8.17.7): B_z(b, 1-a) = (z^b/b) 2F1(a, b; b+1 | z).
-Where z is nearer to 1 than to 0, the private _f21 sums it from that end
-through B_z(p, q) = B(p, q) - B_(1-z)(q, p) (DLMF 8.17.4):
+Every 2F1 the uniformizers and the P inverses need is 2F1(1/2, b; b+1 | z),
+where c = b + 1 = a + b + 1/2, so the quadratic transformation
+F(a, b; a+b+1/2 | 4w(1-w)) = F(2a, 2b; a+b+1/2 | w) (DLMF 15.8(iii)) gives
 
-    2F1(a, b; b+1 | z) = b z^(-b) [B(b, 1-a)
-                          - (1-z)^(1-a)/(1-a) 2F1(1-a, 1-b; 2-a | 1-z)],
+    2F1(1/2, b; b+1 | z) = 2F1(1, 2b; b+1 | w),   w = (1 - sqrt(1-z))/2,
 
-a series in 1 - z, which needs far fewer terms there than the one in z.
+principal root.  The private _f21 sums that series in w: on the series disk
+|z| <= 0.95, |w| <= 0.39, so it needs far fewer terms than the one in z.
 
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
@@ -29,7 +28,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
@@ -146,57 +144,28 @@ def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     return _gauss_2f1(params, complex(z))
 
 
-# The complement route is taken while its sums lose at most three bits to
-# cancellation; past that the series in z is the more accurate.
-_COMPLEMENT_MAX_LOSS = 8.0
-
-
-@lru_cache(maxsize=32)
-def _complete_beta(p: complex, q: complex) -> complex:
-    return euler_beta(p, q)
-
-
-def _complement(a: complex, b: complex, z):
-    """2F1(a, b; b+1 | z) = b z^(-b) [B - T] (module docstring) for a number
-    z, or its jet in z for the identity jet z; None where a sum loses more
-    than three bits: B - T, which cancels where 2F1 is small against B, and
-    for a jet each Taylor coefficient of the product b z^(-b) [B - T], whose
-    terms cancel where a derivative of 2F1 is small against 2F1 (a near 0).
-    """
-    beta = _complete_beta(b, 1.0 - a)
-    rest = beta - principal_power(1.0 - z, 1.0 - a) / (1.0 - a) \
-        * _f21(1.0 - a, 1.0 - b, 2.0 - a, 1.0 - z)
-    if not abs(beta) <= _COMPLEMENT_MAX_LOSS * abs(rest) < math.inf:  # nor a B that overflowed
-        return None
-    scale = b * principal_power(z, -b)
-    f = scale * rest
-    if isinstance(z, _Jet):
-        for k in range(1, 4):
-            terms = sum(abs(scale.c[j]) * abs(rest.c[k - j]) for j in range(k + 1))
-            if terms > _COMPLEMENT_MAX_LOSS * abs(f.c[k]):
-                return None
-    return f
-
-
 def _f21(a, b, c, z):
     """2F1(a, b; c | z) for a number z, or its jet for a jet z, under the
-    domain gates of gauss_2f1.  A number goes through the public gauss_2f1, a
-    jet to the kernel directly: the public function takes numbers.
+    domain gates of gauss_2f1.
 
-    With c = b + 1, Re b > 0, Re a < 1 and z in the series disk but nearer to
-    1 than to 0, |1 - z| < |z|, it sums the complement form of the module
-    docstring instead, whose series in 1 - z is the shorter one there, unless
-    its cancellation would cost more than three bits (_complement).  A jet
-    takes the derivatives in z from that form, as the series does.
+    With a = 1/2, c = b + 1 and z in the series disk it sums the quadratic
+    form of the module docstring, 2F1(1, 2b; b+1 | w), with w written free
+    of cancellation as z/(2(1 + s)), s = sqrt(1 - z); a jet z gets the jet of
+    w from w' = 1/(4s), w'' = 1/(8s^3) and w''' = 3/(16s^5).  Otherwise a
+    number goes through the public gauss_2f1, a jet to its kernel directly:
+    the public function takes numbers.
     """
     params = HypergeometricParams(a, b, c)
     jet = isinstance(z, _Jet)
-    x = z.c[0] if jet else z
-    if abs(1.0 - x) < abs(x) <= _SERIES_DISK and params.c == params.b + 1.0 \
-            and params.b.real > 0 and params.a.real < 1:
-        f = _complement(params.a, params.b, _Jet(x, 1.0) if jet else x)
-        if f is not None:
-            return z.compose(*f.derivatives()) if jet else f
+    if params.a == 0.5 and params.c == params.b + 1.0 and abs(z) <= _SERIES_DISK:
+        x = z.c[0] if jet else z
+        s = cmath.sqrt(1.0 - x)
+        w = x / (2.0 * (1.0 + s))
+        if jet:
+            r = 0.25 / s
+            s2 = s * s
+            w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
+        return _f21_series(1.0, 2.0 * params.b, params.c, w)
     return (_gauss_2f1 if jet else gauss_2f1)(params, z)
 
 
@@ -315,29 +284,39 @@ def _finite(z: complex, name: str) -> complex:
 
 
 def gamma_fn(z: complex) -> complex:
-    """Gamma(z) by the Lanczos series, reflection formula for Re(z) < 1/2."""
+    """Gamma(z) by the Lanczos series, reflection formula for Re(z) < 1/2;
+    a Gamma past the float range is an AccuracyError."""
     z = _finite(z, "gamma_fn")
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma_fn pole at {z!r}")
-    if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
-    z -= 1.0
-    x = _LANCZOS_C[0]
-    for i in range(1, 9):
-        x += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return ensure_finite(
-        math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x, "gamma_fn"
-    )
+    try:
+        if z.real < 0.5:
+            g = math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
+        else:
+            w = z - 1.0
+            x = _LANCZOS_C[0]
+            for i in range(1, 9):
+                x += _LANCZOS_C[i] / (w + i)
+            t = w + _LANCZOS_G + 0.5
+            # t^(w+1/2) e^(-t) as p (p e^(-t)): t^(w+1/2) alone overflows
+            # from z = 142.4 on, although Gamma is finite up to 171.6
+            p = t ** (0.5 * (w + 0.5))
+            g = math.sqrt(2.0 * math.pi) * x * p * (p * cmath.exp(-t))
+    except OverflowError:
+        raise AccuracyError(f"gamma_fn({z!r}) overflows") from None
+    return ensure_finite(g, "gamma_fn")
 
 
 def euler_beta(a: complex, b: complex) -> complex:
-    """B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b); symmetric as computed."""
+    """B(a, b) = Gamma(a) (Gamma(b) / Gamma(a+b)), the arguments in a fixed
+    order so that it is symmetric as computed; dividing first keeps a finite
+    B whose product Gamma(a) Gamma(b) would overflow."""
     a, b = _finite(a, "euler_beta"), _finite(b, "euler_beta")
     for v in (a, b, a + b):
         if _is_nonpositive_integer(v):
             raise DomainError(f"euler_beta pole: argument {v!r}")
-    return gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
+    a, b = sorted((a, b), key=lambda v: (v.real, v.imag))
+    return ensure_finite(gamma_fn(a) * (gamma_fn(b) / gamma_fn(a + b)), "euler_beta")
 
 
 def elliptic_K(k: complex) -> complex:

@@ -112,11 +112,11 @@ def complement_region_z(r, s):
 
 
 class TestComplementRoute:
-    """_f21 with c = b + 1 sums z nearer to 1 than to 0 as a series in 1 - z."""
+    """_f21 with c = b + 1 where z is nearer to 1 than to 0: the half of the
+    disk where the series in z converges slowest."""
 
     # 0 <= a, b and c = b + 1: positive, non-increasing coefficients for
-    # a <= 1, so no zero in the disk and a well-defined relative error; a near
-    # 1 and b up to 3 is where B - T cancels and the series in z takes over
+    # a <= 1, so no zero in the disk and a well-defined relative error
     @settings(max_examples=300, deadline=None)
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 3.0),
            r=st.floats(0.5, 0.95), s=st.floats(-1.0, 1.0))
@@ -127,35 +127,62 @@ class TestComplementRoute:
             ref = complex(mpmath.hyp2f1(a, b, b + 1.0, z))
         assert abs(_f21(a, b, b + 1.0, z) - ref) <= 1e-13 * abs(ref)
 
-    @pytest.mark.parametrize("a, b", [(0.5, 1.0 / 6.0), (0.5, 0.875), (0.0, 1.0),
-                                      (0.75, 0.25 + 0.5j)])
-    def test_routes_agree_at_the_switch_line(self, monkeypatch, a, b):
-        # Re z = 1/2 +- 1e-12 straddles |1 - z| = |z|: the near side takes the
-        # complement route, the far side the series in z; both agree with the
-        # series in z, which the public gauss_2f1 always sums
-        used = []
-        complete_beta = hypergeom._complete_beta
-        monkeypatch.setattr(hypergeom, "_complete_beta",
-                            lambda p, q: used.append(p) or complete_beta(p, q))
-        params = HypergeometricParams(a, b, b + 1.0)
-        for y in (0.0, 0.4, -0.7):
-            for side in (1.0, -1.0):
-                z = complex(0.5 + side * 1e-12, y)
-                used.clear()
-                value = _f21(a, b, b + 1.0, z)
-                jet = _f21(a, b, b + 1.0, _Jet(z, 1.0))
-                assert bool(used) == (side > 0), (z, used)
-                assert abs(value - gauss_2f1(params, z)) <= 1e-14 * abs(value)
-                # relative to F itself where a derivative vanishes (a = 0: F = 1)
-                for got, want in zip(jet.derivatives(),
-                                     hypergeom._gauss_2f1(params, _Jet(z, 1.0)).derivatives()):
-                    assert abs(got - want) <= 1e-13 * max(abs(want), abs(value)), (z, got, want)
-
     def test_gates_unchanged(self):
         # Re z > 1/2 beyond the series disk stays refused
         for z in (0.96, 0.6 + 0.8j, 0.99):
             with pytest.raises(DomainNotSupported):
                 _f21(0.5, 0.25, 1.25, z)
+
+
+# b real in (0, 3] or complex with Re b in that range and |Im b| <= 1
+ROUTE_B = st.one_of(
+    st.floats(0.0, 3.0, exclude_min=True),
+    st.builds(complex, st.floats(0.0, 3.0, exclude_min=True), st.floats(-1.0, 1.0)),
+)
+ROUTE_Z = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
+
+
+class TestQuadraticRoute:
+    """_f21 sums 2F1(1/2, b; b+1 | z) as 2F1(1, 2b; b+1 | w), w = (1 - sqrt(1-z))/2."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(b=ROUTE_B, z=ROUTE_Z)
+    # near the edge with Re z < 0, where the series in z converges slowest
+    @example(b=1.0 / 6.0, z=-0.931 - 0.085j)
+    def test_against_mpmath(self, b, z):
+        assume(abs(z) <= 0.95)  # |z| = 0.95 can round past the gate's disk
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp2f1(0.5, b, b + 1.0, z))
+        assert abs(_f21(0.5, b, b + 1.0, z) - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.5, 1.0 / 6.0, 7.0 / 6.0),  # 1/6 + 1 == 7/6 in floats, 1/2 + 1/6 + 1/2 is not
+        (0.5, 0.875, 1.875),
+        (0.5, 0.25 + 0.5j, 1.25 + 0.5j),
+        (0.5, 1.0 / 6.0, math.nextafter(7.0 / 6.0, 2.0)),  # c one ulp above b + 1
+        (0.5, 0.25, 1.5),
+        (0.0, 1.0, 2.0),
+        (0.75, 0.25 + 0.5j, 1.25 + 0.5j),
+    ])
+    def test_route_runs_exactly_when_a_is_half_and_c_is_b_plus_one(self, monkeypatch,
+                                                                    a, b, c):
+        # the route hands the kernel (1, 2b; c), the series in z (a, b; c)
+        calls = []
+        series = hypergeom._f21_series
+        monkeypatch.setattr(hypergeom, "_f21_series",
+                            lambda *args: calls.append(args[:3]) or series(*args))
+        params = HypergeometricParams(a, b, c)
+        kernel_params = (1.0, 2.0 * b, c) if a == 0.5 and c == b + 1.0 else (a, b, c)
+        for z in (0.0, 0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
+            calls.clear()
+            value = _f21(a, b, c, z)
+            jet = _f21(a, b, c, _Jet(z, 1.0))
+            assert calls == [kernel_params] * 2, (z, calls)
+            assert abs(value - hypergeom._gauss_2f1(params, complex(z))) <= 1e-14 * abs(value)
+            # relative to F itself where a derivative vanishes (a = 0: F = 1)
+            for got, want in zip(jet.derivatives(),
+                                 hypergeom._gauss_2f1(params, _Jet(z, 1.0)).derivatives()):
+                assert abs(got - want) <= 1e-13 * max(abs(want), abs(value)), (z, got, want)
 
 
 class TestGammaBeta:
@@ -191,6 +218,35 @@ class TestGammaBeta:
     def test_beta_symmetric_as_computed(self):
         for a, b in ((0.3 + 0.2j, 1.7 - 0.4j), (1.0 / 6.0, 1.0 / 3.0)):
             assert euler_beta(a, b) == euler_beta(b, a)
+
+    def test_large_arguments_against_mpmath(self):
+        # the Lanczos power t^(z+1/2) alone overflows from 142.4 on, Gamma
+        # itself past 171.62
+        for x in [143.0 + 0.25 * k for k in range(115)] + [150.0, 170.5, 171.6]:
+            ref = mpmath.gamma(x)
+            assert abs(gamma_fn(x) - ref) <= 2e-13 * ref, x
+
+    @pytest.mark.parametrize("z", [172.5, -171.5, 180.0 + 1.0j])
+    def test_past_the_float_range_is_an_abeltau_error(self, z):
+        # a value or an AbeltauError, never a bare OverflowError
+        try:
+            value = gamma_fn(z)
+        except AbeltauError:
+            return
+        ref = complex(mpmath.gamma(z))
+        assert abs(value - ref) <= 2e-13 * abs(ref)
+
+    @pytest.mark.parametrize("a, b", [(150.0, 0.5), (0.5, 150.0),
+                                      (2.2250738585072014e-308, 0.125),
+                                      (0.125, 2.2250738585072014e-308)])
+    def test_beta_against_mpmath_where_gamma_is_large(self, a, b):
+        # the second pair: Gamma(a) Gamma(b) = 3.4e308 overflows, B = 4.49e307
+        ref = complex(mpmath.beta(a, b))
+        assert abs(euler_beta(a, b) - ref) <= 2e-13 * abs(ref)
+
+    def test_beta_past_the_float_range_raises(self):
+        with pytest.raises(AccuracyError):
+            euler_beta(5e-324, 5e-324)
 
     def test_beta_pole(self):
         with pytest.raises(DomainError):

@@ -88,15 +88,21 @@ CASES = {
 }
 
 
-def _assert_jet_matches(jet, reference, x):
-    """Each derivative within REL of its reference, relative to its own size
-    or, where it passes through zero (the third of u_hyperelliptic(0, .)
+def _assert_derivatives_match(jet, expected, x, rel=REL):
+    """Each derivative within rel of its expected value, relative to its own
+    size or, where it passes through zero (the third of u_hyperelliptic(0, .)
     does near 1.46i), to 1e-3 of the largest one."""
-    with mp.workdps(40):
-        expected = [complex(d) for d in mp.diffs(reference, mp.mpc(x), 3)]
     floor = 1e-3 * max(map(abs, expected))
     for order, (got, want) in enumerate(zip(jet.derivatives(), expected)):
-        assert abs(got - want) <= REL * max(abs(want), floor), (x, order, got, want)
+        assert abs(got - want) <= rel * max(abs(want), floor), (x, order, got, want)
+
+
+def _assert_jet_matches(jet, reference, x):
+    """_assert_derivatives_match against mpmath's numerical derivatives of
+    reference at 40 digits."""
+    with mp.workdps(40):
+        expected = [complex(d) for d in mp.diffs(reference, mp.mpc(x), 3)]
+    _assert_derivatives_match(jet, expected, x)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -127,17 +133,36 @@ def test_2f1_jets_on_both_branches(r, phi, pfaff):
 # a subnormal b: the terms of the series in z must not stall at the
 # smallest subnormal and run the series out of terms
 @example(a=1.0, b=2.2e-313, r=0.75, s=0.0)
-# a near 0: 2F1 is nearly constant, and the product rule of the complement
-# form cancels in every derivative
+# a near 0: 2F1 is nearly constant, and each derivative is small against it
 @example(a=0.0, b=1.0, r=0.75, s=0.0)
 @example(a=1e-4, b=3.0, r=0.75, s=0.5)
 def test_2f1_jets_on_the_complement_route(a, b, r, s):
-    # c = b + 1 and |1 - z| <= |z|: the series in 1 - z, or in z where the
-    # complement's subtraction would cancel
+    # c = b + 1 and |1 - z| <= |z|, the half of the disk where the series
+    # in z converges slowest
     z = cmath.rect(r, s * math.acos(0.5 / r))
     assume(abs(z) <= 0.95)  # r = 0.95 can round past the gate's disk
     _assert_jet_matches(_f21(a, b, b + 1.0, _Jet(z, 1.0)),
                         lambda x: mp.hyp2f1(a, b, b + 1, x), z)
+
+
+# b real in (0, 3] or complex with Re b in that range and |Im b| <= 1
+@settings(max_examples=400, deadline=None)
+@given(b=st.one_of(st.floats(0.0, 3.0, exclude_min=True),
+                   st.builds(complex, st.floats(0.0, 3.0, exclude_min=True),
+                             st.floats(-1.0, 1.0))),
+       z=st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-math.pi, math.pi)))
+# near the edge with Re z < 0 the series in z loses about 3 digits in F'''
+@example(b=1.0 / 6.0, z=-0.931 - 0.085j)
+def test_2f1_jets_on_the_quadratic_route(b, z):
+    # a = 1/2, c = b + 1 over the whole series disk; the reference takes
+    # F^(k) = (a)_k (b)_k / (c)_k 2F1(a+k, b+k; c+k | z) from mpmath at 40
+    # digits, exact and much faster than mpmath's numerical diffs
+    assume(abs(z) <= 0.95)  # |z| = 0.95 can round past the gate's disk
+    a, c = 0.5, b + 1.0
+    with mp.workdps(40):
+        expected = [complex(mp.rf(a, k) * mp.rf(b, k) / mp.rf(c, k)
+                            * mp.hyp2f1(a + k, b + k, c + k, z)) for k in range(4)]
+    _assert_derivatives_match(_f21(a, b, c, _Jet(z, 1.0)), expected, z, rel=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
