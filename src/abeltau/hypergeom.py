@@ -283,27 +283,41 @@ def _finite(z: complex, name: str) -> complex:
     return z
 
 
+def _lanczos(z: complex) -> tuple[complex, complex]:
+    """(x, t) with Gamma(z) = sqrt(2 pi) x t^(z-1/2) e^(-t), Re(z) >= 1/2."""
+    w = z - 1.0
+    x = sum((c / (w + i) for i, c in enumerate(_LANCZOS_C[1:], 1)), _LANCZOS_C[0])
+    return x, w + _LANCZOS_G + 0.5
+
+
 def gamma_fn(z: complex) -> complex:
-    """Gamma(z) by the Lanczos series, reflection formula for Re(z) < 1/2;
-    a Gamma past the float range is an AccuracyError."""
+    """Gamma(z) by the Lanczos series, for Re(z) < 1/2 by the reflection
+    pi / (sin(pi z) Gamma(1 - z)) in logs: Gamma(0.2 + 300i) and the subnormal
+    Gamma(-171.5) are finite although the sine or Gamma(1 - z) overflows.
+    Gamma past the float range, or below 2^-1031, is an AccuracyError."""
     z = _finite(z, "gamma_fn")
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma_fn pole at {z!r}")
     try:
         if z.real < 0.5:
-            g = math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
+            # past |Im z| = 1, log sin(pi z) = -s i pi z + log(s i/2) + log(1 - e^(2 s i pi z)),
+            # s = sign(Im z): sin(pi z) itself overflows from |Im z| = 226 on
+            s, piz = math.copysign(1.0, z.imag), math.pi * z
+            log_sin = cmath.log(cmath.sin(piz)) if abs(z.imag) < 1.0 else (
+                -s * 1j * piz + cmath.log(0.5j * s) + cmath.log(1.0 - cmath.exp(2j * s * piz)))
+            x, t = _lanczos(1.0 - z)
+            g = cmath.exp(0.5 * math.log(0.5 * math.pi) - log_sin - cmath.log(x)
+                          - (0.5 - z) * cmath.log(t) + t)
         else:
-            w = z - 1.0
-            x = _LANCZOS_C[0]
-            for i in range(1, 9):
-                x += _LANCZOS_C[i] / (w + i)
-            t = w + _LANCZOS_G + 0.5
-            # t^(w+1/2) e^(-t) as p (p e^(-t)): t^(w+1/2) alone overflows
+            x, t = _lanczos(z)
+            # t^(z-1/2) e^(-t) as p (p e^(-t)): t^(z-1/2) alone overflows
             # from z = 142.4 on, although Gamma is finite up to 171.6
-            p = t ** (0.5 * (w + 0.5))
+            p = t ** (0.5 * (z - 0.5))
             g = math.sqrt(2.0 * math.pi) * x * p * (p * cmath.exp(-t))
     except OverflowError:
         raise AccuracyError(f"gamma_fn({z!r}) overflows") from None
+    if abs(g) < 2.0**-1031:  # a subnormal below this keeps fewer than 43 bits
+        raise AccuracyError(f"gamma_fn({z!r}) underflows")
     return ensure_finite(g, "gamma_fn")
 
 
@@ -320,22 +334,13 @@ def euler_beta(a: complex, b: complex) -> complex:
 
 
 def elliptic_K(k: complex) -> complex:
-    """Complete elliptic integral K(k), Legendre modulus convention, by the
-    arithmetic-geometric mean of 1 and sqrt(1 - k^2)."""
+    """Complete elliptic integral K(k) = R_F(0, 1 - k^2, 1) (DLMF 19.25.1), Legendre
+    modulus convention: the R_F call elliptic_F(1, k) makes, 1 - k^2 as (1 - k)(1 + k)."""
     k = complex(k)
     m = k * k
     if not cmath.isfinite(k) or (m.imag == 0 and m.real >= 1.0):
         raise DomainError(f"elliptic_K needs a finite k with k^2 outside [1, inf), got k={k!r}")
-    a = 1.0 + 0.0j
-    b = cmath.sqrt(1.0 - m)
-    for _ in range(64):
-        if abs(a - b) <= 1e-14 * abs(a):  # the mean (a + b)/2 is then exact to rounding
-            return math.pi / (a + b)
-        a, b = 0.5 * (a + b), cmath.sqrt(a * b)
-        # right-choice branch: keep the means in the same half-plane
-        if abs(a - b) > abs(a + b):
-            b = -b
-    raise AccuracyError(f"elliptic_K: the AGM did not converge in 64 steps at k={k!r}")
+    return _carlson_rf(0j, (1.0 - k) * (1.0 + k), 1.0 + 0j)
 
 
 # Carlson's R_F: with r = 1e-16 in Q = (3r)^(-1/6) max|A0 - arg|, the

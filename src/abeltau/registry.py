@@ -18,6 +18,7 @@ from typing import Callable, Mapping
 from .errors import AbeltauError, DomainError, DomainNotSupported
 from .hypergeom import (
     IncompleteIntegralSpec,
+    _carlson_rf,
     elliptic_F,
     elliptic_K,
     incomplete_integral_2f1,
@@ -340,51 +341,29 @@ def _check_cover_factored(row, cfg, tol):
     return x, abs(Pp * Pp - 4.0 * (P - e1) * (P - e2) * (P - e3)), tol, {"sign": sign}
 
 
-def _newton_wp_inverse(target, inv, guess=None):
-    """Locally invert P by Newton iteration; with no guess, seed from the
-    best point of a coarse polar scan of the series disk."""
-    if guess is None:
-        candidates = sorted(
-            (r * cmath.exp(1j * math.pi * k / 8.0) for r in (0.4, 0.7, 1.0, 1.3)
-             for k in range(16)),
-            key=lambda u: abs(wp(u, inv) - target),
-        )
-    else:
-        candidates = [complex(guess)]
-    for start in candidates[:5]:
-        u = start
-        for _ in range(60):
-            step = (wp(u, inv) - target) / wp_prime(u, inv)
-            u -= step
-            if abs(step) < 1e-11 * max(1.0, abs(u)):  # rounding floor of the P reduction
-                break
-        if abs(wp(u, inv) - target) <= 1e-9 * (1.0 + abs(target)):
-            return u
-    raise AbeltauError(f"local P inversion did not converge for target {target!r}")
-
-
 _ARCS = ((1.8 + 0.4j, 0.12 * cmath.exp(0.3j), 1), (1.6 - 0.5j, 0.12 * cmath.exp(-0.2j), -1))
 
 
 def _check_du_reduction(row, cfg, tol):
-    """Quadrature of du/dx along a short arc against the increment of u
-    recovered by locally inverting P on the quotient curve."""
+    """Quadrature of du/dx along a short arc against the increment of u from
+    inverting P on the quotient curve, u = +-R_F(P - e1, P - e2, P - e3)
+    (DLMF 19.25(vi)), the sign the one whose P' is the cover's."""
     x0, dx, sign = row
     inv = _COVER.quotient_invariants(sign)
+    e1, e2, e3 = _COVER.branch(sign)[2]
     x1 = x0 + dx
 
     def du_dx(x):
         y = cmath.sqrt(x**5 - x)  # principal branch stays continuous on the arc
         return reduce_differential(CurvePoint(x, y, sign), _COVER)
 
+    def u_at(x):
+        P, Pp = covering_map(CurvePoint(x, cmath.sqrt(x**5 - x), sign), _COVER)
+        u = _carlson_rf(P - e1, P - e2, P - e3)
+        return u if abs(wp_prime(u, inv) - Pp) <= abs(wp_prime(u, inv) + Pp) else -u
+
     delta_u = contour_quadrature(du_dx, [x0, x1], 1e-11)
-    P0, Pp0 = covering_map(CurvePoint(x0, cmath.sqrt(x0**5 - x0), sign), _COVER)
-    u0 = _newton_wp_inverse(P0, inv)
-    if abs(wp_prime(u0, inv) - Pp0) > abs(wp_prime(u0, inv) + Pp0):
-        u0 = -u0
-    P1, _ = covering_map(CurvePoint(x1, cmath.sqrt(x1**5 - x1), sign), _COVER)
-    u1 = _newton_wp_inverse(P1, inv, u0 + delta_u)
-    residual = abs((u1 - u0) - delta_u)
+    residual = abs((u_at(x1) - u_at(x0)) - delta_u)
     return x0, residual, tol, {"sign": sign, "arc": dx, "delta_u": delta_u}
 
 
@@ -476,7 +455,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   _schwarz_point_check(_Q_EQUI, u_equianharmonic_rootfree),
                   (0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j),
                   tau_grid=True),
-    IdentityEntry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 1e-9,
+    IdentityEntry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 5e-13,
                   _check_wp_diffeq, _wp_diffeq_rows()),
     IdentityEntry("wp-roundtrip-lemn", "P(P^-1(x); 4,0) = x", 1e-9,
                   _roundtrip_check(wp_inverse_lemniscatic, LEMNISCATIC), _ROUNDTRIP_LEMN),
@@ -484,7 +463,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   _roundtrip_check(wp_inverse_equianharmonic, EQUIANHARMONIC), _ROUNDTRIP_EQUI),
     IdentityEntry("u0-digits", "u0 = i 1.402182105325..., real part exactly 0", 5e-12,
                   _check_u0_digits, _ONE_ROW),
-    IdentityEntry("u0-wp-zero", "P(u0; 0,4) = 0", 1e-9, _check_u0_wp_zero, _ONE_ROW),
+    IdentityEntry("u0-wp-zero", "P(u0; 0,4) = 0", 4e-13, _check_u0_wp_zero, _ONE_ROW),
     IdentityEntry("u0-fk-conventions",
                   "i/(2 3^(1/4)) F(3^(1/4)(sqrt3-1), sin 75) - 3^(-1/4) K(sin 15) = e^(i pi/3) u0",
                   1e-12, _check_u0_fk, _ONE_ROW),
@@ -501,7 +480,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   _check_cover_factored,
                   _curve_rows(1, 100, seed=9) + ((0.0, 0.0, 1),)
                   + _curve_rows(-1, 100, seed=10) + ((0.0, 0.0, -1),)),
-    IdentityEntry("du-reduction", "du/dx quadrature matches local P inversion", 1e-7,
+    IdentityEntry("du-reduction", "du/dx quadrature matches the R_F inverse of P", 4e-14,
                   _check_du_reduction, _ARCS),
     IdentityEntry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", 1e-6,
                   _check_u_derivative, (1.2j, 1.35j, 1.5j, 1.8j), tau_grid=True),

@@ -1,12 +1,9 @@
-"""Weierstrass functions for given invariants (g2, g3): P and P' by Laurent
-series plus repeated argument halving, sigma by its classical double series,
-zeta = sigma'/sigma, the hypergeometric inverses of P on the lemniscatic
-(4, 0) and equianharmonic (0, 4) curves, and the second/third-kind integrals
-expressed through zeta and sigma.
-
-No periods are ever computed: argument reduction is by the duplication
-formula alone, and sigma/zeta live on a validated disk with no
-quasi-periodic extension.
+"""Weierstrass functions for given invariants (g2, g3): P and P' reduced
+modulo the half-periods, which come from Carlson's R_F, sigma by its classical
+double series, zeta = sigma'/sigma, the hypergeometric inverses of P on the
+lemniscatic (4, 0) and equianharmonic (0, 4) curves, and the second/third-kind
+integrals expressed through zeta and sigma.  sigma and zeta live on a
+validated disk with no quasi-periodic extension.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import DomainError, DomainNotSupported, PoleError
-from .hypergeom import _f21, euler_beta
+from .hypergeom import _carlson_rf, _f21, euler_beta
 from .numerics import ensure_finite, holomorphic_derivatives, principal_power
 
 __all__ = [
@@ -25,7 +22,6 @@ __all__ = [
     "ThirdKindParam",
     "LEMNISCATIC",
     "EQUIANHARMONIC",
-    "WP_SERIES_RADIUS",
     "SIGMA_RADIUS",
     "wp",
     "wp_prime",
@@ -38,20 +34,14 @@ __all__ = [
     "integral_third_kind",
 ]
 
-# Laurent series is summed only for |u| <= this radius; larger arguments are
-# halved first.  Calibrated against doubly-reduced evaluation (see tests):
-# for the invariant scales used here the nearest pole sits at distance > 2.6,
-# so 30 coefficients leave truncation far below double-precision rounding.
-WP_SERIES_RADIUS = 0.5
-_WP_COEFF_COUNT = 30
-
 # sigma's double series is summed over weights 2m + 3n <= 22 (powers of u up
 # to 45); the terms left out sum to below 2e-19 for |u| <= this radius at
 # |g2|, |g3| <= 5.  Against a 40-digit evaluation, sigma and zeta agree to
 # ~1e-15 on this disk on both shipped curves (tests).
 SIGMA_RADIUS = 2.0
 
-_POLE_MAGNITUDE = 1e12
+_WP_MAX_TERMS = 64
+_OMEGA = cmath.exp(2j * math.pi / 3.0)
 
 
 @dataclass(frozen=True)
@@ -96,57 +86,82 @@ class ThirdKindParam:
         object.__setattr__(self, "alpha_point", complex(self.alpha_point))
 
 
+def _cubic_roots(g2: complex, g3: complex) -> tuple[complex, ...]:
+    """Roots of 4x^3 - g2 x - g3 = 4(x^3 + p x + q): Cardano, then a Newton step."""
+    p, q = -0.25 * g2, -0.25 * g3
+    s = cmath.sqrt(0.25 * q * q + p**3 / 27.0)
+    c = max(-0.5 * q + s, -0.5 * q - s, key=abs) ** (1.0 / 3.0)  # 0 only if g2 = g3 = 0
+    xs = [c * w - p / (3.0 * c * w) for w in (1.0, _OMEGA, _OMEGA.conjugate())]
+    return tuple(x - (x**3 + p * x + q) / (3.0 * x * x + p) for x in xs)
+
+
+def _half_period(e: complex, f: complex, g: complex) -> complex:
+    """The half-period with P = e: the integral of dx/sqrt(4(x-e)(x-f)(x-g)) from
+    e to infinity along the ray that bisects the directions from f and from g to
+    e, d^(-1/2) R_F(0, (e - f)/d, (e - g)/d) (DLMF 19.25(vi))."""
+    s = (e - f) / abs(e - f) + (e - g) / abs(e - g)
+    d = s / abs(s)
+    return cmath.sqrt(d.conjugate()) * _carlson_rf(0j, (e - f) / d, (e - g) / d)
+
+
 @lru_cache(maxsize=32)
-def _wp_laurent_coeffs(g2: complex, g3: complex) -> tuple[complex, ...]:
-    """c_k of P(u) = u^-2 + sum_{k>=2} c_k u^(2k-2), by the standard recursion."""
+def _lattice(g2: complex, g3: complex):
+    """(a, b, class of a, class of b, steps, Horner table of the c_k): a, b a
+    Lagrange-Gauss reduced basis of the half-periods, from the two on rays from
+    the ends of the longest side of the root triangle (the rays run away from
+    its incentre and do not cross, so the two span the lattice).  A class is a
+    bit mask over those two; steps[class] = (e_j, D_j) gives P(v + w_j) =
+    e_j + D_j/(P(v) - e_j), D_j = (e_j - e_k)(e_j - e_l), the addition law at P' = 0.
+
+    P(v) - v^-2 = sum_{k>=2} c_k v^(2k-2), c_k = (2k-1) G_2k, |G_2k| <= 7 R^-2k for
+    k >= 4, R = 2|a| the shortest period: the terms from k = K >= 4 sum to at most
+    |v|^-2 7 x^K ((2K-1)/(1-x) + 2x/(1-x)^2), x = (|v|/R)^2.  The table has the
+    fewest terms that keep this below 2^-53 on the whole reduced cell."""
+    r0, r1, r2 = _cubic_roots(g2, g3)
+    e, f, g = max(((r0, r1, r2), (r1, r2, r0), (r2, r0, r1)), key=lambda t: abs(t[0] - t[1]))
+    a, ca, b, cb = _half_period(e, f, g), 1, _half_period(f, e, g), 2
+    steps = (None, (e, (e - f) * (e - g)), (f, (f - e) * (f - g)), (g, (g - e) * (g - f)))
+    while abs(a) > abs(b) or abs(b - round((b / a).real) * a) < abs(b):  # ties would cycle
+        if abs(a) > abs(b):
+            a, ca, b, cb = b, cb, a, ca
+        n = round((b / a).real)
+        b, cb = b - n * a, cb ^ (ca if n % 2 else 0)
+    x = (max(abs(a + b), abs(a - b)) / (4.0 * abs(a))) ** 2  # the cell's corner
+    terms = next((k for k in range(4, _WP_MAX_TERMS + 1) if x < 1.0 and 7.0 * x**k
+                  * ((2 * k - 1) / (1.0 - x) + 2.0 * x / (1.0 - x) ** 2) <= 2.0**-53), 0)
+    if not terms:
+        raise DomainNotSupported(f"lattice of {(g2, g3)} needs over {_WP_MAX_TERMS} Laurent terms")
     c = [0j, 0j, g2 / 20.0, g3 / 28.0]
-    for k in range(4, _WP_COEFF_COUNT):
-        s = sum(c[m] * c[k - m] for m in range(2, k - 1))
-        c.append(3.0 * s / ((2 * k + 1) * (k - 3)))
-    return tuple(c)
-
-
-def _wp_series_pair(v: complex, inv: EllipticInvariants) -> tuple[complex, complex]:
-    c = _wp_laurent_coeffs(inv.g2, inv.g3)
-    p = 1.0 / (v * v)
-    pp = -2.0 / (v * v * v)
-    v2 = v * v
-    vpow = v2  # v^(2k-2), starting at k = 2
-    for k in range(2, _WP_COEFF_COUNT):
-        p += c[k] * vpow
-        pp += (2 * k - 2) * c[k] * vpow / v
-        vpow *= v2
-    return p, pp
-
-
-def _duplicate(p: complex, pp: complex, g2: complex) -> tuple[complex, complex]:
-    if pp == 0:
-        raise PoleError("duplication from a two-torsion point lands on a pole")
-    lam = (6.0 * p * p - 0.5 * g2) / pp
-    p2 = 0.25 * lam * lam - 2.0 * p
-    pp2 = -pp - lam * (p2 - p)
-    return p2, pp2
+    for k in range(4, terms):
+        c.append(3.0 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3)))
+    return a, b, ca, cb, steps, tuple((c[k], (2 * k - 2) * c[k]) for k in range(terms - 1, 1, -1))
 
 
 def _wp_pair(u: complex, inv: EllipticInvariants) -> tuple[complex, complex]:
+    """(P(u), P'(u)): u = v + m a + n b with v in the reduced cell about 0, P and
+    P' at v by the Laurent series, then for an odd class the step, written with
+    r = 1/(v^2 (P(v) - e_j)) so that it holds at v = 0 too."""
     u = complex(u)
-    if u == 0:
-        raise PoleError("P has a pole at u = 0")
-    halvings = 0
-    v = u
-    while abs(v) > WP_SERIES_RADIUS:
-        v *= 0.5
-        halvings += 1
-    p, pp = _wp_series_pair(v, inv)
-    for _ in range(halvings):
-        p, pp = _duplicate(p, pp, inv.g2)
-    ensure_finite(p, "P value")
-    ensure_finite(pp, "P' value")
-    if abs(p) > _POLE_MAGNITUDE:
-        raise PoleError(
-            f"u = {u!r} is within ~{abs(p) ** -0.5:.2g} of a lattice point (|P| > 1e12)"
-        )
-    return p, pp
+    a, b, ca, cb, steps, table = _lattice(inv.g2, inv.g3)
+    det = (a * b.conjugate()).imag
+    x, y = (u * b.conjugate()).imag / det, -(u * a.conjugate()).imag / det
+    if not max(abs(x), abs(y)) < 2.0**20:  # and not inf or nan
+        raise DomainNotSupported(f"u = {u!r} lies 2^20 cells or more from 0")
+    m, n = round(x), round(y)
+    v = u - m * a - n * b
+    cls = (ca if m % 2 else 0) ^ (cb if n % 2 else 0)
+    if not cls and abs(v) < 1e-6:
+        raise PoleError(f"u = {u!r} is within {abs(v):.2g} of a lattice point (|P| > 1e12)")
+    w = v * v
+    s = t = 0j
+    for c, d in table:
+        s = s * w + c
+        t = t * w + d
+    if cls:
+        e, d = steps[cls]
+        r = 1.0 / (1.0 + w * (w * s - e))
+        return e + d * w * r, -d * v * (t * w * w - 2.0) * r * r
+    return 1.0 / w + w * s, (t * w - 2.0 / w) / v
 
 
 def wp(u: complex, inv) -> complex:

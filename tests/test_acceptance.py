@@ -40,7 +40,7 @@ def test_criterion_01_u0_digits():
 
 def test_criterion_02_wp_zero():
     records = _run_criterion(2, "P(u0; 0,4) = 0", ["u0-wp-zero"], 0.1)
-    assert records[0].tolerance == 1e-9
+    assert records[0].tolerance == 4e-13
 
 
 def test_criterion_11_u0_elliptic_integral_form():

@@ -236,6 +236,24 @@ class TestGammaBeta:
         ref = complex(mpmath.gamma(z))
         assert abs(value - ref) <= 2e-13 * abs(ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(-175.0, 0.49), y=st.floats(1.0, 400.0), s=st.sampled_from([1.0, -1.0]))
+    # the sine of the reflection overflows here, and Gamma(172.5) there
+    @example(x=0.2, y=300.0, s=1.0)
+    @example(x=-171.5, y=0.0, s=1.0)
+    def test_reflection_in_logs_against_mpmath(self, x, y, s):
+        # the condition number of Gamma grows as |z| log|z| (its phase), and
+        # so does the bound, above the 2e-13 of the other Gamma tests
+        z = complex(x, s * y)
+        with mpmath.workdps(40):
+            ref = complex(mpmath.gamma(mpmath.mpmathify(z)))
+        if abs(ref) < 2.0**-1031:
+            with pytest.raises(AccuracyError):
+                gamma_fn(z)
+            return
+        bound = 2e-13 + 1e-15 * abs(z) * math.log(2.0 + abs(z))
+        assert abs(gamma_fn(z) - ref) <= bound * abs(ref)
+
     @pytest.mark.parametrize("a, b", [(150.0, 0.5), (0.5, 150.0),
                                       (2.2250738585072014e-308, 0.125),
                                       (0.125, 2.2250738585072014e-308)])
@@ -313,7 +331,7 @@ class TestEllipticIntegrals:
             elliptic_K(k)
 
     def test_agm_that_does_not_converge_raises(self):
-        # k^2 overflows to -inf, and the means never meet
+        # 1 - k^2 overflows to inf, and R_F's duplication never converges
         with pytest.raises(AccuracyError):
             elliptic_K(1e200j)
 

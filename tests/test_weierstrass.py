@@ -8,9 +8,11 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from abeltau.errors import DomainError, DomainNotSupported, PoleError
-from abeltau.hypergeom import gamma_fn
+from abeltau.errors import AbeltauError, DomainError, DomainNotSupported, PoleError
+from abeltau.hypergeom import _carlson_rf, gamma_fn
 from abeltau.numerics import contour_quadrature, holomorphic_derivatives
 from abeltau.weier import (
     EQUIANHARMONIC,
@@ -27,9 +29,48 @@ from abeltau.weier import (
     wp_inverse_lemniscatic,
     wp_prime,
 )
-from abeltau.weier import WP_SERIES_RADIUS, _duplicate, _wp_series_pair
+from abeltau.uniform import CoverConstants
+from abeltau.weier import _lattice
 
 LEMNISCATE_HALF_PERIOD = 1.3110287771460599  # Gamma(5/4) Gamma(1/2) / Gamma(3/4)
+
+_COVER = CoverConstants.from_parameters(-1.0, 1j)
+FOUR_CURVES = (LEMNISCATIC, EQUIANHARMONIC,
+               _COVER.quotient_invariants(1), _COVER.quotient_invariants(-1))
+
+
+def _roots_mp(inv):
+    """The roots of 4x^3 - g2 x - g3; the caller sets 40 digits."""
+    return mp.polyroots([4, 0, -mp.mpc(inv.g2), -mp.mpc(inv.g3)], extraprec=100)
+
+
+def _wp_mp(u, inv):
+    """(P(u), P'(u)) at 40 digits from Jacobi's sn: with e1, e2, e3 the roots
+    of 4x^3 - g2 x - g3, a = sqrt(e1 - e3) and m = (e2 - e3)/(e1 - e3),
+    P(u) = e3 + a^2/sn^2(a u | m) (DLMF 23.6(ii)), whose derivative is
+    -2 a^3 cn dn/sn^3."""
+    with mp.workdps(40):
+        e1, e2, e3 = _roots_mp(inv)
+        a = mp.sqrt(e1 - e3)
+        sn, cn, dn = (mp.ellipfun(f, a * mp.mpc(u), m=(e2 - e3) / (e1 - e3))
+                      for f in ("sn", "cn", "dn"))
+        return complex(e3 + a**2 / sn**2), complex(-2 * a**3 * cn * dn / sn**3)
+
+
+def _rf_inverse(z, inv):
+    """R_F(z - e1, z - e2, z - e3), a u with P(u) = z (DLMF 19.25(vi))."""
+    with mp.workdps(40):
+        e1, e2, e3 = (complex(e) for e in _roots_mp(inv))
+    return _carlson_rf(z - e1, z - e2, z - e3)
+
+
+def _off_lattice(d, inv):
+    """Distance from d to the nearest point of the period lattice 2(Z a + Z b)."""
+    a, b = _lattice(inv.g2, inv.g3)[:2]
+    det = (a * b.conjugate()).imag
+    m = round((d * b.conjugate()).imag / det / 2.0)
+    n = round(-(d * a.conjugate()).imag / det / 2.0)
+    return abs(d - 2.0 * (m * a + n * b))
 
 
 class TestWpBasics:
@@ -54,21 +95,13 @@ class TestWpBasics:
                 assert resid < 1e-9 * (1.0 + abs(p) ** 3)
 
     def test_duplication_consistency(self):
+        # P(2u) = lam^2/4 - 2 P(u), lam = (6 P(u)^2 - g2/2)/P'(u)
         for inv in (LEMNISCATIC, EQUIANHARMONIC):
             for u in (0.31 + 0.17j, 0.42 - 0.1j):
                 direct = wp(2.0 * u, inv)
-                doubled, _ = _duplicate(wp(u, inv), wp_prime(u, inv), inv.g2)
-                assert abs(direct - doubled) < 1e-8 * (1.0 + abs(direct))
-
-    def test_series_radius_calibration(self):
-        # direct series at the radius vs one extra halving + duplication
-        for inv in (LEMNISCATIC, EQUIANHARMONIC):
-            u = WP_SERIES_RADIUS * cmath.exp(0.7j) * 0.98
-            p_direct, pp_direct = _wp_series_pair(u, inv)
-            p_half, pp_half = _wp_series_pair(u / 2.0, inv)
-            p_doubled, pp_doubled = _duplicate(p_half, pp_half, inv.g2)
-            assert abs(p_direct - p_doubled) < 1e-12 * (1.0 + abs(p_direct))
-            assert abs(pp_direct - pp_doubled) < 1e-12 * (1.0 + abs(pp_direct))
+                p, pp = wp(u, inv), wp_prime(u, inv)
+                lam = (6.0 * p * p - 0.5 * inv.g2) / pp
+                assert abs(direct - (0.25 * lam * lam - 2.0 * p)) < 1e-8 * (1.0 + abs(direct))
 
     def test_pole_errors(self):
         with pytest.raises(PoleError):
@@ -84,6 +117,100 @@ class TestWpBasics:
     def test_non_finite_invariants_rejected(self, g2, g3):
         with pytest.raises(DomainError):
             EllipticInvariants(g2, g3)
+
+
+class TestWpLattice:
+    """P and P' reduced modulo the half-periods from Carlson's R_F, against
+    P from Jacobi's sn at 40 digits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inv=st.sampled_from([LEMNISCATIC, EQUIANHARMONIC]),
+           r=st.floats(0.1, 6.0), phi=st.floats(-math.pi, math.pi))
+    # 2 u_equianharmonic_root(0.85i): argument halving was 3.3e-12 off here
+    @example(inv=EQUIANHARMONIC, r=2.1888387672220326, phi=0.0)
+    def test_against_jacobi_on_the_six_disk(self, inv, r, phi):
+        u = r * cmath.exp(1j * phi)
+        p_ref, pp_ref = _wp_mp(u, inv)
+        assume(abs(p_ref) < 100.0)  # 0.1 or more from every lattice point
+        assert abs(wp(u, inv) - p_ref) <= 1e-13 * max(1.0, abs(p_ref))
+        assert abs(wp_prime(u, inv) - pp_ref) <= 1e-13 * max(1.0, abs(pp_ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(inv=st.sampled_from([LEMNISCATIC, EQUIANHARMONIC]),
+           lam_abs=st.floats(0.05, 20.0), lam_arg=st.floats(-math.pi, math.pi),
+           r=st.floats(0.1, 3.0), phi=st.floats(-math.pi, math.pi))
+    # (g2, g3) = (2500, 0): argument halving, which sums only at |v| <= 0.5,
+    # was 0.14 off here without raising
+    @example(inv=LEMNISCATIC, lam_abs=0.2, lam_arg=0.0, r=2.4, phi=0.5)
+    @example(inv=EQUIANHARMONIC, lam_abs=0.05, lam_arg=0.3, r=2.0, phi=1.0)
+    def test_homogeneity(self, inv, lam_abs, lam_arg, r, phi):
+        # P(lam u; lam^-4 g2, lam^-6 g3) = lam^-2 P(u; g2, g3)  (DLMF 23.10.17)
+        lam = lam_abs * cmath.exp(1j * lam_arg)
+        u = r * cmath.exp(1j * phi)
+        p_ref, pp_ref = _wp_mp(u, inv)
+        assume(abs(p_ref) < 100.0)
+        scaled = EllipticInvariants(inv.g2 * lam**-4, inv.g3 * lam**-6)
+        try:
+            p, pp = wp(lam * u, scaled), wp_prime(lam * u, scaled)
+        except AbeltauError:
+            return
+        assert abs(lam**2 * p - p_ref) <= 1e-12 * max(1.0, abs(p_ref))
+        assert abs(lam**3 * pp - pp_ref) <= 1e-12 * max(1.0, abs(pp_ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(inv=st.sampled_from(FOUR_CURVES), x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0),
+           m=st.integers(-3, 3), n=st.integers(-3, 3))
+    def test_rf_inverse_round_trip_across_the_lattice(self, inv, x, y, m, n):
+        a, b = _lattice(inv.g2, inv.g3)[:2]
+        z = complex(x, y)
+        u = _rf_inverse(z, inv) + 2.0 * (m * a + n * b)
+        assume(u != 0)
+        assert abs(wp(u, inv) - z) <= 1e-13 * max(1.0, abs(z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lemniscatic=st.booleans(), r=st.floats(1.03, 50.0), phi=st.floats(-math.pi, math.pi))
+    def test_hypergeometric_inverses_are_rf_modulo_the_lattice(self, lemniscatic, r, phi):
+        inverse, inv = ((wp_inverse_lemniscatic, LEMNISCATIC) if lemniscatic
+                        else (wp_inverse_equianharmonic, EQUIANHARMONIC))
+        x = r * cmath.exp(1j * phi)
+        u, w = inverse(x), _rf_inverse(x, inv)
+        assert min(_off_lattice(u - w, inv), _off_lattice(u + w, inv)) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(j_abs=st.floats(1.0, 1e6), j_arg=st.floats(-math.pi, math.pi),
+           x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+    @example(j_abs=1e6, j_arg=math.pi, x=0.5, y=0.5)  # tau = 1/2 + 2.2i, the longest cell
+    def test_never_refused_up_to_j_of_a_million(self, j_abs, j_arg, x, y):
+        # g2 = g3 = 27 j/(j - 1728) has the absolute invariant j
+        j = j_abs * cmath.exp(1j * j_arg)
+        assume(abs(j - 1728.0) > 1e-6)
+        c = 27.0 * j / (j - 1728.0)
+        inv = EllipticInvariants(c, c)
+        a, b = _lattice(c, c)[:2]
+        u = 2.0 * (x * a + y * b)
+        p_ref, pp_ref = _wp_mp(u, inv)
+        assume(abs(p_ref) < 100.0 / abs(a) ** 2)
+        p = wp(u, inv)
+        assert abs(p - p_ref) <= 1e-12 * max(1.0 / abs(a) ** 2, abs(p_ref))
+
+    def test_reduction_stops_at_a_tie(self):
+        # a rotated hexagonal lattice: the reduction computes Re(b/a) as
+        # 0.5000000000000001 and -0.5000000000000001 in turn, and looped for
+        # ever while it subtracted a whenever that ratio rounded to +-1
+        inv = EllipticInvariants(0.0, 6366146.388404077 - 33442060.957685918j)
+        for u in (0.05 + 0.02j, -0.11 + 0.07j):
+            p_ref, pp_ref = _wp_mp(u, inv)
+            assert abs(wp(u, inv) - p_ref) <= 1e-13 * abs(p_ref)
+            assert abs(wp_prime(u, inv) - pp_ref) <= 1e-13 * abs(pp_ref)
+
+    def test_elongated_lattice_refused(self):
+        # tau = 1/2 + 2.45i: |j| = 4.7e6, past what 64 Laurent terms certify
+        q = cmath.exp(2j * math.pi * (0.5 + 2.45j))
+        e4 = 1 + 240 * sum(k**3 * q**k / (1 - q**k) for k in range(1, 40))
+        e6 = 1 - 504 * sum(k**5 * q**k / (1 - q**k) for k in range(1, 40))
+        inv = EllipticInvariants(4 * math.pi**4 / 3 * e4, 8 * math.pi**6 / 27 * e6)
+        with pytest.raises(DomainNotSupported):
+            wp(0.3, inv)
 
 
 class TestWpInverses:
