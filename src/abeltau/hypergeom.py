@@ -186,12 +186,16 @@ class IncompleteIntegralSpec:
         object.__setattr__(self, "z", complex(self.z))
         if not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta) and cmath.isfinite(self.z)):
+            raise DomainError(f"alpha, beta and z must be finite: {self!r}")
         if self.base == "from_zero":
             if not self.alpha.real > 0:
                 raise DomainError("from_zero integral needs Re(alpha) > 0")
         elif self.base == "from_infinity":
             if not (self.n * self.beta - self.alpha).real > 0:
                 raise DomainError("from_infinity integral needs Re(n beta - alpha) > 0")
+            if self.z == 0:
+                raise DomainError("from_infinity integral needs z != 0")
         else:
             raise DomainError(f"unknown base {self.base!r}")
 
@@ -219,7 +223,8 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     integrate c u^e (1-u^n)^(-beta) from the base point 0 itself: on the first
     segment [0, v1], u = v1 w^(1/g) with g = 1 + Re(e) turns u^e du into the
     bounded (v1^(e+1)/g) w^(i Im(e)/g) dw on w in [0, 1], so the tanh-sinh
-    quadrature stays accurate as Re(e) nears -1.
+    quadrature stays accurate as Re(e) nears -1.  Each node takes one exp of
+    a sum of principal logs, which is the product of the principal powers.
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
@@ -240,11 +245,11 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     if vertices[0] != 0:
         raise DomainError("oracle path must start at the integral's base point 0")
 
-    def regular(u: complex) -> complex:
-        return principal_power(1.0 - u**n, -b)
-
     def integrand(u: complex) -> complex:
-        return principal_power(u, exponent) * regular(u)
+        d = 1.0 - u**n
+        if u == 0 or d == 0:  # a principal power of 0: the value 0, or a DomainError
+            return principal_power(u, exponent) * principal_power(d, -b)
+        return cmath.exp(exponent * cmath.log(u) - b * cmath.log(d))
 
     v1 = vertices[1]
     g = 1.0 + exponent.real
@@ -252,7 +257,12 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     spin = 1j * exponent.imag / g
 
     def mapped(w: complex) -> complex:
-        return scale * principal_power(w, spin) * regular(v1 * principal_power(w, 1.0 / g))
+        log_w = math.log(w.real)  # w runs over the real segment (0, 1]
+        u = v1 * math.exp(log_w / g)
+        d = 1.0 - u**n
+        if d == 0:  # the value 0, or a DomainError
+            return scale * principal_power(d, -b)
+        return scale * cmath.exp(spin * log_w - b * cmath.log(d))
 
     value = contour_quadrature(mapped, (0.0, 1.0), tol)
     if len(vertices) > 2:

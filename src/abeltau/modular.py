@@ -3,7 +3,11 @@ built from them, all as truncated q-series in the nome q = exp(pi i tau).
 
 Only zero-argument theta values (theta constants) are provided, on the upper
 half-plane with Im(tau) >= 1e-2.  No modular-transformation fallback is
-attempted below that line; the series simply refuse.
+attempted below that line; the series simply refuse.  Above it, near the
+cusps Re(tau) in {0, +-1}, the series return numbers with unbounded error and
+raise nothing: the true value is exponentially small there while the terms
+are O(1), and theta3(1 + 0.0101i) is 9e17 relative off.  Modular reduction
+with a conditioning guard (ROADMAP item 2) is the open fix.
 """
 
 from __future__ import annotations

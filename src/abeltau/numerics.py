@@ -48,6 +48,8 @@ class Polyline:
         vv = tuple(complex(v) for v in vertices)
         if len(vv) < 2:
             raise DomainError("polyline needs at least two vertices")
+        if not all(map(cmath.isfinite, vv)):
+            raise DomainError(f"polyline vertices must be finite, got {vv!r}")
         for a, b in zip(vv, vv[1:]):
             if a == b:
                 raise DomainError("polyline has two equal consecutive vertices")
@@ -168,7 +170,7 @@ def principal_power(z: complex, a: complex) -> complex:
     z = 0 is allowed only for Re(a) > 0 (the limit value 0).  A jet z takes
     the branch of its value c0, so its derivatives are those of that branch.
     """
-    try:  # no isinstance test on the scalar path: the oracle's integrands call this
+    try:  # no isinstance test on the scalar path, the common one
         z = complex(z)
     except TypeError:  # a jet has no __complex__
         if not isinstance(z, _Jet):
@@ -295,7 +297,10 @@ def contour_quadrature(
                     z = end + step * c
                     if z == end:
                         break  # and so would every node beyond
-                    term = w * ensure_finite(f(z), "integrand sample")
+                    sample = f(z)
+                    if not cmath.isfinite(sample):  # ensure_finite, without a call per node
+                        raise AccuracyError(f"non-finite integrand sample: {complex(sample)!r}")
+                    term = w * sample
                     acc += term
                     evals += 1
                     if abs(term) <= floor:

@@ -57,7 +57,13 @@ class EllipticInvariants:
         object.__setattr__(self, "g3", g3)
         if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
             raise DomainError(f"invariants must be finite: {self!r}")
-        if g2**3 - 27.0 * g3**2 == 0:
+        try:
+            disc = g2**3 - 27.0 * g3**2
+        except OverflowError:  # complex ** int raises where the result is infinite
+            disc = math.inf
+        if not cmath.isfinite(disc):
+            raise DomainError(f"the discriminant of the invariants overflows: {self!r}")
+        if disc == 0:
             raise DomainError(f"degenerate invariants (zero discriminant): {self!r}")
 
     @property

@@ -3,6 +3,7 @@ identities against their quadrature oracle."""
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -23,7 +24,7 @@ from abeltau.hypergeom import (
     incomplete_integral_2f1,
     oracle_incomplete_integral,
 )
-from abeltau.numerics import Polyline, _Jet, contour_quadrature
+from abeltau.numerics import Polyline, _Jet, contour_quadrature, principal_power
 from abeltau.registry import REGISTRY
 
 
@@ -347,6 +348,20 @@ class TestIncompleteIntegralSpec:
         with pytest.raises(DomainError):
             IncompleteIntegralSpec(0.5, 0.5, 2, 1.0, "midpoint")
 
+    @pytest.mark.parametrize("base", ["from_zero", "from_infinity"])
+    @pytest.mark.parametrize("alpha, beta, z", [
+        (math.nan, 0.5, 0.5), (0.5, math.nan, 0.5), (0.5, 0.5, complex(math.inf, 0.0)),
+        (complex(0.5, math.inf), 0.5, 0.5), (0.5, 0.5, complex(0.5, math.nan)),
+    ])
+    def test_non_finite_parameters_rejected(self, alpha, beta, z, base):
+        with pytest.raises(DomainError):
+            IncompleteIntegralSpec(alpha, beta, 2, z, base)
+
+    def test_from_infinity_at_zero_rejected(self):
+        # neither 1/z, the oracle's endpoint, nor z^-n exists there
+        with pytest.raises(DomainError):
+            IncompleteIntegralSpec(0.5, 0.5, 2, 0.0, "from_infinity")
+
 
 @st.composite
 def oracle_specs(draw):
@@ -437,6 +452,70 @@ class TestIncompleteIntegrals:
         spec = IncompleteIntegralSpec(alpha, 0.5, n, complex(-2.0, imag), "from_infinity")
         ref = incomplete_integral_2f1(spec)
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), from_zero=st.booleans(), beta=st.floats(0.1, 0.9),
+           radius=st.floats(0.3, 0.9), angle=st.floats(-math.pi, math.pi),
+           e=st.floats(-0.8, -0.1, exclude_min=True, exclude_max=True))
+    def test_oracle_matches_closed_form_on_the_benchmark_region(
+            self, n, from_zero, beta, radius, angle, e):
+        # base-point exponent e, endpoint w in the integration variable
+        w = radius * cmath.exp(1j * angle)
+        if from_zero:
+            spec = IncompleteIntegralSpec(1.0 + e, beta, n, w, "from_zero")
+        else:
+            spec = IncompleteIntegralSpec(n * beta - 1.0 - e, beta, n, 1.0 / w, "from_infinity")
+        ref = incomplete_integral_2f1(spec)
+        assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    def test_fused_integrands_match_the_principal_power_products(self, monkeypatch):
+        # each integrand takes one exp of a sum of principal logs; the
+        # reference multiplies the principal powers as written in the docstring
+        captured = []
+        monkeypatch.setattr(hypergeom, "contour_quadrature",
+                            lambda f, path, tol: captured.append(f) or 0j)
+        rng = random.Random(20240611)
+        worst = 0.0
+        for _ in range(200):
+            n, beta, e = rng.randint(1, 4), rng.uniform(0.1, 0.9), rng.uniform(-0.8, -0.1)
+            z = rng.uniform(0.3, 0.9) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            if rng.random() < 0.5:
+                spec = IncompleteIntegralSpec(1.0 + e, beta, n, z, "from_zero")
+            else:
+                spec = IncompleteIntegralSpec(n * beta - 1.0 - e, beta, n, 1.0 / z, "from_infinity")
+                z = 1.0 / spec.z
+            v1 = 0.5 * z * cmath.exp(0.3j)  # the bend of a two-segment path
+            captured.clear()
+            oracle_incomplete_integral(spec, Polyline([0.0, v1, z]))
+            mapped, integrand = captured
+            # the exponent as the oracle forms it, so that only the fusion differs
+            x = spec.alpha - 1.0 if spec.base == "from_zero" else n * spec.beta - spec.alpha - 1.0
+            g = 1.0 + x.real
+            scale, spin = principal_power(v1, x + 1.0) / g, 1j * x.imag / g
+            for _ in range(5):
+                w = rng.choice((rng.random(), 10.0 ** rng.uniform(-300.0, 0.0)))
+                u = v1 * principal_power(w, 1.0 / g)
+                ref = scale * principal_power(w, spin) * principal_power(1.0 - u**n, -spec.beta)
+                worst = max(worst, abs(mapped(complex(w)) - ref) / abs(ref))
+                u = v1 + rng.random() * (z - v1)
+                ref = principal_power(u, x) * principal_power(1.0 - u**n, -spec.beta)
+                worst = max(worst, abs(integrand(u) - ref) / abs(ref))
+        assert worst <= 1e-15, worst
+
+    @pytest.mark.parametrize("spec, path", [
+        # mapped leg: the midpoint w = 1/2 gives u = 2 w = 1
+        (IncompleteIntegralSpec(1.0, 0.5, 1, 2.0, "from_zero"), None),
+        # second leg: the midpoint of [1/2, 3/2] is u = 1, for n = 1 and 2
+        (IncompleteIntegralSpec(1.0, 0.5, 1, 1.5, "from_zero"), Polyline([0.0, 0.5, 1.5])),
+        (IncompleteIntegralSpec(1.0, 0.5, 2, 1.5, "from_zero"), Polyline([0.0, 0.5, 1.5])),
+        # second leg through u = 0, with a negative exponent there
+        (IncompleteIntegralSpec(0.5, 0.5, 1, -1j, "from_zero"), Polyline([0.0, 1j, -1j])),
+    ])
+    def test_node_at_a_zero_base_is_a_domain_error(self, spec, path):
+        # 1 - u^n (or u) is exactly 0 at a node: the principal power of 0 to
+        # a negative exponent, not a bare ValueError from the logarithm
+        with pytest.raises(DomainError, match="zero base"):
+            oracle_incomplete_integral(spec, path)
 
     def test_oracle_sample_count_on_eq12_rows(self, monkeypatch):
         # a cost guard: these rows take 56-109 samples each from the base point

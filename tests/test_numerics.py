@@ -128,9 +128,21 @@ class TestPolyline:
             Polyline([1.0])
         with pytest.raises(DomainError):
             Polyline([1.0, 1.0, 2.0])
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            with pytest.raises(DomainError):
+                Polyline([0.0, bad])
 
     def test_length(self):
         assert abs(Polyline([0.0, 1.0, 1.0 + 1j]).length - 2.0) < 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_quadrature_refuses_a_non_finite_path_before_sampling(self, bad):
+        # on such a path a finite integrand would run to the evaluation
+        # budget and report an error bound of nan
+        calls = []
+        with pytest.raises(DomainError):
+            contour_quadrature(lambda z: calls.append(z) or 1.0, [0.0, bad])
+        assert not calls
 
 
 class TestContourQuadrature:
@@ -182,6 +194,13 @@ class TestContourQuadrature:
         assert abs(err.value.estimate - exact) < 1e-2
         assert err.value.error_bound > 1e-12
         assert err.value.error_bound >= abs(err.value.estimate - exact)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0.0)])
+    def test_non_finite_sample_is_an_accuracy_error(self, bad):
+        # the midpoint 1/2 is finite; the first node below 1/4 is not
+        f = lambda z: bad if z.real < 0.25 else 1.0
+        with pytest.raises(AccuracyError, match=r"^non-finite integrand sample: \(\w+\+0j\)$"):
+            contour_quadrature(f, [0.0, 1.0])
 
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):

@@ -118,6 +118,18 @@ class TestWpBasics:
         with pytest.raises(DomainError):
             EllipticInvariants(g2, g3)
 
+    @pytest.mark.parametrize("g2, g3", ((1e300, 0.0), (0.0, 1e200)))
+    def test_overflowing_discriminant_rejected(self, g2, g3):
+        # finite invariants whose g2^3 or 27 g3^2 is past the float range
+        with pytest.raises(DomainError, match="overflows"):
+            EllipticInvariants(g2, g3)
+
+    def test_shipped_invariants_unchanged(self):
+        assert LEMNISCATIC.as_tuple == (4.0 + 0j, 0j)
+        assert EQUIANHARMONIC.as_tuple == (0j, 4.0 + 0j)
+        assert EllipticInvariants(4, 0) == LEMNISCATIC
+        assert EllipticInvariants(0, 4) == EQUIANHARMONIC
+
 
 class TestWpLattice:
     """P and P' reduced modulo the half-periods from Carlson's R_F, against
