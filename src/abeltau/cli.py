@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import AbeltauError, AccuracyError, DomainError
 from .hypergeom import (

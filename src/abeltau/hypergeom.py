@@ -27,12 +27,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
-from typing import Literal
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
 from .modular import _MAX_TERMS, _REL_TOL
-from .numerics import Polyline, _Jet, contour_quadrature, ensure_finite, principal_power
+from .numerics import (Polyline, _Jet, _value_type, contour_quadrature, ensure_finite,
+                       principal_power)
 
 __all__ = [
     "HypergeometricParams",
@@ -54,21 +53,19 @@ def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0 and z.real <= 0 and z.real.is_integer()
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
+class HypergeometricParams(_value_type("HypergeometricParams", "a b c")):
     """The (a, b; c) parameter triple of a Gauss hypergeometric series."""
 
-    a: complex
-    b: complex
-    c: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b) and cmath.isfinite(self.c)):
+    def __new__(cls, a: complex, b: complex, c: complex):
+        self = super().__new__(cls, complex(a), complex(b), complex(c))
+        a, b, c = self
+        if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
             raise DomainError(f"2F1 parameters must be finite: {self!r}")
-        if _is_nonpositive_integer(self.c):
-            raise DomainError(f"2F1 lower parameter c={self.c} is a nonpositive integer")
+        if _is_nonpositive_integer(c):
+            raise DomainError(f"2F1 lower parameter c={c} is a nonpositive integer")
+        return self
 
 
 def _f21_series(a: complex, b: complex, c: complex, z):
@@ -169,45 +166,43 @@ def _f21(a, b, c, z):
     return (_gauss_2f1 if jet else gauss_2f1)(params, z)
 
 
-@dataclass(frozen=True)
-class IncompleteIntegralSpec:
+class IncompleteIntegralSpec(_value_type("IncompleteIntegralSpec", "alpha beta n z base")):
     """Parameters (alpha, beta, n, z) of one incomplete integral, anchored
-    either at 0 or at infinity."""
+    either at 0 or at infinity: base is "from_zero" or "from_infinity"."""
 
-    alpha: complex
-    beta: complex
-    n: int
-    z: complex
-    base: Literal["from_zero", "from_infinity"]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "z", complex(self.z))
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta) and cmath.isfinite(self.z)):
+    def __new__(cls, alpha: complex, beta: complex, n: int, z: complex, base: str):
+        self = super().__new__(cls, complex(alpha), complex(beta), n, complex(z), base)
+        alpha, beta, n, z, base = self
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"n must be a positive integer, got {n!r}")
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta) and cmath.isfinite(z)):
             raise DomainError(f"alpha, beta and z must be finite: {self!r}")
-        if self.base == "from_zero":
-            if not self.alpha.real > 0:
+        if base == "from_zero":
+            if not alpha.real > 0:
                 raise DomainError("from_zero integral needs Re(alpha) > 0")
-        elif self.base == "from_infinity":
-            if not (self.n * self.beta - self.alpha).real > 0:
+        elif base == "from_infinity":
+            if not (n * beta - alpha).real > 0:
                 raise DomainError("from_infinity integral needs Re(n beta - alpha) > 0")
-            if self.z == 0:
+            if z == 0:
                 raise DomainError("from_infinity integral needs z != 0")
         else:
-            raise DomainError(f"unknown base {self.base!r}")
+            raise DomainError(f"unknown base {base!r}")
+        return self
 
 
 def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     """Closed hypergeometric form of the incomplete integral."""
-    a, b, n, z = spec.alpha, spec.beta, spec.n, spec.z
-    if spec.base == "from_zero":
-        arg = z**n
+    a, b, n, z, base = spec
+    k = n if base == "from_zero" else -n
+    try:
+        arg = z**k
+    except (OverflowError, ZeroDivisionError):  # complex ** int past the float range
+        raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}") from None
+    if base == "from_zero":
         return (cmath.exp(1j * math.pi * b) / a) * principal_power(z, a) \
             * _f21(b, a / n, a / n + 1.0, arg)
-    arg = z**(-n)
     return principal_power(z, a - n * b) / (a - n * b) \
         * _f21(b, b - a / n, b - a / n + 1.0, arg)
 
@@ -238,6 +233,8 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     else:
         exponent = n * b - a - 1.0
         m = abs(spec.z) ** 2  # by components: 1.0 / z drops the sign of a zero Im(z)
+        if m < sys.float_info.min:  # subnormal or zero: 1/z would lose its bits or divide by 0
+            raise DomainNotSupported(f"|z|^2 underflows at z = {spec.z!r}; 1/z is not computed")
         target = complex(spec.z.real / m, -spec.z.imag / m)
         coeff = -1.0
 
@@ -264,9 +261,12 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
             return scale * principal_power(d, -b)
         return scale * cmath.exp(spin * log_w - b * cmath.log(d))
 
-    value = contour_quadrature(mapped, (0.0, 1.0), tol)
-    if len(vertices) > 2:
-        value += contour_quadrature(integrand, vertices[1:], tol)
+    try:
+        value = contour_quadrature(mapped, (0.0, 1.0), tol)
+        if len(vertices) > 2:
+            value += contour_quadrature(integrand, vertices[1:], tol)
+    except OverflowError:  # from cmath.exp or u**n at a node
+        raise AccuracyError(f"the oracle integrand overflows on the path of {spec!r}") from None
     return coeff * value
 
 

@@ -13,8 +13,8 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .errors import AccuracyError, DomainError
 
@@ -38,13 +38,21 @@ def ensure_finite(value: complex, context: str = "value") -> complex:
     return value
 
 
-@dataclass(frozen=True)
-class Polyline:
+def _value_type(name: str, fields: str, defaults=None):
+    """A named tuple class for a value type to subclass.  Its _make, and so
+    _replace, calls the subclass, whose __new__ then coerces and validates a
+    replaced field as it does a constructed one."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, items: cls(*items))
+    return base
+
+
+class Polyline(_value_type("Polyline", "vertices")):
     """An integration path given by straight segments between vertices."""
 
-    vertices: tuple[complex, ...]
+    __slots__ = ()
 
-    def __init__(self, vertices: Sequence[complex]):
+    def __new__(cls, vertices: Sequence[complex]):
         vv = tuple(complex(v) for v in vertices)
         if len(vv) < 2:
             raise DomainError("polyline needs at least two vertices")
@@ -53,7 +61,7 @@ class Polyline:
         for a, b in zip(vv, vv[1:]):
             if a == b:
                 raise DomainError("polyline has two equal consecutive vertices")
-        object.__setattr__(self, "vertices", vv)
+        return super().__new__(cls, vv)
 
     def segments(self) -> list[tuple[complex, complex]]:
         return list(zip(self.vertices, self.vertices[1:]))
@@ -167,8 +175,9 @@ class _Jet:
 def principal_power(z: complex, a: complex) -> complex:
     """z**a = exp(a Log z) with the principal logarithm, Im(Log) in (-pi, pi].
 
-    z = 0 is allowed only for Re(a) > 0 (the limit value 0).  A jet z takes
-    the branch of its value c0, so its derivatives are those of that branch.
+    z = 0 is allowed only for Re(a) > 0 (the limit value 0), and a result
+    past the float range is an AccuracyError.  A jet z takes the branch of
+    its value c0, so its derivatives are those of that branch.
     """
     try:  # no isinstance test on the scalar path, the common one
         z = complex(z)
@@ -183,7 +192,10 @@ def principal_power(z: complex, a: complex) -> complex:
         return 0.0 + 0.0j
     if a == 0:
         return 1.0 + 0.0j
-    return ensure_finite(cmath.exp(a * cmath.log(z)), "principal_power result")
+    try:
+        return ensure_finite(cmath.exp(a * cmath.log(z)), "principal_power result")
+    except OverflowError:
+        raise AccuracyError(f"non-finite principal_power result: {z!r}**{a!r} overflows") from None
 
 
 @functools.cache

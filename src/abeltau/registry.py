@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from collections.abc import Mapping
 
 from .errors import AbeltauError, DomainError, DomainNotSupported
 from .hypergeom import (
@@ -34,7 +33,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .numerics import _Jet, contour_quadrature
+from .numerics import _Jet, _value_type, contour_quadrature
 from .uniform import (
     CoverConstants,
     CurvePoint,
@@ -64,6 +63,7 @@ from .weier import (
     wp_inverse_equianharmonic,
     wp_inverse_lemniscatic,
     wp_prime,
+    _wp_inverse_for,
 )
 
 __all__ = [
@@ -80,16 +80,24 @@ __all__ = [
 U0_IM_DIGITS = 1.402182105325
 
 
-@dataclass
 class RunConfig:
     """Options shared by every registry run; overrides reference registered
     identities only, and grid overrides only identities with a tau grid."""
 
-    tolerances: dict[str, float] = field(default_factory=dict)
-    grids: dict[str, tuple[complex, ...]] = field(default_factory=dict)
-    output: str = "human"
-    m_filter: int | None = None
-    report_path: str | None = None
+    def __init__(self, tolerances: dict[str, float] | None = None,
+                 grids: dict[str, tuple[complex, ...]] | None = None, output: str = "human",
+                 m_filter: int | None = None, report_path: str | None = None):
+        self.tolerances = {} if tolerances is None else tolerances
+        self.grids = {} if grids is None else grids
+        self.output = output
+        self.m_filter = m_filter
+        self.report_path = report_path
+
+    def __repr__(self) -> str:
+        return f"RunConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is RunConfig else NotImplemented
 
     def validate(self) -> None:
         for key in (*self.tolerances, *self.grids):
@@ -113,16 +121,16 @@ class RunConfig:
         return self.grids[entry.name]
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One line of the verification stream: one identity at one sample."""
+class RunRecord(_value_type("RunRecord", "identity point residual tolerance status metadata")):
+    """One line of the verification stream: one identity at one sample.
+    status is pass, fail or skipped; metadata a mapping, by default empty."""
 
-    identity: str
-    point: complex
-    residual: float | None
-    tolerance: float
-    status: str  # pass | fail | skipped
-    metadata: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, identity: str, point: complex, residual: float | None, tolerance: float,
+                status: str, metadata: Mapping[str, object] | None = None):
+        return super().__new__(cls, identity, point, residual, tolerance, status,
+                               {} if metadata is None else metadata)
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,22 +153,14 @@ def _jsonable(v):
     return v
 
 
-# check(sample, cfg, tol) -> (point, residual, tolerance, metadata)
-Check = Callable[[object, RunConfig, float], tuple[complex, float, float, dict]]
+class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check samples tau_grid",
+                                defaults=(False,))):
+    """An identity as a check run at each of its samples,
+    check(sample, cfg, tol) -> (point, residual, tolerance, metadata).  The
+    samples of a tau-grid identity are tau points, which RunConfig.grids may
+    replace; those of any other identity are the rows of a fixed table."""
 
-
-@dataclass(frozen=True)
-class IdentityEntry:
-    """An identity as a check run at each of its samples.  The samples of a
-    tau-grid identity are tau points, which RunConfig.grids may replace;
-    those of any other identity are the rows of a fixed table."""
-
-    name: str
-    summary: str
-    tolerance: float
-    check: Check
-    samples: tuple
-    tau_grid: bool = False
+    __slots__ = ()
 
 
 # --------------------------------------------------------------------------
@@ -380,38 +380,36 @@ def _curve_w(inv: EllipticInvariants, z: complex) -> complex:
     return cmath.sqrt(4.0 * z**3 - inv.g2 * z - inv.g3)
 
 
-def _branch_sign(inv, inverse, z1) -> float:
+def _branch_sign(inv, z1) -> float:
     """Sign s making s*sqrt(4z^3-g2 z-g3) the dz/du branch of the
-    hypergeometric inverse u(z): dz/du = P'(u) at u = u(z1)."""
-    w_expected = wp_prime(inverse(z1), inv)
+    hypergeometric inverse u(z) of P: dz/du = P'(u) at u = u(z1)."""
+    w_expected = wp_prime(_wp_inverse_for(inv)(z1), inv)
     w0 = _curve_w(inv, z1)
     return 1.0 if abs(w0 - w_expected) <= abs(-w0 - w_expected) else -1.0
 
 
-# (z1, z2, invariants, hypergeometric inverse of P)
-_II_SAMPLES = ((3.0, 5.0, LEMNISCATIC, wp_inverse_lemniscatic),
-               (2.5, 4.0, EQUIANHARMONIC, wp_inverse_equianharmonic))
+# (z1, z2, invariants)
+_II_SAMPLES = ((3.0, 5.0, LEMNISCATIC), (2.5, 4.0, EQUIANHARMONIC))
 
 
 def _check_ii_oracle(row, cfg, tol):
-    z1, z2, inv, inverse = row
-    s = _branch_sign(inv, inverse, complex(z1))
+    z1, z2, inv = row
+    s = _branch_sign(inv, complex(z1))
     quad = contour_quadrature(lambda z: z / (s * _curve_w(inv, z)), [z1, z2], 1e-11)
     delta = integral_second_kind(z2, inv) - integral_second_kind(z1, inv)
     return z1, abs(delta - quad), tol, {"invariants": inv.as_tuple, "path": [z1, z2],
                                         "w_branch_sign": s}
 
 
-# (z1, z2, alpha, invariants, hypergeometric inverse of P)
-_III_SAMPLES = ((3.0, 3.8, 0.5, LEMNISCATIC, wp_inverse_lemniscatic),
-                (2.0, 2.5, 0.6, EQUIANHARMONIC, wp_inverse_equianharmonic))
+# (z1, z2, alpha, invariants)
+_III_SAMPLES = ((3.0, 3.8, 0.5, LEMNISCATIC), (2.0, 2.5, 0.6, EQUIANHARMONIC))
 
 
 def _check_iii_oracle(row, cfg, tol):
-    z1, z2, alpha, inv, inverse = row
+    z1, z2, alpha, inv = row
     pa = wp(alpha, inv)
     ppa = wp_prime(alpha, inv)
-    s = _branch_sign(inv, inverse, complex(z1))
+    s = _branch_sign(inv, complex(z1))
 
     def integrand(z):
         w = s * _curve_w(inv, z)
@@ -500,7 +498,9 @@ def identity_names() -> tuple[str, ...]:
 def _sample_point(sample) -> complex:
     """Where a sample whose check raised is reported: the sample itself, the
     first item of a table row, or an integral spec's z; else 0j."""
-    head = sample[0] if isinstance(sample, tuple) else getattr(sample, "z", sample)
+    if isinstance(sample, IncompleteIntegralSpec):
+        sample = sample.z
+    head = sample[0] if isinstance(sample, tuple) else sample
     return complex(head) if isinstance(head, (int, float, complex)) else 0j
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import CriticalPointError, DomainError, DomainNotSupported, PoleError
 from .hypergeom import _f21
@@ -22,7 +21,7 @@ from .modular import (
     theta3,
     _tau_value,
 )
-from .numerics import _Jet, principal_power
+from .numerics import _Jet, _value_type, principal_power
 from .weier import EllipticInvariants, u0_constant, wp
 
 __all__ = [
@@ -81,46 +80,34 @@ def eq5_equation(inv: EllipticInvariants) -> Callable[[complex], complex]:
     return lambda u: -2.0 * wp(2.0 * complex(u), inv)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_value_type("CurvePoint", "x y sign")):
     """A point (x, y) on w^2 = z^5 - z with the +-1 cover-sheet tag."""
 
-    x: complex
-    y: complex
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        x, y = complex(self.x), complex(self.y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if self.sign not in (1, -1):
-            raise DomainError(f"cover sign must be +1 or -1, got {self.sign!r}")
+    def __new__(cls, x: complex, y: complex, sign: int = 1):
+        x, y = complex(x), complex(y)
+        if sign not in (1, -1):
+            raise DomainError(f"cover sign must be +1 or -1, got {sign!r}")
         quintic = x**5 - x
         if abs(y * y - quintic) > 1e-10 * max(1.0, abs(quintic)):
             raise DomainError(f"(x, y) = ({x!r}, {y!r}) is not on w^2 = z^5 - z")
+        return super().__new__(cls, x, y, sign)
 
 
-@dataclass(frozen=True)
-class CoverConstants:
+class CoverConstants(_value_type(
+        "CoverConstants", "A B k_plus k_minus e_plus e_minus sqrt_A sqrt_B s_ab sqrt_one_minus")):
     """Constants of the Jacobi-Legendre cover of y^2 = x(x-1)(x-A)(x-B)(x-AB).
 
     The printed cover mixes "sqrt(AB)" and "sqrt(A) sqrt(B)"; with principal
     roots those differ by a sign for the shipped parameters (A, B) = (-1, i),
     and only the product sqrt(A)*sqrt(B), used consistently in both P' and
     du, satisfies the cubic identity (verified numerically and by the chain
-    rule).  That product is what s_ab stores.
+    rule).  That product is what s_ab stores; e_plus and e_minus are the
+    e-roots of the two sheets, sqrt_one_minus is sqrt((1-A)(1-B)), principal.
     """
 
-    A: complex
-    B: complex
-    k_plus: complex
-    k_minus: complex
-    e_plus: tuple[complex, complex, complex]
-    e_minus: tuple[complex, complex, complex]
-    sqrt_A: complex
-    sqrt_B: complex
-    s_ab: complex
-    sqrt_one_minus: complex  # sqrt((1-A)(1-B)), principal
+    __slots__ = ()
 
     @classmethod
     def from_parameters(cls, A: complex, B: complex) -> "CoverConstants":

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import DomainError, DomainNotSupported, PoleError
 from .hypergeom import _carlson_rf, _f21, euler_beta
-from .numerics import ensure_finite, holomorphic_derivatives, principal_power
+from .numerics import _value_type, ensure_finite, holomorphic_derivatives, principal_power
 
 __all__ = [
     "EllipticInvariants",
@@ -44,17 +43,14 @@ _WP_MAX_TERMS = 64
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 
 
-@dataclass(frozen=True)
-class EllipticInvariants:
+class EllipticInvariants(_value_type("EllipticInvariants", "g2 g3")):
     """The (g2, g3) of a nondegenerate Weierstrass cubic y^2 = 4x^3 - g2 x - g3."""
 
-    g2: complex
-    g3: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        g2, g3 = complex(self.g2), complex(self.g3)
-        object.__setattr__(self, "g2", g2)
-        object.__setattr__(self, "g3", g3)
+    def __new__(cls, g2: complex, g3: complex):
+        self = super().__new__(cls, complex(g2), complex(g3))
+        g2, g3 = self
         if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
             raise DomainError(f"invariants must be finite: {self!r}")
         try:
@@ -65,6 +61,7 @@ class EllipticInvariants:
             raise DomainError(f"the discriminant of the invariants overflows: {self!r}")
         if disc == 0:
             raise DomainError(f"degenerate invariants (zero discriminant): {self!r}")
+        return self
 
     @property
     def as_tuple(self) -> tuple[complex, complex]:
@@ -82,14 +79,13 @@ def _invariants(inv) -> EllipticInvariants:
     return EllipticInvariants(g2, g3)
 
 
-@dataclass(frozen=True)
-class ThirdKindParam:
+class ThirdKindParam(_value_type("ThirdKindParam", "alpha_point")):
     """Parameter point of a third-kind integral, given as a P-argument."""
 
-    alpha_point: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_point", complex(self.alpha_point))
+    def __new__(cls, alpha_point: complex):
+        return super().__new__(cls, complex(alpha_point))
 
 
 def _cubic_roots(g2: complex, g3: complex) -> tuple[complex, ...]:

@@ -362,6 +362,17 @@ class TestIncompleteIntegralSpec:
         with pytest.raises(DomainError):
             IncompleteIntegralSpec(0.5, 0.5, 2, 0.0, "from_infinity")
 
+    def test_named_tuple_coerces_and_validates_on_replace(self):
+        spec = IncompleteIntegralSpec(0.5, 0.5, 2, 3, "from_infinity")
+        assert repr(spec) == ("IncompleteIntegralSpec(alpha=(0.5+0j), beta=(0.5+0j), n=2,"
+                              " z=(3+0j), base='from_infinity')")
+        assert spec._fields == ("alpha", "beta", "n", "z", "base")
+        assert repr(spec._replace(z=2)).endswith("z=(2+0j), base='from_infinity')")
+        with pytest.raises(DomainError):
+            spec._replace(z=0.0)
+        with pytest.raises(AttributeError):
+            spec.z = 2.0
+
 
 @st.composite
 def oracle_specs(draw):
@@ -443,6 +454,18 @@ class TestIncompleteIntegrals:
         # u = v1 w^(1/0.01) leaves a bounded integrand in w
         ref = incomplete_integral_2f1(spec)
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    def test_oracle_overflow_is_an_accuracy_error(self):
+        # (1 - u)^-300 leaves the float range as u nears z = 0.999
+        with pytest.raises(AccuracyError):
+            oracle_incomplete_integral(IncompleteIntegralSpec(1.0, 300.0, 1, 0.999, "from_zero"))
+
+    @pytest.mark.parametrize("z", [1e-200, complex(1e-200, -0.0)])
+    @pytest.mark.parametrize("evaluate", [incomplete_integral_2f1, oracle_incomplete_integral])
+    def test_tiny_from_infinity_argument_is_refused(self, evaluate, z):
+        # z^-2 overflows and |z|^2, the oracle's divisor for 1/z, underflows
+        with pytest.raises(DomainNotSupported):
+            evaluate(IncompleteIntegralSpec(0.5, 0.5, 2, z, "from_infinity"))
 
     @pytest.mark.parametrize("alpha, n", [(0.5, 2), (0.3, 1)])
     @pytest.mark.parametrize("imag", [0.0, -0.0])

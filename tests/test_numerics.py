@@ -48,6 +48,12 @@ class TestPrincipalPower:
             rhs = principal_power(z, a + b)
             assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
+    @pytest.mark.parametrize("z, a", [(10.0, 400.0), (1e300, 2.0), (1e-300, -2.0)])
+    def test_overflow_is_an_accuracy_error(self, z, a):
+        # cmath.exp raises OverflowError past the float range
+        with pytest.raises(AccuracyError, match="principal_power"):
+            principal_power(z, a)
+
 
 class TestStencil:
     def test_validation(self):
@@ -120,6 +126,23 @@ def test_package_imports_no_numpy():
     proc = subprocess.run([sys.executable, "-I", "-c", code, package_root],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_neither_dataclasses_nor_typing():
+    # these modules cost most of the import time; -S because a site .pth may
+    # load typing before the package does
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import abeltau\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    package_root = str(Path(abeltau.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, package_root],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "abeltau.registry" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}, sorted(loaded)
 
 
 class TestPolyline:
