@@ -14,8 +14,8 @@ F(a, b; a+b+1/2 | 4w(1-w)) = F(2a, 2b; a+b+1/2 | w) (DLMF 15.8(iii)) gives
 
     2F1(1/2, b; b+1 | z) = 2F1(1, 2b; b+1 | w),   w = (1 - sqrt(1-z))/2,
 
-principal root.  The private _f21 sums that series in w: on the series disk
-|z| <= 0.95, |w| <= 0.39, so it needs far fewer terms than the one in z.
+principal root.  The private _f21 sums that series in w for |w| <= 0.45: the
+series disk |z| <= 0.95 (|w| <= 0.39), and on the real axis z in [-2.61, 0.99].
 
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _SERIES_DISK = 0.95
+# _f21's disk in w = (1 - sqrt(1-z))/2, at most 45 terms for a number and 58
+# for a jet.  The cut z in [1, inf) maps to the line Re w = 1/2: the disk keeps
+# 0.01 from it (at z = 0.99), so no value is taken on either side of the cut.
+_W_DISK = 0.45
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
@@ -119,12 +123,17 @@ def _f21_series(a: complex, b: complex, c: complex, z):
     raise AccuracyError("2F1 series did not converge within max_terms")
 
 
-def _gauss_2f1(params: HypergeometricParams, z):
-    """gauss_2f1 on a number or a jet z."""
-    a, b, c = params.a, params.b, params.c
+def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
+    """2F1(a, b; c | z) by power series for |z| <= 0.95, else by the Pfaff
+    transformation (1-z)^(-a) 2F1(a, c-b; c | z/(z-1)) when that argument is
+    in the series disk.  Anything else, z = 1 included, is a hard
+    DomainNotSupported: no silent analytic continuation.
+    """
+    a, b, c = params
+    z = complex(z)
     if abs(z) <= _SERIES_DISK:
         return _f21_series(a, b, c, z)
-    w = z / (z - 1.0)
+    w = z / (z - 1.0) if z != 1 else math.inf  # z = 1, the pole of z/(z-1), is refused
     if abs(w) <= _SERIES_DISK:
         return principal_power(1.0 - z, -a) * _f21_series(a, c - b, c, w)
     raise DomainNotSupported(
@@ -132,38 +141,27 @@ def _gauss_2f1(params: HypergeometricParams, z):
     )
 
 
-def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
-    """2F1(a, b; c | z) by power series for |z| <= 0.95, else by the Pfaff
-    transformation (1-z)^(-a) 2F1(a, c-b; c | z/(z-1)) when that argument is
-    in the series disk.  Anything else is a hard DomainNotSupported: no
-    silent analytic continuation.
-    """
-    return _gauss_2f1(params, complex(z))
-
-
 def _f21(a, b, c, z):
-    """2F1(a, b; c | z) for a number z, or its jet for a jet z, under the
-    domain gates of gauss_2f1.
-
-    With a = 1/2, c = b + 1 and z in the series disk it sums the quadratic
-    form of the module docstring, 2F1(1, 2b; b+1 | w), with w written free
-    of cancellation as z/(2(1 + s)), s = sqrt(1 - z); a jet z gets the jet of
-    w from w' = 1/(4s), w'' = 1/(8s^3) and w''' = 3/(16s^5).  Otherwise a
-    number goes through the public gauss_2f1, a jet to its kernel directly:
-    the public function takes numbers.
-    """
-    params = HypergeometricParams(a, b, c)
+    """2F1(a, b; c | z) for a number z, or its jet for a jet z: the one place
+    that decides where the 2F1 of the uniformizers and P inverses is summed.
+    With a = 1/2 and c = b + 1 that is the quadratic form of the module
+    docstring, 2F1(1, 2b; b+1 | w), w = z/(2(1 + s)) free of cancellation,
+    s = sqrt(1 - z), wherever |w| <= 0.45; a jet z gets the jet of w from
+    w' = 1/(4s), w'' = 1/(8s^3), w''' = 3/(16s^5).  Otherwise a number goes to
+    gauss_2f1 and a jet is refused."""
     jet = isinstance(z, _Jet)
-    if params.a == 0.5 and params.c == params.b + 1.0 and abs(z) <= _SERIES_DISK:
+    if a == 0.5 and c == b + 1.0:
         x = z.c[0] if jet else z
         s = cmath.sqrt(1.0 - x)
         w = x / (2.0 * (1.0 + s))
-        if jet:
-            r = 0.25 / s
-            s2 = s * s
-            w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
-        return _f21_series(1.0, 2.0 * params.b, params.c, w)
-    return (_gauss_2f1 if jet else gauss_2f1)(params, z)
+        if abs(w) <= _W_DISK:
+            if jet:
+                r, s2 = 0.25 / s, s * s
+                w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
+            return _f21_series(1.0, 2.0 * b, c, w)
+    if jet:
+        raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK} or not (1/2, b; b+1)")
+    return gauss_2f1(HypergeometricParams(a, b, c), z)
 
 
 class IncompleteIntegralSpec(_value_type("IncompleteIntegralSpec", "alpha beta n z base")):
@@ -207,6 +205,24 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
         * _f21(b, b - a / n, b - a / n + 1.0, arg)
 
 
+def _meets_cut(vertices, n: int) -> bool:
+    """Whether the polyline meets the cut {w : w^n in [1, inf)}: each segment, turned
+    by e^(-2 pi i k/n), against [1, inf), where within 4 ulp counts as on it."""
+    tol = 4.0 * sys.float_info.epsilon
+    if max(map(abs, vertices)) < 1.0 - tol:
+        return False  # the unit disk is convex and the cut lies outside it
+    for k in range(n):
+        turn = cmath.exp(-2j * math.pi * k / n)
+        turned = [v * turn for v in vertices]
+        for p, q in zip(turned, turned[1:]):
+            y0, y1 = (v.imag if abs(v.imag) > tol * abs(v) else 0.0 for v in (p, q))
+            if min(y0, y1) <= 0.0 <= max(y0, y1):  # the segment meets the real line
+                t = y0 / (y0 - y1) if y0 != y1 else float(q.real > p.real)  # along it: far end
+                if p.real + t * (q.real - p.real) >= 1.0 - tol:
+                    return True
+    return False
+
+
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
                                path: Polyline | None = None,
                                tol: float = 1e-10) -> complex:
@@ -223,7 +239,9 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
-    of (1 - .^n)^(-beta) is continuous, i.e. avoid {w : w^n in [1, inf)}.
+    of (1 - .^n)^(-beta) is continuous, i.e. avoid the cut {w : w^n in [1, inf)}:
+    a path that meets it, the default straight one included, is refused, also
+    at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8).
     """
     a, b, n = spec.alpha, spec.beta, spec.n
     if spec.base == "from_zero":
@@ -241,6 +259,8 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     vertices = path.vertices if path is not None else (0.0 + 0.0j, target)
     if vertices[0] != 0:
         raise DomainError("oracle path must start at the integral's base point 0")
+    if _meets_cut(vertices, n):
+        raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
 
     def integrand(u: complex) -> complex:
         d = 1.0 - u**n

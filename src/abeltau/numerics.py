@@ -77,9 +77,9 @@ class _Jet:
 
     Arithmetic with jets and numbers carries the derivatives exactly to
     rounding, so code written for complex numbers runs on jets unchanged.
-    There is no __complex__: a path that would drop the derivatives raises
-    TypeError.  abs() is |c0|, for the convergence gates, and repr() that of
-    c0, so that an error message names the point.
+    There is no __complex__ and no abs(): a path that would drop the
+    derivatives raises TypeError.  repr() is that of c0, so that an error
+    message names the point.
     """
 
     __slots__ = ("c",)
@@ -89,9 +89,6 @@ class _Jet:
 
     def __repr__(self) -> str:
         return repr(self.c[0])
-
-    def __abs__(self) -> float:
-        return abs(self.c[0])
 
     def derivatives(self) -> tuple[complex, complex, complex, complex]:
         """f, f', f'', f''' at x0; a non-finite one is an AccuracyError."""
@@ -160,7 +157,10 @@ class _Jet:
         return self.compose(*ds)
 
     def exp(self) -> "_Jet":
-        e = cmath.exp(self.c[0])
+        try:
+            e = cmath.exp(self.c[0])
+        except OverflowError:
+            raise AccuracyError(f"exp({self!r}) overflows") from None
         return self.compose(e, e, e, e)
 
     def log(self) -> "_Jet":

@@ -3,8 +3,8 @@ at every sample of a tau grid or of a fixed table.
 
 The registry is the coverage map of the verification suite; `verify`/`grid`
 in the CLI and the acceptance tests all drive it.  Every record passes,
-fails or is skipped: a sample outside a uniformizer's convergence region is
-refused by that uniformizer's own gate and reported as skipped.
+fails or is skipped: a sample at which a uniformizer's 2F1 is refused is
+reported as skipped.
 """
 
 from __future__ import annotations
@@ -196,8 +196,7 @@ def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio, s = sqrt(2) theta2(tau)/theta2(tau/2):
     1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every U(m, .), z and s come from one
-    set of theta jets in tau, whose gate refuses tau outside the theta-ratio
-    region."""
+    set of theta jets in tau; tau where the 2F1 of U refuses a jet is skipped."""
     thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
     t2, t3, t2_half, _ = thetas
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)

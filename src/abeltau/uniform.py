@@ -13,7 +13,7 @@ import cmath
 import math
 from collections.abc import Callable
 
-from .errors import CriticalPointError, DomainError, DomainNotSupported, PoleError
+from .errors import CriticalPointError, DomainError, PoleError
 from .hypergeom import _f21
 from .modular import (
     hauptmodul_equianharmonic,
@@ -21,8 +21,8 @@ from .modular import (
     theta3,
     _tau_value,
 )
-from .numerics import _Jet, _value_type, principal_power
-from .weier import EllipticInvariants, u0_constant, wp
+from .numerics import _Jet, _value_type
+from .weier import EllipticInvariants, _wp_inverse, u0_constant, wp
 
 __all__ = [
     "CurvePoint",
@@ -41,12 +41,9 @@ __all__ = [
     "k_pm",
 ]
 
-# Convergence regions of the shipped uniformizers.  Each u_* function tests
-# its own region and refuses a point outside it, never extrapolates.
-LEMNISCATIC_PREDICATE_MODULUS = 1.0 / 0.95          # |chi(tau)| must exceed this
-EQUIANHARMONIC_ROOT_PREDICATE_MODULUS = 0.95 ** (-1.0 / 3.0)
-ROOTFREE_PREDICATE_CUBE = 0.95                      # |z(tau)|^3 at most this
-HYPERELLIPTIC_PREDICATE_RATIO = 0.95                # |theta2^4/theta3^4| at most this
+# Each u_* function sums its 2F1 where hypergeom._f21 does, and is refused
+# where _f21 refuses.  _f21 keeps 0.01 from the cut x in [1, inf) of the 2F1
+# argument x, so no value is taken on either side of it.
 
 # The right-hand sides Q of the bracket equations [x, tau] = Q(x).  The
 # rational ones are evaluated in Horner form; each raises PoleError at its
@@ -164,61 +161,38 @@ def u_lemniscatic(tau) -> complex:
     """u(tau) = (theta3/theta2) 2F1(1/2, 1/4; 5/4 | theta3^4/theta2^4),
     the holomorphic integral of y^2 = 4x^3 - 4x as a function of tau.
 
-    Equals wp_inverse_lemniscatic(hauptmodul_lemniscatic(tau)) where both are
-    defined; requires |chi(tau)| > 1/0.95.
+    Equals wp_inverse_lemniscatic(hauptmodul_lemniscatic(tau)) up to the sign
+    of its root where both are defined.
     """
     t = _tau_value(tau)
-    t2 = theta2(t)
-    t3 = theta3(t)
-    chi = t2 * t2 / (t3 * t3)
-    if not abs(chi) > LEMNISCATIC_PREDICATE_MODULUS:
-        raise DomainNotSupported(
-            f"|chi(tau)| = {abs(chi):g} <= {LEMNISCATIC_PREDICATE_MODULUS:g} at tau = {t!r}"
-        )
-    ratio = t3 / t2
+    ratio = theta3(t) / theta2(t)
     return ratio * _f21(0.5, 0.25, 1.25, ratio**4)
 
 
 def u_equianharmonic_root(tau) -> complex:
     """u(tau) = z(tau)^(-1/2) 2F1(1/2, 1/6; 7/6 | z(tau)^-3) with the
-    equianharmonic Hauptmodul z; principal square root."""
-    t = _tau_value(tau)
-    z = hauptmodul_equianharmonic(t)
-    if not abs(z) > EQUIANHARMONIC_ROOT_PREDICATE_MODULUS:
-        raise DomainNotSupported(
-            f"|z(tau)| = {abs(z):g} <= {EQUIANHARMONIC_ROOT_PREDICATE_MODULUS:g} at tau = {t!r}"
-        )
-    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3)
+    equianharmonic Hauptmodul z; principal square root.  This is
+    wp_inverse_equianharmonic(z(tau)), for a number or a jet tau."""
+    return _wp_inverse(hauptmodul_equianharmonic(tau), 1.0 / 6.0, 3)
 
 
 def u_equianharmonic_rootfree(tau) -> complex:
-    """Root-free sibling of u_equianharmonic_root on the complementary region:
-
-        u(tau) = u0 + (i/2) z(tau) 2F1(1/2, 1/3; 4/3 | z(tau)^3),  |z|^3 <= 0.95.
-    """
-    t = _tau_value(tau)
-    z = hauptmodul_equianharmonic(t)
-    if abs(z) ** 3 > ROOTFREE_PREDICATE_CUBE:
-        raise DomainNotSupported(
-            f"|z(tau)|^3 = {abs(z) ** 3:g} > {ROOTFREE_PREDICATE_CUBE:g} at tau = {t!r}"
-        )
+    """u(tau) = u0 + (i/2) z(tau) 2F1(1/2, 1/3; 4/3 | z(tau)^3), the root-free
+    sibling of u_equianharmonic_root, summed at small z.  Both invert P(.; 0, 4)
+    at z(tau), and their regions overlap (from |z| = 0.44 to 2.6); there they
+    are branches of the same P^-1, u_root = +-u_rootfree modulo the period
+    lattice, with either sign."""
+    z = hauptmodul_equianharmonic(tau)
     return u0_constant() + 0.5j * z * _f21(0.5, 1.0 / 3.0, 4.0 / 3.0, z**3)
 
 
 def _hyperelliptic_thetas(tau):
     """(theta2(tau), theta3(tau), theta2(tau/2), lam = theta2^4/theta3^4) for a
-    number or a jet tau: the series U(m, tau) is made of, for every m at once.
-    Refuses tau outside the region |lam| <= 0.95 before it sums theta2(tau/2).
-    """
+    number or a jet tau: the series U(m, tau) is made of, for every m at once."""
     t = _tau_value(tau)
     t2 = theta2(t)
     t3 = theta3(t)
-    lam = (t2 / t3) ** 4
-    if abs(lam) > HYPERELLIPTIC_PREDICATE_RATIO:
-        raise DomainNotSupported(
-            f"|theta2^4/theta3^4| = {abs(lam):g} > {HYPERELLIPTIC_PREDICATE_RATIO:g} at tau = {t!r}"
-        )
-    return t2, t3, theta2(0.5 * t), lam
+    return t2, t3, theta2(0.5 * t), (t2 / t3) ** 4
 
 
 def _u_hyperelliptic(m: int, thetas) -> complex:
@@ -245,8 +219,8 @@ def schwarz_residual(q: Callable[[complex], complex],
                      candidate: Callable[[complex], complex],
                      tau) -> float:
     """|[candidate, tau] - q(candidate(tau))|, the value and the bracket from
-    one evaluation of candidate on a jet in tau, so a uniformizer's own gate
-    refuses a point outside its region.
+    one evaluation of candidate on a jet in tau, so a uniformizer refuses a
+    point outside its region before any bracket is formed.
     """
     t = _tau_value(tau)
     value, bracket = _bracket(candidate(_Jet(t, 1.0)), t)

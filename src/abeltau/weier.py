@@ -176,29 +176,33 @@ def wp_prime(u: complex, inv) -> complex:
     return _wp_pair(u, _invariants(inv))[1]
 
 
+def _wp_inverse(x, b: float, k: int):
+    """x^(-1/2) 2F1(1/2, b; b+1 | x^-k) for a number or a jet x: P^-1 on the
+    lemniscatic (b, k) = (1/4, 2) or equianharmonic (1/6, 3) curve."""
+    try:
+        y = x**-k
+    except (OverflowError, ZeroDivisionError):  # complex ** -k divides by x^k
+        raise DomainNotSupported(f"x^-{k} is not finite at x = {x!r}") from None
+    return principal_power(x, -0.5) * _f21(0.5, b, b + 1.0, y)
+
+
 def wp_inverse_lemniscatic(x: complex) -> complex:
     """Principal branch of P^-1 on the curve y^2 = 4x^3 - 4x:
 
-        u = x^(-1/2) 2F1(1/2, 1/4; 5/4 | x^-2),   valid for |x^-2| <= 0.95.
+        u = x^(-1/2) 2F1(1/2, 1/4; 5/4 | x^-2).
 
     P is even, so the opposite sign -u inverts P equally; callers that care
     about the sign get the principal root.
     """
-    x = complex(x)
-    if x == 0 or abs(1.0 / (x * x)) > 0.95:
-        raise DomainNotSupported(f"|1/x^2| > 0.95 at x = {x!r}; series form not valid")
-    return principal_power(x, -0.5) * _f21(0.5, 0.25, 1.25, x**-2)
+    return _wp_inverse(complex(x), 0.25, 2)
 
 
 def wp_inverse_equianharmonic(z: complex) -> complex:
     """Principal branch of P^-1 on y^2 = 4z^3 - 4:
 
-        u = z^(-1/2) 2F1(1/2, 1/6; 7/6 | z^-3),   valid for |z^-3| <= 0.95.
+        u = z^(-1/2) 2F1(1/2, 1/6; 7/6 | z^-3).
     """
-    z = complex(z)
-    if z == 0 or abs(z**-3) > 0.95:
-        raise DomainNotSupported(f"|1/z^3| > 0.95 at z = {z!r}; series form not valid")
-    return principal_power(z, -0.5) * _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z**-3)
+    return _wp_inverse(complex(z), 1.0 / 6.0, 3)
 
 
 @cache

@@ -101,9 +101,18 @@ class TestGauss2F1:
 
     def test_max_terms_exhaustion_on_numbers_and_jets(self, monkeypatch):
         monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
-        for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-3.0, 1.0)):  # series and Pfaff
+        # the series in w, and at -3.0 (|w| = 1/2) Pfaff; a jet is summed in w only
+        for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-2.0, 1.0)):
             with pytest.raises(AccuracyError):
                 _f21(0.5, 0.25, 1.25, z)
+
+    @pytest.mark.parametrize("z", [1.0, 1 + 0j, complex(1.0, -0.0)])
+    def test_pfaff_pole_at_one_is_refused(self, z):
+        # z/(z - 1) divided by zero here
+        with pytest.raises(DomainNotSupported):
+            f21(0.5, 0.25, 1.25, z)
+        with pytest.raises(DomainNotSupported):
+            incomplete_integral_2f1(IncompleteIntegralSpec(0.5, 0.3, 2, z, "from_zero"))
 
 
 def complement_region_z(r, s):
@@ -128,19 +137,16 @@ class TestComplementRoute:
             ref = complex(mpmath.hyp2f1(a, b, b + 1.0, z))
         assert abs(_f21(a, b, b + 1.0, z) - ref) <= 1e-13 * abs(ref)
 
-    def test_gates_unchanged(self):
-        # Re z > 1/2 beyond the series disk stays refused
-        for z in (0.96, 0.6 + 0.8j, 0.99):
-            with pytest.raises(DomainNotSupported):
-                _f21(0.5, 0.25, 1.25, z)
-
 
 # b real in (0, 3] or complex with Re b in that range and |Im b| <= 1
 ROUTE_B = st.one_of(
     st.floats(0.0, 3.0, exclude_min=True),
     st.builds(complex, st.floats(0.0, 3.0, exclude_min=True), st.floats(-1.0, 1.0)),
 )
-ROUTE_Z = st.builds(cmath.rect, st.floats(0.0, 0.95), st.floats(-math.pi, math.pi))
+# z = 4w(1 - w) over the disk |w| <= 0.449 that the route serves, less a
+# margin for the rounding of w to z and back
+ROUTE_Z = st.builds(cmath.rect, st.floats(0.0, 0.449), st.floats(-math.pi, math.pi)).map(
+    lambda w: 4.0 * w * (1.0 - w))
 
 
 class TestQuadraticRoute:
@@ -150,8 +156,11 @@ class TestQuadraticRoute:
     @given(b=ROUTE_B, z=ROUTE_Z)
     # near the edge with Re z < 0, where the series in z converges slowest
     @example(b=1.0 / 6.0, z=-0.931 - 0.085j)
+    # 0.01 from the branch point z = 1, and the far end z = -2.61 (w = -0.45)
+    @example(b=0.25, z=0.99)
+    @example(b=1.0 / 6.0, z=-2.6)
+    @example(b=0.25, z=0.6 + 0.8j)  # on the unit circle, |w| = 0.27
     def test_against_mpmath(self, b, z):
-        assume(abs(z) <= 0.95)  # |z| = 0.95 can round past the gate's disk
         with mpmath.workdps(40):
             ref = complex(mpmath.hyp2f1(0.5, b, b + 1.0, z))
         assert abs(_f21(0.5, b, b + 1.0, z) - ref) <= 1e-14 * abs(ref)
@@ -167,23 +176,59 @@ class TestQuadraticRoute:
     ])
     def test_route_runs_exactly_when_a_is_half_and_c_is_b_plus_one(self, monkeypatch,
                                                                     a, b, c):
-        # the route hands the kernel (1, 2b; c), the series in z (a, b; c)
+        # the route hands the kernel (1, 2b; c) for a number and a jet; other
+        # parameters go to gauss_2f1 as (a, b; c), and a jet is refused
         calls = []
         series = hypergeom._f21_series
         monkeypatch.setattr(hypergeom, "_f21_series",
                             lambda *args: calls.append(args[:3]) or series(*args))
-        params = HypergeometricParams(a, b, c)
-        kernel_params = (1.0, 2.0 * b, c) if a == 0.5 and c == b + 1.0 else (a, b, c)
+        route = a == 0.5 and c == b + 1.0
         for z in (0.0, 0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
+            ref = f21(a, b, c, z)
             calls.clear()
             value = _f21(a, b, c, z)
+            assert abs(value - ref) <= 1e-14 * abs(value)
+            if not route:
+                assert calls == [(a, b, c)], (z, calls)
+                with pytest.raises(DomainNotSupported):
+                    _f21(a, b, c, _Jet(z, 1.0))
+                continue
             jet = _f21(a, b, c, _Jet(z, 1.0))
-            assert calls == [kernel_params] * 2, (z, calls)
-            assert abs(value - hypergeom._gauss_2f1(params, complex(z))) <= 1e-14 * abs(value)
-            # relative to F itself where a derivative vanishes (a = 0: F = 1)
-            for got, want in zip(jet.derivatives(),
-                                 hypergeom._gauss_2f1(params, _Jet(z, 1.0)).derivatives()):
-                assert abs(got - want) <= 1e-13 * max(abs(want), abs(value)), (z, got, want)
+            assert calls == [(1.0, 2.0 * b, c)] * 2, (z, calls)
+            assert abs(jet.derivatives()[0] - value) <= 1e-15 * abs(value)
+
+    @pytest.mark.parametrize("z", [
+        -3.0,  # w = -1/2: a number goes on to Pfaff
+        0.995,  # w = 0.465, and outside both regions of gauss_2f1
+        1.0, 1.5, complex(2.0, 1e-300), complex(2.0, -1e-300),
+    ])
+    def test_one_gate_on_w(self, monkeypatch, z):
+        # past |w| = 0.45 a number is gauss_2f1's, and a jet is refused
+        public = []
+        gauss = hypergeom.gauss_2f1
+        monkeypatch.setattr(hypergeom, "gauss_2f1",
+                            lambda *args: public.append(args) or gauss(*args))
+        try:
+            value = _f21(0.5, 0.25, 1.25, z)
+        except DomainNotSupported:
+            value = None
+        assert public == [(HypergeometricParams(0.5, 0.25, 1.25), z)]
+        if value is not None:
+            with mpmath.workdps(40):
+                ref = complex(mpmath.hyp2f1(0.5, 0.25, 1.25, z))
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+        with pytest.raises(DomainNotSupported, match=r"\|w\| > 0.45"):
+            _f21(0.5, 0.25, 1.25, _Jet(z, 1.0))
+
+    def test_no_value_near_the_cut(self):
+        # z in [1, inf) maps to Re w = 1/2 and gauss_2f1 serves Re z <= 0.95
+        # only, so within 0.01 of the cut, on either side, nothing is summed:
+        # every value is that of the principal branch, continuous on C \ [1, inf)
+        for x in (1.0, 1.001, 1.5, 3.0, 1e10):
+            for y in (0.0, 1e-300, 1e-3, 9e-3):
+                for z in (complex(x, y), complex(x, -y)):
+                    with pytest.raises(DomainNotSupported):
+                        _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z)
 
 
 class TestGammaBeta:
@@ -525,20 +570,44 @@ class TestIncompleteIntegrals:
                 worst = max(worst, abs(integrand(u) - ref) / abs(ref))
         assert worst <= 1e-15, worst
 
+    def test_node_at_a_zero_base_is_a_domain_error(self):
+        # u is exactly 0 at the midpoint of the second leg: the principal power
+        # of 0 to a negative exponent, not a bare ValueError from the logarithm
+        spec = IncompleteIntegralSpec(0.5, 0.5, 1, -1j, "from_zero")
+        with pytest.raises(DomainError, match="zero base"):
+            oracle_incomplete_integral(spec, Polyline([0.0, 1j, -1j]))
+
     @pytest.mark.parametrize("spec, path", [
-        # mapped leg: the midpoint w = 1/2 gives u = 2 w = 1
+        # the straight path from 0 through the branch point u = 1 to u = 2
         (IncompleteIntegralSpec(1.0, 0.5, 1, 2.0, "from_zero"), None),
-        # second leg: the midpoint of [1/2, 3/2] is u = 1, for n = 1 and 2
+        # from infinity, v = 1/u runs from 0 through v = 1 to 1e100 and to 2
+        (IncompleteIntegralSpec(0.5, 0.5, 2, 1e-100, "from_infinity"), None),
+        (IncompleteIntegralSpec(0.5, 0.5, 2, 0.5, "from_infinity"), None),
+        # along the ray e^(2 pi i/3) of the n = 3 cut, to within rounding
+        (IncompleteIntegralSpec(1.0, 0.5, 3, cmath.rect(2.0, 2.0 * math.pi / 3.0), "from_zero"),
+         None),
+        # a second leg along the cut, for n = 1 and 2
         (IncompleteIntegralSpec(1.0, 0.5, 1, 1.5, "from_zero"), Polyline([0.0, 0.5, 1.5])),
         (IncompleteIntegralSpec(1.0, 0.5, 2, 1.5, "from_zero"), Polyline([0.0, 0.5, 1.5])),
-        # second leg through u = 0, with a negative exponent there
-        (IncompleteIntegralSpec(0.5, 0.5, 1, -1j, "from_zero"), Polyline([0.0, 1j, -1j])),
+        # across the ray (-inf, -1] of n = 2 at -2, and back inside the unit disk
+        (IncompleteIntegralSpec(1.0, 0.5, 2, 0.5j, "from_zero"),
+         Polyline([0.0, -2.0 + 1j, -2.0 - 1j, 0.5j])),
+        # ending at the branch point u = 1, where the value was 1.6e-8 off
+        (IncompleteIntegralSpec(0.5, 0.5, 2, 1.0, "from_zero"), None),
+        (IncompleteIntegralSpec(0.5, 0.5, 2, 1.0, "from_zero"), Polyline([0.0, 1j, 1.0])),
     ])
-    def test_node_at_a_zero_base_is_a_domain_error(self, spec, path):
-        # 1 - u^n (or u) is exactly 0 at a node: the principal power of 0 to
-        # a negative exponent, not a bare ValueError from the logarithm
-        with pytest.raises(DomainError, match="zero base"):
+    def test_a_path_that_meets_the_cut_is_refused(self, spec, path):
+        # the principal integrand jumps there: the straight path at 1e-100
+        # returned -4.5e-28+7.3e-12i, while the integral has modulus 3.7
+        with pytest.raises(DomainNotSupported, match="meets the cut"):
             oracle_incomplete_integral(spec, path)
+
+    def test_a_path_off_the_cut_is_accepted(self):
+        # out past u = 1 above the cut and back to 0.5: no branch point lies
+        # between this path and the straight one, so the two integrals agree
+        spec = IncompleteIntegralSpec(0.75, 0.5, 2, 0.5, "from_zero")
+        bent = oracle_incomplete_integral(spec, Polyline([0.0, 1.2 + 0.5j, 0.5]))
+        assert abs(bent - incomplete_integral_2f1(spec)) <= 1e-9
 
     def test_oracle_sample_count_on_eq12_rows(self, monkeypatch):
         # a cost guard: these rows take 56-109 samples each from the base point

@@ -14,6 +14,7 @@ import abeltau
 from abeltau.errors import AccuracyError, DomainError
 from abeltau.numerics import (
     Polyline,
+    _Jet,
     contour_quadrature,
     holomorphic_derivatives,
     principal_power,
@@ -53,6 +54,12 @@ class TestPrincipalPower:
         # cmath.exp raises OverflowError past the float range
         with pytest.raises(AccuracyError, match="principal_power"):
             principal_power(z, a)
+
+    @pytest.mark.parametrize("z, a", [(10.0, 400.0), (1e300, 2.0), (1e-300, -2.0)])
+    def test_jet_overflow_is_an_accuracy_error(self, z, a):
+        # the jet's exp of its value overflows as the scalar path does
+        with pytest.raises(AccuracyError, match="overflows"):
+            principal_power(_Jet(z, 1.0), a)
 
 
 class TestStencil:

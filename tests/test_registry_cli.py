@@ -79,11 +79,12 @@ class TestRegistry:
         recs = run_identity("schwarz-u-lemn", cfg)
         assert [r.status for r in recs] == ["skipped"]
 
-    def test_u_derivative_skips_tau_outside_the_theta_ratio_region(self):
-        # |theta2^4/theta3^4| = 0.97 > 0.95 at tau = 0.5i
-        rec = run_identity_at("U-derivative", 0.5j, RunConfig())
+    def test_u_derivative_skips_tau_outside_the_2f1_region(self):
+        # theta2^4/theta3^4 = 0.994 at tau = 0.4i, where |w| = 0.461 > 0.45
+        rec = run_identity_at("U-derivative", 0.4j, RunConfig())
         assert rec.status == "skipped" and rec.residual is None
-        assert "theta2^4/theta3^4" in rec.metadata["reason"]
+        assert "|w| > 0.45" in rec.metadata["reason"]
+        assert run_identity_at("U-derivative", 0.5j, RunConfig()).status == "pass"
 
     @pytest.mark.parametrize("tau", [1.2j, 1.5j, 0.05 + 1.7j])
     def test_u_derivative_as_from_the_public_functions(self, tau):
@@ -217,6 +218,11 @@ class TestEval:
 
     def test_domain_error_exits_3(self, capsys):
         assert main(["eval", "gauss_2f1", "0.5", "0.25", "1.25", "5"]) == 3
+        assert "DomainNotSupported" in capsys.readouterr().err
+
+    def test_pfaff_pole_exits_3(self, capsys):
+        # z/(z - 1) divided by zero at z = 1
+        assert main(["eval", "gauss_2f1", "0.5", "0.25", "1.25", "1"]) == 3
         assert "DomainNotSupported" in capsys.readouterr().err
 
     def test_accuracy_error_exits_3(self, capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,8 @@ from abeltau.modular import (
     hauptmodul_lemniscatic,
     sqrt_theta_ratio,
 )
-from abeltau.numerics import holomorphic_derivatives
+from abeltau.hypergeom import IncompleteIntegralSpec, oracle_incomplete_integral
+from abeltau.numerics import _Jet, holomorphic_derivatives
 from abeltau.uniform import (
     CoverConstants,
     CurvePoint,
@@ -35,7 +37,16 @@ from abeltau.uniform import (
     u_hyperelliptic,
     u_lemniscatic,
 )
-from abeltau.weier import EQUIANHARMONIC, LEMNISCATIC, u0_constant, wp, wp_inverse_lemniscatic
+from abeltau.weier import (
+    EQUIANHARMONIC,
+    LEMNISCATIC,
+    _lattice,
+    u0_constant,
+    wp,
+    wp_inverse_equianharmonic,
+    wp_inverse_lemniscatic,
+    wp_prime,
+)
 
 # z(tau) vanishes on the Re = 1/2 line at this height (up to rounding)
 ROOTFREE_ZERO_TAU = 0.5 + 0.2886751345948129j
@@ -149,10 +160,11 @@ class TestTauRepresentations:
             assert abs(wp(u_equianharmonic_root(tau), EQUIANHARMONIC)
                        - hauptmodul_equianharmonic(tau)) < 1e-9, tau
 
-    def test_equianharmonic_root_refuses_spec_example_point(self):
-        # |z(1.2i)| = 1.0048 < 0.95^(-1/3): the series domain excludes it
-        with pytest.raises(DomainNotSupported):
-            u_equianharmonic_root(1.2j)
+    def test_equianharmonic_root_serves_spec_example_point(self):
+        # |z(1.2i)^-3| = 0.986, past the old series disk; |w| = 0.44
+        tau = 1.2j
+        z = hauptmodul_equianharmonic(tau)
+        assert abs(wp(u_equianharmonic_root(tau), EQUIANHARMONIC) - z) <= 1e-13 * abs(z)
 
     def test_equianharmonic_root_eq5_grid(self):
         q = eq5_equation(EQUIANHARMONIC)
@@ -172,10 +184,11 @@ class TestTauRepresentations:
             assert abs(wp(u_equianharmonic_rootfree(tau), EQUIANHARMONIC)
                        - hauptmodul_equianharmonic(tau)) < 1e-9, tau
 
-    def test_rootfree_refuses_spec_example_point(self):
-        # |z(1/2 + i)|^3 = 0.9507, marginally past the series gate
-        with pytest.raises(DomainNotSupported):
-            u_equianharmonic_rootfree(0.5 + 1j)
+    def test_rootfree_serves_spec_example_point(self):
+        # |z(1/2 + i)|^3 = 0.9507, marginally past the old series disk
+        tau = 0.5 + 1j
+        z = hauptmodul_equianharmonic(tau)
+        assert abs(wp(u_equianharmonic_rootfree(tau), EQUIANHARMONIC) - z) <= 1e-13 * abs(z)
 
     def test_rootfree_eq5_grid(self):
         q = eq5_equation(EQUIANHARMONIC)
@@ -190,9 +203,9 @@ class TestTauRepresentations:
         minus = bracket_schwarzian(lambda t: -u_equianharmonic_rootfree(t), tau)
         assert abs(plus - minus) < 1e-9 * abs(plus)
 
-    def test_predicate_gate_in_schwarz_residual(self):
-        # the refusal is u_lemniscatic's own gate, met before any bracket sample
-        with pytest.raises(DomainNotSupported, match=r"\|chi\(tau\)\|"):
+    def test_2f1_gate_in_schwarz_residual(self):
+        # the refusal is that of _f21 on the jet in tau, before any bracket
+        with pytest.raises(DomainNotSupported, match=r"\|w\| > 0.45"):
             schwarz_residual(eq5_equation(LEMNISCATIC), u_lemniscatic, 2j)
 
 
@@ -211,9 +224,17 @@ class TestHyperellipticFamily:
             with pytest.raises(DomainError):
                 u_hyperelliptic(m, 1.5j)
 
-    def test_predicate_refusal(self):
+    def test_serves_past_the_old_theta_ratio_disk(self):
+        # theta2^4/theta3^4 = 0.971 at 0.5i, |w| = 0.41; the old gate refused it
+        tau = 0.5j
+        spec = IncompleteIntegralSpec(0.5, 0.5, 4, hauptmodul_hyperelliptic(tau), "from_zero")
+        value = u_hyperelliptic(0, tau)
+        assert abs(value - oracle_incomplete_integral(spec, tol=1e-12)) <= 1e-12 * abs(value)
+
+    def test_refusal_near_the_cusp_at_zero(self):
+        # theta2^4/theta3^4 = 0.9938 at 0.4i, |w| = 0.461
         with pytest.raises(DomainNotSupported):
-            u_hyperelliptic(0, 0.5j)  # theta ratio ~ 0.97 there
+            u_hyperelliptic(0, 0.4j)
 
     def test_derivative_identity_spot(self):
         tau = 1.5j
@@ -223,6 +244,131 @@ class TestHyperellipticFamily:
             (lhs,) = holomorphic_derivatives(lambda s: u_hyperelliptic(m, s), tau, 1)
             rhs = 1j * z**m * zp / (sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4))
             assert abs(lhs - rhs) < 1e-6 * abs(rhs), m
+
+
+# A seeded sample of the tau rectangle [-1, 1] x [0.15, 3].  Below Im tau =
+# 0.15 the theta series lose digits near the cusps (ROADMAP item 2).
+REGION_TAUS = tuple(complex(rng.uniform(-1.0, 1.0), rng.uniform(0.15, 3.0))
+                    for rng in [random.Random(20261019)] for _ in range(1500))
+
+
+def _served(f, x):
+    """f(x), or None where f refuses x."""
+    try:
+        return f(x)
+    except DomainNotSupported:
+        return None
+
+
+def _hyperelliptic_oracle(m, tau):
+    """U(m, tau) as the straight-path integral of z^m dz / sqrt(z^5 - z)."""
+    z = hauptmodul_hyperelliptic(tau)
+    return oracle_incomplete_integral(IncompleteIntegralSpec(m + 0.5, 0.5, 4, z, "from_zero"),
+                                      tol=1e-12)
+
+
+def _u_derivative(m, tau):
+    """dU(m, tau)/dtau = i z^m z' / (sqrt_theta_ratio sqrt(1 - z^4)), z = theta2/theta3."""
+    z, z_prime = hauptmodul_hyperelliptic(_Jet(tau, 1.0)).derivatives()[:2]
+    return 1j * z**m * z_prime / (sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4))
+
+
+class TestRegions:
+    """Each uniformizer serves tau wherever hypergeom._f21 sums its 2F1, and
+    refuses the rest.  Every served number and jet agrees with a check that
+    shares no 2F1 with it: P(u) and P'(u) u' against the Hauptmodul and its
+    derivative, U against its defining integral and dU/dtau."""
+
+    P_CASES = {
+        "lemniscatic": (u_lemniscatic, hauptmodul_lemniscatic, LEMNISCATIC,
+                        lambda x: (1.0 / x) ** 2),
+        "equianharmonic-root": (u_equianharmonic_root, hauptmodul_equianharmonic,
+                                EQUIANHARMONIC, lambda z: z**-3),
+        "equianharmonic-rootfree": (u_equianharmonic_rootfree, hauptmodul_equianharmonic,
+                                    EQUIANHARMONIC, lambda z: z**3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(P_CASES))
+    def test_p_of_u_is_the_hauptmodul(self, name):
+        u_of, x_of, inv, argument = self.P_CASES[name]
+        new_numbers = new_jets = 0  # tau the old gates refused: |argument| > 0.95
+        for tau in REGION_TAUS:
+            u = _served(u_of, tau)
+            jet = _served(u_of, _Jet(tau, 1.0))
+            if u is None:
+                assert jet is None, tau  # jets are served on a subset
+                continue
+            x, x_prime = x_of(_Jet(tau, 1.0)).derivatives()[:2]
+            assert abs(wp(u, inv) - x) <= 1e-12 * max(1.0, abs(x)), tau
+            new = abs(argument(x)) > 0.95
+            new_numbers += new
+            if jet is not None:
+                u0, u1 = jet.derivatives()[:2]
+                assert abs(u0 - u) <= 1e-14 * max(1.0, abs(u)), tau
+                assert abs(wp_prime(u0, inv) * u1 - x_prime) <= 1e-12 * max(1.0, abs(x_prime))
+                new_jets += new
+        assert new_numbers >= 25 and new_jets >= 25, (new_numbers, new_jets)
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_u_hyperelliptic_is_its_integral(self, m):
+        new_numbers = new_jets = 0  # tau the old gate refused: |lam| > 0.95
+        for tau in REGION_TAUS:
+            value = _served(lambda t: u_hyperelliptic(m, t), tau)
+            jet = _served(lambda t: u_hyperelliptic(m, t), _Jet(tau, 1.0))
+            if value is None:
+                assert jet is None, tau
+                continue
+            scale = max(1.0, abs(value))
+            assert abs(value - _hyperelliptic_oracle(m, tau)) <= 1e-12 * scale, tau
+            new = abs(hauptmodul_hyperelliptic(tau)) ** 4 > 0.95
+            new_numbers += new
+            if jet is not None:
+                u0, u1 = jet.derivatives()[:2]
+                assert abs(u0 - value) <= 1e-14 * scale, tau
+                rhs = _u_derivative(m, tau)
+                assert abs(u1 - rhs) <= 1e-12 * max(1.0, abs(rhs)), tau
+                new_jets += new
+        assert new_numbers >= 20 and new_jets >= 20, (new_numbers, new_jets)
+
+    def test_equianharmonic_forms_differ_by_a_sign_and_a_period(self):
+        # where both forms serve tau, u_root = +-u_rootfree + a period: the
+        # two are branches of the same P^-1 at z(tau)
+        a, b = _lattice(EQUIANHARMONIC.g2, EQUIANHARMONIC.g3)[:2]
+        det = (a * b.conjugate()).imag
+
+        def off_lattice(d):
+            # distance to the nearest period 2ma + 2nb, in cell coordinates
+            x, y = (d * b.conjugate()).imag / det / 2.0, -(d * a.conjugate()).imag / det / 2.0
+            return max(abs(x - round(x)), abs(y - round(y)))
+
+        overlap, signs = 0, set()
+        for tau in REGION_TAUS:
+            root = _served(u_equianharmonic_root, tau)
+            rootfree = _served(u_equianharmonic_rootfree, tau)
+            if root is None or rootfree is None:
+                continue
+            error, sign = min((off_lattice(root - s * rootfree), s) for s in (1, -1))
+            assert error <= 1e-13, (tau, root, rootfree)
+            overlap += 1
+            signs.add(sign)
+        assert overlap >= 25 and signs == {1, -1}, (overlap, signs)
+
+    @pytest.mark.parametrize("inverse, inv, k", [
+        (wp_inverse_lemniscatic, LEMNISCATIC, 2),
+        (wp_inverse_equianharmonic, EQUIANHARMONIC, 3),
+    ])
+    def test_p_inverses_round_trip(self, inverse, inv, k):
+        rng = random.Random(7)
+        served = past_old_disk = 0
+        for _ in range(1000):
+            x = cmath.rect(rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi))
+            u = _served(inverse, x)
+            if u is None:
+                continue
+            assert abs(wp(u, inv) - x) <= 1e-13 * max(1.0, abs(x)), x
+            served += 1
+            past_old_disk += abs(x**-k) > 0.95
+        assert past_old_disk >= 100, (served, past_old_disk)
 
 
 class TestCoveringAlgebra:
