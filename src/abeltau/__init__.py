@@ -1,6 +1,7 @@
 """abeltau: theta constants, hypergeometric elliptic integrals, and
-tau-representations of Abelian integrals, with a verification registry
-certifying every shipped identity numerically."""
+tau-representations of Abelian integrals.  The verification registry that
+certifies every shipped identity numerically is the submodule
+abeltau.registry, which this package does not import."""
 
 from .errors import (
     AbeltauError,
@@ -68,6 +69,5 @@ from .uniform import (
     u_hyperelliptic,
     u_lemniscatic,
 )
-from .registry import REGISTRY, RunConfig, RunRecord, identity_names, run_identity, run_identity_at
 
 __version__ = "0.1.0"

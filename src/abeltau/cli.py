@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
@@ -116,7 +117,7 @@ EVAL_FUNCTIONS = {
 
 
 def _as_small_int(v: complex) -> int:
-    if v.imag != 0 or v.real != int(v.real):
+    if v.imag != 0 or not v.real.is_integer():  # an inf or nan literal too
         raise DomainError(f"expected a small integer, got {v!r}")
     return int(v.real)
 
@@ -279,8 +280,8 @@ def _cmd_grid(args) -> int:
         return USAGE_EXIT
     try:
         parts = [float(v) for v in args.region.split(",")]
-        if len(parts) != 4:
-            raise ValueError("region needs four comma-separated reals")
+        if len(parts) != 4 or not all(map(math.isfinite, parts)):
+            raise ValueError("region needs four comma-separated finite reals")
         re0, re1, im0, im1 = parts
         if args.steps < 1:
             raise ValueError("steps must be >= 1")

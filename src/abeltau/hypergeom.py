@@ -205,6 +205,22 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
         * _f21(b, b - a / n, b - a / n + 1.0, arg)
 
 
+# A vertex this close to a branch point w^n = 1 is refused.  At distance d from
+# one, 1 - w^n is off by about eps/d relative, the oracle by about eps d^(-beta),
+# and its error estimate does not see it: ending at 1 - 1e-12 for beta = 1/2 it
+# was 1.0e-10 off at tol 1e-10.  Over n = 1..4, both bases, beta in {0.1, 0.5,
+# 0.9, 0.95, 1} and three directions of approach, ends at d = 1e-5 stay within
+# 3.6e-11 of a 30-digit 2F1 at tol 1e-10 (at d = 1e-6: 2.2e-10, beta = 1).
+_BRANCH_GAP = 1e-5
+
+
+def _near_branch_point(vertices, n: int) -> bool:
+    """Whether a vertex lies within _BRANCH_GAP of a branch point w^n = 1."""
+    turn = 2.0 * math.pi / n
+    return any(abs(v - cmath.exp(1j * turn * round(cmath.phase(v) / turn))) < _BRANCH_GAP
+               for v in vertices)
+
+
 def _meets_cut(vertices, n: int) -> bool:
     """Whether the polyline meets the cut {w : w^n in [1, inf)}: each segment, turned
     by e^(-2 pi i k/n), against [1, inf), where within 4 ulp counts as on it."""
@@ -241,7 +257,8 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     from_infinity), must start at 0, and must stay where the principal branch
     of (1 - .^n)^(-beta) is continuous, i.e. avoid the cut {w : w^n in [1, inf)}:
     a path that meets it, the default straight one included, is refused, also
-    at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8).
+    at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8),
+    and so is a vertex within _BRANCH_GAP of one.
     """
     a, b, n = spec.alpha, spec.beta, spec.n
     if spec.base == "from_zero":
@@ -261,6 +278,9 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         raise DomainError("oracle path must start at the integral's base point 0")
     if _meets_cut(vertices, n):
         raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
+    if _near_branch_point(vertices, n):
+        raise DomainNotSupported(f"a vertex of the oracle path {vertices!r} lies within "
+                                 f"{_BRANCH_GAP:g} of a branch point w^{n} = 1")
 
     def integrand(u: complex) -> complex:
         d = 1.0 - u**n

@@ -602,6 +602,25 @@ class TestIncompleteIntegrals:
         with pytest.raises(DomainNotSupported, match="meets the cut"):
             oracle_incomplete_integral(spec, path)
 
+    @pytest.mark.parametrize("base", ["from_zero", "from_infinity"])
+    @pytest.mark.parametrize("far_end, served", [(1.0 - 1e-12, False), (0.9, True)])
+    def test_a_path_ending_next_to_a_branch_point(self, base, far_end, served):
+        # at 1 - 1e-12 the value was 1.0e-10 off at tol 1e-10 and nothing was
+        # raised.  Either base integrates v^(-1/2) (1 - v^2)^(-1/2) from 0 to
+        # the far end, 2 sqrt(v) 2F1(1/2, 1/4; 5/4 | v^2), here at 30 digits.
+        z = far_end if base == "from_zero" else 1.0 / far_end
+        spec = IncompleteIntegralSpec(0.5, 0.5, 2, z, base)
+        with mpmath.workdps(30):
+            v = mpmath.mpf(far_end)
+            ref = complex((1j if base == "from_zero" else -1) * 2 * mpmath.sqrt(v)
+                          * mpmath.hyp2f1(0.5, 0.25, 1.25, v**2))
+        try:
+            got = oracle_incomplete_integral(spec, tol=1e-10)
+        except AbeltauError:
+            assert not served
+            return
+        assert abs(got - ref) <= 1e-10
+
     def test_a_path_off_the_cut_is_accepted(self):
         # out past u = 1 above the cut and back to 0.5: no branch point lies
         # between this path and the straight one, so the two integrals agree

@@ -219,6 +219,9 @@ class TestEval:
     def test_domain_error_exits_3(self, capsys):
         assert main(["eval", "gauss_2f1", "0.5", "0.25", "1.25", "5"]) == 3
         assert "DomainNotSupported" in capsys.readouterr().err
+        # an overflowing literal parses to inf, which is no integer m
+        assert main(["eval", "u_hyperelliptic", "1e999", "1i"]) == 3
+        assert "DomainError" in capsys.readouterr().err
 
     def test_pfaff_pole_exits_3(self, capsys):
         # z/(z - 1) divided by zero at z = 1
@@ -385,3 +388,8 @@ class TestGrid:
 
     def test_malformed_region_rejected(self, capsys):
         assert main(["grid", "schwarz-chi", "--region", "0,1,2", "--steps", "2"]) == 2
+        # a non-finite bound would sweep nan points and print them as bare NaN
+        for region in ("0,1e999,0.5,1", "0,nan,0.5,1"):
+            assert main(["grid", "jacobi-quartic", "--region", region, "--steps", "2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "config error" in captured.err
