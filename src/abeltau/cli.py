@@ -303,23 +303,36 @@ def _cmd_grid(args) -> int:
     return code
 
 
-def _join_region_flag(argv: list[str]) -> list[str]:
-    # argparse mistakes "-0.2,0.2,..." for an option; fold it into --region=
+def _is_literal(text: str) -> bool:
+    try:
+        parse_complex(text)
+    except DomainError:
+        return False
+    return True
+
+
+def _fold_dashed_values(argv: list[str]) -> list[str]:
+    # argparse mistakes a value that starts with "-" for an option: fold the
+    # region "-0.2,0.2,..." into --region=, and end eval's options before its
+    # first literal of that kind (-0.5+1i, -1e-3, -i)
     out = []
     i = 0
     while i < len(argv):
         if argv[i] == "--region" and i + 1 < len(argv):
             out.append(f"--region={argv[i + 1]}")
             i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+            continue
+        if (out[:1] == ["eval"] and "--" not in out and argv[i].startswith("-")
+                and _is_literal(argv[i])):
+            out.append("--")
+        out.append(argv[i])
+        i += 1
     return out
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    argv = _join_region_flag(list(sys.argv[1:] if argv is None else argv))
+    argv = _fold_dashed_values(list(sys.argv[1:] if argv is None else argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help

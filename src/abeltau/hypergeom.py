@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _SERIES_DISK = 0.95
-# _f21's disk in w = (1 - sqrt(1-z))/2, at most 45 terms for a number and 58
+# _f21_w's disk in w = (1 - sqrt(1-z))/2, at most 45 terms for a number and 58
 # for a jet.  The cut z in [1, inf) maps to the line Re w = 1/2: the disk keeps
 # 0.01 from it (at z = 0.99), so no value is taken on either side of the cut.
 _W_DISK = 0.45
@@ -94,7 +94,9 @@ def _f21_series(a: complex, b: complex, c: complex, z):
     t1 = a * b / c
     t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
     q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
-    if not jet:
+    if jet:
+        n1, n2, n3 = 3.0, 6.0, 6.0  # n, n(n-1), n(n-1)(n-2): exact as floats
+    else:
         q *= x * x * x
     s0 = s1 = s2 = s3 = 0j
     mag = sys.float_info.min / _REL_TOL if jet else 1.0
@@ -103,11 +105,13 @@ def _f21_series(a: complex, b: complex, c: complex, z):
         s0 += q
         d = q
         if jet:
-            m = n * (n - 1)
-            s1 += n * q
-            s2 += m * q
-            d = (n - 2) * m * q
+            s1 += n1 * q
+            s2 += n2 * q
+            d = n3 * q
             s3 += d
+            n3 += 3.0 * n2
+            n2 += 2.0 * n1
+            n1 += 1.0
         size = abs(d)
         mag += size
         if size <= _REL_TOL * mag:
@@ -141,25 +145,43 @@ def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     )
 
 
-def _f21(a, b, c, z):
-    """2F1(a, b; c | z) for a number z, or its jet for a jet z: the one place
-    that decides where the 2F1 of the uniformizers and P inverses is summed.
-    With a = 1/2 and c = b + 1 that is the quadratic form of the module
-    docstring, 2F1(1, 2b; b+1 | w), w = z/(2(1 + s)) free of cancellation,
-    s = sqrt(1 - z), wherever |w| <= 0.45; a jet z gets the jet of w from
-    w' = 1/(4s), w'' = 1/(8s^3), w''' = 3/(16s^5).  Otherwise a number goes to
-    gauss_2f1 and a jet is refused."""
+def _f21_w(z):
+    """The one place that decides where the 2F1(1/2, b; b+1 | z) of the
+    uniformizers and P inverses is summed, for every b at once: as the
+    quadratic form of the module docstring, 2F1(1, 2b; b+1 | w), wherever
+    |w| <= 0.45.  There it returns w = z/(2(1 + s)), free of cancellation,
+    s = sqrt(1 - z), for a number z, and the jet of w for a jet z from
+    w' = 1/(4s), w'' = 1/(8s^3), w''' = 3/(16s^5).  Past it a number gets None,
+    for gauss_2f1, and a jet is refused."""
     jet = isinstance(z, _Jet)
-    if a == 0.5 and c == b + 1.0:
-        x = z.c[0] if jet else z
-        s = cmath.sqrt(1.0 - x)
-        w = x / (2.0 * (1.0 + s))
-        if abs(w) <= _W_DISK:
-            if jet:
-                r, s2 = 0.25 / s, s * s
-                w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
-            return _f21_series(1.0, 2.0 * b, c, w)
+    x = z.c[0] if jet else z
+    s = cmath.sqrt(1.0 - x)
+    w = x / (2.0 * (1.0 + s))
+    if abs(w) <= _W_DISK:
+        if jet:
+            r, s2 = 0.25 / s, s * s
+            w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
+        return w
     if jet:
+        raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK} or not (1/2, b; b+1)")
+    return None
+
+
+def _f21_half(b, z, w):
+    """2F1(1/2, b; b+1 | z) from w = _f21_w(z): the series in w, or gauss_2f1
+    where w is None.  One w serves every b at the same z."""
+    if w is None:
+        return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
+    return _f21_series(1.0, 2.0 * b, b + 1.0, w)
+
+
+def _f21(a, b, c, z):
+    """2F1(a, b; c | z) for a number z, or its jet for a jet z: with a = 1/2
+    and c = b + 1 where _f21_w(z) decides, else by gauss_2f1 for a number,
+    and any other jet is refused."""
+    if a == 0.5 and c == b + 1.0:
+        return _f21_half(b, z, _f21_w(z))
+    if isinstance(z, _Jet):
         raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK} or not (1/2, b; b+1)")
     return gauss_2f1(HypergeometricParams(a, b, c), z)
 
@@ -205,19 +227,35 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
         * _f21(b, b - a / n, b - a / n + 1.0, arg)
 
 
-# A vertex this close to a branch point w^n = 1 is refused.  At distance d from
-# one, 1 - w^n is off by about eps/d relative, the oracle by about eps d^(-beta),
-# and its error estimate does not see it: ending at 1 - 1e-12 for beta = 1/2 it
-# was 1.0e-10 off at tol 1e-10.  Over n = 1..4, both bases, beta in {0.1, 0.5,
-# 0.9, 0.95, 1} and three directions of approach, ends at d = 1e-5 stay within
-# 3.6e-11 of a 30-digit 2F1 at tol 1e-10 (at d = 1e-6: 2.2e-10, beta = 1).
+# A vertex closer to a branch point w^n = 1 than _branch_gap(beta, tol) is
+# refused.  At distance d from one, 1 - w^n is off by about eps/d relative, the
+# oracle by about eps d^(-Re beta), and its error estimate does not see it: ending
+# at 1 - 1e-12 for beta = 1/2 it was 1.0e-10 off at tol 1e-10, and at 1 - 2e-5
+# for beta = 0.9 it was 1.5e-12 off at tol 1e-12.  So the gap is where that
+# error reaches tol/_BRANCH_MARGIN, and never below _BRANCH_GAP.  In a sweep
+# over n = 1..4, both bases, every branch point, four directions of approach,
+# beta in {0.5, 0.9, 0.95, 1, 1.5}, tol in {1e-10, 1e-12} and d from 1e-6 to
+# 3e-3, the error was at most 1.14 eps d^(-beta) against a 30-digit 2F1; with
+# the margin 4, the ends served stay within 0.16 tol.
 _BRANCH_GAP = 1e-5
+_BRANCH_MARGIN = 4.0
 
 
-def _near_branch_point(vertices, n: int) -> bool:
-    """Whether a vertex lies within _BRANCH_GAP of a branch point w^n = 1."""
+def _branch_gap(beta: complex, tol: float) -> float:
+    """The distance to a branch point within which the oracle refuses a
+    vertex: where eps d^(-Re beta) = tol/_BRANCH_MARGIN, at most 1, so that the
+    base point 0 is served, and at least _BRANCH_GAP."""
+    if beta.real <= 0:  # (1 - w^n)^(-beta) stays bounded
+        return _BRANCH_GAP
+    excess = _BRANCH_MARGIN * sys.float_info.epsilon
+    ratio = excess / tol if tol > excess else 1.0
+    return max(_BRANCH_GAP, ratio ** (1.0 / beta.real))
+
+
+def _near_branch_point(vertices, n: int, gap: float) -> bool:
+    """Whether a vertex lies within gap of a branch point w^n = 1."""
     turn = 2.0 * math.pi / n
-    return any(abs(v - cmath.exp(1j * turn * round(cmath.phase(v) / turn))) < _BRANCH_GAP
+    return any(abs(v - cmath.exp(1j * turn * round(cmath.phase(v) / turn))) < gap
                for v in vertices)
 
 
@@ -258,7 +296,7 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     of (1 - .^n)^(-beta) is continuous, i.e. avoid the cut {w : w^n in [1, inf)}:
     a path that meets it, the default straight one included, is refused, also
     at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8),
-    and so is a vertex within _BRANCH_GAP of one.
+    and so is a vertex within _branch_gap(beta, tol) of one.
     """
     a, b, n = spec.alpha, spec.beta, spec.n
     if spec.base == "from_zero":
@@ -278,9 +316,10 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         raise DomainError("oracle path must start at the integral's base point 0")
     if _meets_cut(vertices, n):
         raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
-    if _near_branch_point(vertices, n):
+    gap = _branch_gap(b, tol)
+    if _near_branch_point(vertices, n, gap):
         raise DomainNotSupported(f"a vertex of the oracle path {vertices!r} lies within "
-                                 f"{_BRANCH_GAP:g} of a branch point w^{n} = 1")
+                                 f"{gap:.3g} of a branch point w^{n} = 1")
 
     def integrand(u: complex) -> complex:
         d = 1.0 - u**n

@@ -7,13 +7,16 @@ attempted below that line; the series simply refuse.  Above it, near the
 cusps Re(tau) in {0, +-1}, the series return numbers with unbounded error and
 raise nothing: the true value is exponentially small there while the terms
 are O(1), and theta3(1 + 0.0101i) is 9e17 relative off.  Modular reduction
-with a conditioning guard (ROADMAP item 2) is the open fix.
+with a conditioning guard (ROADMAP item 2) is the open fix.  Far up the
+half-plane theta2 and eta leave the normal float range (theta2 from
+Im(tau) = 903 on, eta from 2706 on) and raise AccuracyError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .errors import AccuracyError, DomainError
 from .numerics import _Jet
@@ -51,6 +54,7 @@ def _tau_value(tau):
 # cancellation); _MAX_TERMS terms without that is an AccuracyError.
 _REL_TOL = 1e-16
 _MAX_TERMS = 10_000
+_TINY = sys.float_info.min  # a value below it is an AccuracyError
 
 
 def _q_series(tau, terms):
@@ -61,7 +65,9 @@ def _q_series(tau, terms):
     The stop rule watches the terms of the highest derivative summed: the
     value's for a number, the third derivative's for a jet, which decay
     slowest; where they are small, so are the lower ones.  terms ends at the
-    budget, after _MAX_TERMS values of its index.
+    budget, after _MAX_TERMS values of its index.  A sum below the normal
+    float range, theta2 or eta far up the half-plane, is an AccuracyError:
+    as a subnormal or a zero it would lose its digits and be divided by.
     """
     jet = isinstance(tau, _Jet)
     t = tau.c[0] if jet else tau
@@ -83,6 +89,8 @@ def _q_series(tau, terms):
         if size <= _REL_TOL * mag:
             small_run += 1
             if small_run >= 2:
+                if abs(f0) < _TINY:
+                    raise AccuracyError(f"q-series: the value at tau = {t!r} underflows")
                 return tau.compose(f0, f1, f2, f3) if jet else f0
         else:
             small_run = 0

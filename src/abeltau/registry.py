@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from collections.abc import Mapping
 
-from .errors import AbeltauError, DomainError, DomainNotSupported
+from .errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from .hypergeom import (
     IncompleteIntegralSpec,
     _carlson_rf,
@@ -196,17 +197,22 @@ def _check_u_derivative(tau, cfg, tol):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio, s = sqrt(2) theta2(tau)/theta2(tau/2):
     1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every U(m, .), z and s come from one
-    set of theta jets in tau; tau where the 2F1 of U refuses a jet is skipped."""
+    set of theta jets in tau, and every U(m, .) from one 2F1 argument; tau
+    where the 2F1 of U refuses a jet is skipped, and a right side that
+    underflows fails."""
     thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
-    t2, t3, t2_half, _ = thetas
     ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
-    lhs = {m: _u_hyperelliptic(m, thetas).derivatives()[1] for m in ms}
-    z, z_prime = (t2 / t3).derivatives()[:2]
-    root = (math.sqrt(2.0) * t2 / t2_half).derivatives()[0] * cmath.sqrt(1.0 - z**4)
+    us = _u_hyperelliptic(ms, thetas)
+    r, s = thetas
+    z, z_prime = r.derivatives()[:2]
+    root = s.derivatives()[0] * cmath.sqrt(1.0 - z**4)
     per_m = {}
     for m in ms:
         rhs = 1j * z**m * z_prime / root
-        per_m[f"m{m}"] = abs(lhs[m] - rhs) / abs(rhs)
+        size = abs(rhs)
+        if size < sys.float_info.min:
+            raise AccuracyError(f"z^{m} z'/sqrt(z^5 - z) underflows at tau = {tau!r}")
+        per_m[f"m{m}"] = abs(us[m].derivatives()[1] - rhs) / size
     return tau, max(per_m.values()), tol, {"branch": "sqrt_theta_ratio", **per_m}
 
 

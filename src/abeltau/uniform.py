@@ -13,12 +13,13 @@ import cmath
 import math
 from collections.abc import Callable
 
-from .errors import CriticalPointError, DomainError, PoleError
-from .hypergeom import _f21
+from .errors import AccuracyError, CriticalPointError, DomainError, DomainNotSupported, PoleError
+from .hypergeom import _f21, _f21_half, _f21_w
 from .modular import (
     hauptmodul_equianharmonic,
     theta2,
     theta3,
+    _TINY,
     _tau_value,
 )
 from .numerics import _Jet, _value_type
@@ -41,9 +42,9 @@ __all__ = [
     "k_pm",
 ]
 
-# Each u_* function sums its 2F1 where hypergeom._f21 does, and is refused
-# where _f21 refuses.  _f21 keeps 0.01 from the cut x in [1, inf) of the 2F1
-# argument x, so no value is taken on either side of it.
+# Each u_* function sums its 2F1 where hypergeom._f21_w says, and is refused
+# where it refuses.  It keeps 0.01 from the cut x in [1, inf) of the
+# 2F1 argument x, so no value is taken on either side of it.
 
 # The right-hand sides Q of the bracket equations [x, tau] = Q(x).  The
 # rational ones are evaluated in Horner form; each raises PoleError at its
@@ -166,7 +167,12 @@ def u_lemniscatic(tau) -> complex:
     """
     t = _tau_value(tau)
     ratio = theta3(t) / theta2(t)
-    return ratio * _f21(0.5, 0.25, 1.25, ratio**4)
+    try:
+        x = ratio**4
+    except OverflowError:  # far outside the disk of _f21, which would refuse it
+        raise DomainNotSupported(f"2F1 argument (theta3/theta2)^4 overflows at tau = {t!r}") \
+            from None
+    return ratio * _f21(0.5, 0.25, 1.25, x)
 
 
 def u_equianharmonic_root(tau) -> complex:
@@ -187,19 +193,35 @@ def u_equianharmonic_rootfree(tau) -> complex:
 
 
 def _hyperelliptic_thetas(tau):
-    """(theta2(tau), theta3(tau), theta2(tau/2), lam = theta2^4/theta3^4) for a
-    number or a jet tau: the series U(m, tau) is made of, for every m at once."""
+    """(r, s) = (theta2/theta3, sqrt(2) theta2(tau)/theta2(tau/2)) for a number
+    or a jet tau: z = r and its root s, as sqrt_theta_ratio takes it, are the
+    two quotients that U(m, tau) is made of, for every m at once."""
     t = _tau_value(tau)
     t2 = theta2(t)
-    t3 = theta3(t)
-    return t2, t3, theta2(0.5 * t), (t2 / t3) ** 4
+    return t2 / theta3(t), math.sqrt(2.0) * t2 / theta2(0.5 * t)
 
 
-def _u_hyperelliptic(m: int, thetas) -> complex:
-    """U(m, tau) from the _hyperelliptic_thetas of tau."""
-    t2, t3, t2_half, lam = thetas
-    prefactor = (2.0 * math.sqrt(2.0) * 1j / (2 * m + 1)) * t2 ** (m + 1) / (t3**m * t2_half)
-    return prefactor * _f21(0.5, 0.25 * m + 0.125, 0.25 * m + 1.125, lam)
+def _u_hyperelliptic(ms, thetas) -> dict:
+    """{m: U(m, tau)} for each m of the increasing ms, from the
+    _hyperelliptic_thetas (r, s) of tau.  The prefactor
+    2 sqrt(2) i theta2^(m+1)/(theta3^m theta2(tau/2)) = 2i s r^m is a chain of
+    products, p_(m+1) = p_m r, and every m sums its 2F1 at lam = r^4 from the
+    one w = hypergeom._f21_w(lam), so every m refuses the same tau.  A U below the normal float
+    range is an AccuracyError, not a silent zero."""
+    r, s = thetas
+    lam = r**4
+    w = _f21_w(lam)
+    pref = 2j * s
+    us = {}
+    for m in range(ms[-1] + 1):
+        if m:
+            pref = pref * r
+        if m in ms:
+            u = pref * _f21_half(0.25 * m + 0.125, lam, w) / (2 * m + 1)
+            if abs(u.c[0] if isinstance(u, _Jet) else u) < _TINY:
+                raise AccuracyError(f"U({m}, tau) underflows")
+            us[m] = u
+    return us
 
 
 def u_hyperelliptic(m: int, tau) -> complex:
@@ -212,7 +234,7 @@ def u_hyperelliptic(m: int, tau) -> complex:
     """
     if not isinstance(m, int) or not (0 <= m <= 3):
         raise DomainError(f"m must be an integer in 0..3, got {m!r}")
-    return _u_hyperelliptic(m, _hyperelliptic_thetas(tau))
+    return _u_hyperelliptic((m,), _hyperelliptic_thetas(tau))[m]
 
 
 def schwarz_residual(q: Callable[[complex], complex],

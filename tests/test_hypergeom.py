@@ -434,6 +434,19 @@ def oracle_specs(draw):
     return IncompleteIntegralSpec(alpha, beta, n, 1.0 / w, "from_infinity")
 
 
+def _incomplete_integral_mp(spec):
+    """The closed 2F1 form of the incomplete integral at 30 digits."""
+    a, b, n, z, base = spec
+    with mpmath.workdps(30):
+        a, b, z = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z)
+        if base == "from_zero":
+            return complex(mpmath.exp(1j * mpmath.pi * b) / a * mpmath.power(z, a)
+                           * mpmath.hyp2f1(b, a / n, a / n + 1, mpmath.power(z, n)))
+        e = a - n * b
+        return complex(mpmath.power(z, e) / e
+                       * mpmath.hyp2f1(b, b - a / n, b - a / n + 1, mpmath.power(z, -n)))
+
+
 class TestIncompleteIntegrals:
     def test_equianharmonic_from_zero_display(self):
         # alpha=1, beta=1/2, n=3: twice the i/2 z 2F1(1/2,1/3;4/3|z^3) display
@@ -501,9 +514,14 @@ class TestIncompleteIntegrals:
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
 
     def test_oracle_overflow_is_an_accuracy_error(self):
-        # (1 - u)^-300 leaves the float range as u nears z = 0.999
+        # (1 - u)^-300 leaves the float range where the middle leg passes u = 0.95,
+        # while every vertex keeps the refusal distance, 0.96 at beta = 300
+        spec = IncompleteIntegralSpec(1.0, 300.0, 1, -0.5, "from_zero")
         with pytest.raises(AccuracyError):
-            oracle_incomplete_integral(IncompleteIntegralSpec(1.0, 300.0, 1, 0.999, "from_zero"))
+            oracle_incomplete_integral(spec, Polyline([0.0, 0.95 + 2j, 0.95 - 2j, -0.5]))
+        # the straight path to 0.999 ends inside that distance
+        with pytest.raises(DomainNotSupported, match="within 0.962 "):
+            oracle_incomplete_integral(spec._replace(z=0.999))
 
     @pytest.mark.parametrize("z", [1e-200, complex(1e-200, -0.0)])
     @pytest.mark.parametrize("evaluate", [incomplete_integral_2f1, oracle_incomplete_integral])
@@ -620,6 +638,30 @@ class TestIncompleteIntegrals:
             assert not served
             return
         assert abs(got - ref) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.95, 1.0, 1.5])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_the_refusal_distance_follows_tol_and_beta(self, beta, tol):
+        # the error at distance d from a branch point is about eps d^(-beta):
+        # at the fixed distance 1e-5, beta = 0.9 at tol 1e-12 was 3.9e-12 off,
+        # and (0.9, 1 - 2e-5, from zero) 1.5e-12
+        cases = [IncompleteIntegralSpec(0.5, 0.9, 1, 1 - 2e-5, "from_zero")] if beta == 0.9 else []
+        for n in range(1, 5):
+            branch_point = cmath.exp(-2j * math.pi / n)
+            for d in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                v = branch_point * (1.0 - d)
+                cases.append(IncompleteIntegralSpec(0.5, beta, n, v, "from_zero"))
+                cases.append(IncompleteIntegralSpec(n * beta - 0.5, beta, n, 1.0 / v,
+                                                    "from_infinity"))
+        served = 0
+        for spec in cases:
+            try:
+                got = oracle_incomplete_integral(spec, tol=tol)
+            except DomainNotSupported:
+                continue
+            assert abs(got - _incomplete_integral_mp(spec)) <= tol, spec
+            served += 1
+        assert served >= 8
 
     def test_a_path_off_the_cut_is_accepted(self):
         # out past u = 1 above the cut and back to 0.5: no branch point lies

@@ -99,6 +99,16 @@ class TestRegistry:
             lhs = u_hyperelliptic(m, jet).derivatives()[1]
             assert rec.metadata[f"m{m}"] == abs(lhs - rhs) / abs(rhs)
 
+    @pytest.mark.parametrize("tau", [30j, 120j, 250j, 1000j, 3000j, 0.3 + 1e5j])
+    def test_large_im_tau_gives_records(self, tau):
+        # theta2, eta and z^m z' underflow up there; dividing by them raised
+        # ZeroDivisionError, and (theta3/theta2)^4 an OverflowError
+        for name, entry in REGISTRY.items():
+            if entry.tau_grid:
+                rec = run_identity_at(name, tau, RunConfig())
+                assert rec.status in ("pass", "fail", "skipped"), rec
+                assert rec.status == "pass" or rec.residual is None, rec  # or refused
+
     def test_point_runner_rejects_fixed_identities(self):
         with pytest.raises(DomainError):
             run_identity_at("u0-digits", 1j, RunConfig())
@@ -227,6 +237,18 @@ class TestEval:
         # z/(z - 1) divided by zero at z = 1
         assert main(["eval", "gauss_2f1", "0.5", "0.25", "1.25", "1"]) == 3
         assert "DomainNotSupported" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, literal", [
+        ("theta3", "-0.5+1i"), ("gamma_fn", "-1e-3"), ("gamma_fn", "-2i"), ("gamma_fn", "-i"),
+        ("gamma_fn", "-0.5-0.5i"),
+    ])
+    def test_negative_complex_literals(self, capsys, name, literal):
+        # argparse took these for options and exited 2: "unrecognized arguments"
+        assert main(["eval", name, "--", literal]) == 0
+        expected = capsys.readouterr()
+        assert main(["eval", name, literal]) == 0
+        assert capsys.readouterr() == expected
+        assert main(["eval", "theta3", "--bogus"]) == 2
 
     def test_accuracy_error_exits_3(self, capsys):
         assert main(["eval", "theta2", "0.005i"]) == 3
@@ -367,6 +389,24 @@ class TestGrid:
         assert len(records) == 16
         assert all(r["residual"] < 1e-6 for r in records)
         assert all("m1" in r["metadata"] for r in records)
+
+    def test_u_derivative_m3_matches_all_m(self, capsys):
+        # --m 3 takes U(3, .) from the same chain of jets as the all-m check
+        region = ["--region", "-0.05,0.05,1.2,1.8", "--steps", "3"]
+        assert main(["grid", "U-derivative", *region, "--m", "3"]) == 0
+        only = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(["grid", "U-derivative", *region]) == 0
+        every = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(only) == len(every) == 9
+        for one, all_m in zip(only, every):
+            assert one["metadata"]["m3"] == all_m["metadata"]["m3"]
+            assert list(one["metadata"]) == ["branch", "m3"]
+
+    def test_large_im_tau_gives_records(self, capsys):
+        # at 250i z^3 z' underflows; this printed a ZeroDivisionError traceback
+        assert main(["grid", "U-derivative", "--region", "0,0,250,250", "--steps", "1"]) in (0, 1)
+        (record,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert record["point"] == [0.0, 250.0]
 
     def test_summary_line_format(self, capsys):
         # tools that sweep the tau grid rebuild this line, "0 informational"

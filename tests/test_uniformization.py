@@ -4,9 +4,11 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from abeltau.errors import (
+    AbeltauError,
     AccuracyError,
     CriticalPointError,
     DomainError,
@@ -14,10 +16,12 @@ from abeltau.errors import (
     PoleError,
 )
 from abeltau.modular import (
+    dedekind_eta,
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
     hauptmodul_lemniscatic,
     sqrt_theta_ratio,
+    theta2,
 )
 from abeltau.hypergeom import IncompleteIntegralSpec, oracle_incomplete_integral
 from abeltau.numerics import _Jet, holomorphic_derivatives
@@ -36,6 +40,8 @@ from abeltau.uniform import (
     u_equianharmonic_rootfree,
     u_hyperelliptic,
     u_lemniscatic,
+    _hyperelliptic_thetas,
+    _u_hyperelliptic,
 )
 from abeltau.weier import (
     EQUIANHARMONIC,
@@ -236,6 +242,30 @@ class TestHyperellipticFamily:
         with pytest.raises(DomainNotSupported):
             u_hyperelliptic(0, 0.4j)
 
+    @pytest.mark.parametrize("tau", [30j, 120j, 250j, 400j, 1000j, 3000j, 0.3 + 1e5j])
+    def test_large_im_tau_is_accurate_or_raises(self, tau):
+        # theta2 and eta underflow far up the half-plane: sqrt_theta_ratio(1000i)
+        # and U(0, 1000i) returned 0, where the values are 4.0e-171 and 8.0e-171
+        with mpmath.workdps(40):
+            t = mpmath.mpc(tau)
+            th2, th3 = (mpmath.jtheta(k, 0, mpmath.exp(mpmath.pi * 1j * t)) for k in (2, 3))
+            th2_half = mpmath.jtheta(2, 0, mpmath.exp(mpmath.pi * 1j * t / 2))
+            cases = [(theta2, th2), (dedekind_eta, mpmath.eta(t)),
+                     (sqrt_theta_ratio, mpmath.sqrt(2) * th2 / th2_half)]
+            for m in range(4):
+                u = (2 * mpmath.sqrt(2) * 1j / (2 * m + 1) * th2 ** (m + 1) / (th3**m * th2_half)
+                     * mpmath.hyp2f1(0.5, m / 4 + 0.125, m / 4 + 1.125, (th2 / th3) ** 4))
+                cases.append(((lambda m: lambda t: u_hyperelliptic(m, t))(m), u))
+            served = 0
+            for f, ref in cases:
+                try:
+                    value = f(tau)
+                except AbeltauError:
+                    continue
+                assert abs(value - ref) <= 1e-13 * abs(ref), (f, tau, value)
+                served += 1
+        assert served >= (2 if tau.imag < 1000 else 0)
+
     def test_derivative_identity_spot(self):
         tau = 1.5j
         z = hauptmodul_hyperelliptic(tau)
@@ -329,6 +359,28 @@ class TestRegions:
                 assert abs(u1 - rhs) <= 1e-12 * max(1.0, abs(rhs)), tau
                 new_jets += new
         assert new_numbers >= 20 and new_jets >= 20, (new_numbers, new_jets)
+
+    def test_all_m_at_once_is_each_m_alone(self):
+        # one chain of prefactors and one 2F1 argument serve every m: each U
+        # and each jet is u_hyperelliptic(m, .) bit for bit, and all m refuse
+        # the same tau
+        served = 0
+        for tau in REGION_TAUS:
+            for x in (tau, _Jet(tau, 1.0)):
+                try:
+                    every = _u_hyperelliptic((0, 1, 2, 3), _hyperelliptic_thetas(x))
+                except DomainNotSupported:
+                    for m in range(4):
+                        with pytest.raises(DomainNotSupported):
+                            u_hyperelliptic(m, x)
+                    continue
+                for m in range(4):
+                    one, other = u_hyperelliptic(m, x), every[m]
+                    if isinstance(x, _Jet):
+                        one, other = one.c, other.c
+                    assert one == other, (tau, m)
+                served += 1
+        assert served >= 2500, served
 
     def test_equianharmonic_forms_differ_by_a_sign_and_a_period(self):
         # where both forms serve tau, u_root = +-u_rootfree + a period: the
