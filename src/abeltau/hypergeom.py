@@ -14,8 +14,9 @@ F(a, b; a+b+1/2 | 4w(1-w)) = F(2a, 2b; a+b+1/2 | w) (DLMF 15.8(iii)) gives
 
     2F1(1/2, b; b+1 | z) = 2F1(1, 2b; b+1 | w),   w = (1 - sqrt(1-z))/2,
 
-principal root.  The private _f21 sums that series in w for |w| <= 0.45: the
-series disk |z| <= 0.95 (|w| <= 0.39), and on the real axis z in [-2.61, 0.99].
+principal root.  The private _f21 sums that series in w for |w| <= 0.45, by
+Horner's rule over a cached coefficient table per b: the series disk
+|z| <= 0.95 (|w| <= 0.39), and on the real axis z in [-2.61, 0.99].
 
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
@@ -27,9 +28,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left
+from functools import lru_cache
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
-from .modular import _MAX_TERMS, _REL_TOL
+from .modular import _REL_TOL
 from .numerics import (Polyline, _Jet, _value_type, contour_quadrature, ensure_finite,
                        principal_power)
 
@@ -46,9 +49,13 @@ __all__ = [
 ]
 
 _SERIES_DISK = 0.95
-# _f21_w's disk in w = (1 - sqrt(1-z))/2, at most 45 terms for a number and 58
-# for a jet.  The cut z in [1, inf) maps to the line Re w = 1/2: the disk keeps
-# 0.01 from it (at z = 0.99), so no value is taken on either side of the cut.
+_MAX_TERMS = 10_000  # the most terms a 2F1 series sums
+_TAIL = 2.0**-53  # what the rows a Horner sum leaves out may add up to, relative
+# _f21_w's disk in w = (1 - sqrt(1-z))/2.  On it the Horner sum for a real b in
+# (0, 1], the seven b of the uniformizers among them, takes at most 47 rows for
+# a number and 61 for a jet.
+# The cut z in [1, inf) maps to the line Re w = 1/2: the disk keeps 0.01 from
+# it (at z = 0.99), so no value is taken on either side of the cut.
 _W_DISK = 0.45
 
 
@@ -72,58 +79,31 @@ class HypergeometricParams(_value_type("HypergeometricParams", "a b c")):
         return self
 
 
-def _f21_series(a: complex, b: complex, c: complex, z):
-    """2F1(a, b; c | z) for a number z, or its jet for a jet z.  With t_n the
-    series coefficients, x the value of z and Q_n = t_n x^(n-3), one pass sums
-
-        F    = 1 + t1 x + t2 x^2 + x^3 sum Q_n,
-        F'   = t1 + 2 t2 x + x^2 sum n Q_n,
-        F''  = 2 t2 + x sum n (n-1) Q_n,
-        F''' = sum n (n-1)(n-2) Q_n,                n >= 3,
-
-    and a number F alone, from its own terms x^3 Q_n = t_n x^n.  The stop
-    rule watches the terms of the highest derivative summed: those of F,
-    after its leading 1, for a number; those of F''' for a jet, which decay
-    slowest.  A jet's magnitude starts at the smallest normal float over the
-    relative tolerance, so that a term below the normal range counts as
-    small: with a tiny t1, Q_n can stall at the smallest subnormal while
-    n(n-1)(n-2) Q_n grows.
+def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
+    """2F1(a, b; c | z) for a number z, term by term: with t_n the series
+    coefficients, 1 + t1 z + t2 z^2 plus the sum of t_n z^n from n = 3 on,
+    each term from the one before by its coefficient ratio.  The stop rule
+    of modular._q_series watches the terms after the leading 1, from a
+    magnitude of 1; _MAX_TERMS terms without it is an AccuracyError.
     """
-    jet = isinstance(z, _Jet)
-    x = z.c[0] if jet else z
     t1 = a * b / c
     t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
     q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
-    if jet:
-        n1, n2, n3 = 3.0, 6.0, 6.0  # n, n(n-1), n(n-1)(n-2): exact as floats
-    else:
-        q *= x * x * x
-    s0 = s1 = s2 = s3 = 0j
-    mag = sys.float_info.min / _REL_TOL if jet else 1.0
+    q *= z * z * z
+    s = 0j
+    mag = 1.0
     small_run = 0
     for n in range(3, _MAX_TERMS + 3):
-        s0 += q
-        d = q
-        if jet:
-            s1 += n1 * q
-            s2 += n2 * q
-            d = n3 * q
-            s3 += d
-            n3 += 3.0 * n2
-            n2 += 2.0 * n1
-            n1 += 1.0
-        size = abs(d)
+        s += q
+        size = abs(q)
         mag += size
         if size <= _REL_TOL * mag:
             small_run += 1
             if small_run >= 2:
-                if jet:
-                    return z.compose(1.0 + (t1 + (t2 + x * s0) * x) * x,
-                                     t1 + (2.0 * t2 + x * s1) * x, 2.0 * t2 + x * s2, s3)
-                return ensure_finite(1.0 + (t1 + t2 * x) * x + s0, "2F1 series")
+                return ensure_finite(1.0 + (t1 + t2 * z) * z + s, "2F1 series")
         else:
             small_run = 0
-        q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
+        q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
     raise AccuracyError("2F1 series did not converge within max_terms")
 
 
@@ -167,12 +147,100 @@ def _f21_w(z):
     return None
 
 
+def _f21_edges(size, ratio):
+    """([number edges], [jet edges]) of a table of w^n coefficients c_nj
+    (j = 0 for the value, 1..3 for its derivatives) with |c_nj| at most
+    size(n)[j] |c_0j|, whose t_n have |t_(k+1)/t_k| <= ratio(m) for k >= m.
+    Edge N-1 is the largest |w| at which the first N rows leave out less than
+    2^-53 of each |c_0j|: of j = 0 for a number, of every j for a jet.
+
+    For n >= N the ratio |c_(n+1)j / c_nj| is at most
+    rho = (N+1+j)/(N+1) ratio(N + j), so the rows left out add up to at most
+    size(N)[j] |c_0j| |w|^N/(1 - rho |w|), and |w| <= _W_DISK bounds the
+    denominator.  The edges end where a jet's reaches _W_DISK, or after
+    _MAX_TERMS."""
+    edges = ([], [])
+    n = 0
+    while n < _MAX_TERMS and not (edges[1] and edges[1][-1] >= _W_DISK):
+        n += 1
+        reach = []
+        for j, bound in enumerate(size(n)):
+            rho = (n + 1 + j) / (n + 1) * ratio(n + j)
+            if not bound:
+                reach.append(math.inf)
+            elif rho * _W_DISK >= 1.0:
+                reach.append(0.0)
+            else:
+                reach.append((_TAIL * (1.0 - rho * _W_DISK) / bound) ** (1.0 / n))
+        # N + 1 rows serve wherever N do: each edge is at least the one before
+        for k, edge in enumerate((reach[0], min(reach))):
+            edges[k].append(max(edge, edges[k][-1]) if edges[k] else edge)
+    return edges
+
+
+@lru_cache(maxsize=1)
+def _falling_edges():
+    """The edges of every real b in (0, 1]: there the t_n fall from t_0 = 1,
+    so |c_nj| <= (n+1)...(n+j) t_j = |c_0j| (n+1)...(n+j)/j!, and |w| alone
+    fixes the count."""
+    return _f21_edges(lambda n: (1.0, n + 1.0, (n + 1) * (n + 2) / 2.0,
+                                 (n + 1) * (n + 2) * (n + 3) / 6.0), lambda m: 1.0)
+
+
+@lru_cache(maxsize=32)
+def _f21_table(b):
+    """(rows, edges) of 2F1(1, 2b; b+1 | w) = sum t_n w^n, t_0 = 1,
+    t_(n+1) = t_n (2b + n)/(b + 1 + n).  rows[n] holds the w^n coefficients
+    c_nj = (n+1)...(n+j) t_(n+j) of the value (j = 0) and of its first three
+    derivatives in w, as many rows as the edges reach.  The edges are
+    _falling_edges for a real b in (0, 1]; for any other b they come from b's
+    own table, with |t_(k+1)/t_k| <= 1 + |b - 1|/(Re b + 1 + m) for k >= m."""
+    t = [1.0]
+    rows = []
+
+    def row(n):
+        while len(rows) <= n:
+            m = len(rows)
+            while len(t) < m + 4:
+                k = len(t) - 1
+                t.append(t[k] * (2.0 * b + k) / (b + 1.0 + k))
+            rows.append((t[m], (m + 1) * t[m + 1], (m + 1) * (m + 2) * t[m + 2],
+                         (m + 1) * (m + 2) * (m + 3) * t[m + 3]))
+        return rows[n]
+
+    if b.imag == 0 and 0.0 < b.real <= 1.0:
+        edges = _falling_edges()
+    else:
+        # a tail below the smallest normal float counts as none: with a tiny b
+        # the t_n stall at the smallest subnormal while (n+1)(n+2)(n+3) t_(n+3) grows
+        lead = [max(abs(c), sys.float_info.min / _TAIL) for c in row(0)]
+        edges = _f21_edges(lambda n: [abs(c) / scale for c, scale in zip(row(n), lead)],
+                           lambda m: 1.0 + abs(b - 1.0) / (b.real + 1.0 + m)
+                           if b.real + 1.0 + m > 0 else math.inf)
+    return tuple(row(n) for n in range(len(edges[1]))), edges
+
+
 def _f21_half(b, z, w):
-    """2F1(1/2, b; b+1 | z) from w = _f21_w(z): the series in w, or gauss_2f1
-    where w is None.  One w serves every b at the same z."""
+    """2F1(1/2, b; b+1 | z) from w = _f21_w(z): 2F1(1, 2b; b+1 | w) by
+    Horner's rule over _f21_table(b), as many rows as its edges ask for at
+    |w|, for a number or a jet w; or gauss_2f1 where w is None.  One w
+    serves every b at the same z."""
     if w is None:
         return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
-    return _f21_series(1.0, 2.0 * b, b + 1.0, w)
+    rows, edges = _f21_table(b)
+    jet = isinstance(w, _Jet)
+    x = w.c[0] if jet else w
+    n = bisect_left(edges[jet], abs(x)) + 1
+    if n > len(edges[jet]):
+        raise AccuracyError(f"2F1 series: b = {b!r} needs over {n - 1} terms at |w| = {abs(x):.3g}")
+    s0 = s1 = s2 = s3 = 0j
+    for c0, c1, c2, c3 in rows[n - 1::-1]:
+        s0 = s0 * x + c0
+        if jet:
+            s1 = s1 * x + c1
+            s2 = s2 * x + c2
+            s3 = s3 * x + c3
+    return w.compose(s0, s1, s2, s3) if jet else ensure_finite(s0, "2F1 series")
 
 
 def _f21(a, b, c, z):

@@ -9,7 +9,8 @@ raise nothing: the true value is exponentially small there while the terms
 are O(1), and theta3(1 + 0.0101i) is 9e17 relative off.  Modular reduction
 with a conditioning guard (ROADMAP item 2) is the open fix.  Far up the
 half-plane theta2 and eta leave the normal float range (theta2 from
-Im(tau) = 903 on, eta from 2706 on) and raise AccuracyError.
+Im(tau) = 903 on, eta from 2706 on) and raise AccuracyError; the
+equianharmonic Hauptmodul, a quotient with their prefactors taken out, does not.
 """
 
 from __future__ import annotations
@@ -49,25 +50,45 @@ def _tau_value(tau):
     return tau if jet else t
 
 
-# Series stop rule, shared with the 2F1 series: quit after two consecutive
-# terms fall below _REL_TOL times the accumulated magnitude (guards parity
-# cancellation); _MAX_TERMS terms without that is an AccuracyError.
+# Series stop rule, shared with the 2F1 series of gauss_2f1: quit after two
+# consecutive terms fall below _REL_TOL times the accumulated magnitude
+# (guards parity cancellation).
 _REL_TOL = 1e-16
-_MAX_TERMS = 10_000
 _TINY = sys.float_info.min  # a value below it is an AccuracyError
+
+# The q-series term tables, (a_k, lam_k) with |lam_k| increasing.  A term's
+# size, and so where the stop rule ends a series, depends on Im(tau) alone; at
+# Im(tau) = MIN_IM_TAU the longest, eta's on a jet, ends after 46 terms.  Each
+# table holds _TERMS, a margin above that; running out of one is an
+# AccuracyError.
+_TERMS = 64
+_THETA2 = tuple((2.0, (k * k + k + 0.25) * _PI_I) for k in range(_TERMS))
+_THETA3 = ((1.0, 0j),) + tuple((2.0, k * k * _PI_I) for k in range(1, _TERMS))
+_THETA4 = ((1.0, 0j),) + tuple((-2.0 if k % 2 else 2.0, k * k * _PI_I) for k in range(1, _TERMS))
+
+
+def _pentagonal(shift: float) -> tuple:
+    """(sign, exponent) of Euler's series sum_n (-1)^n x^(n(3n-1)/2), n over Z,
+    x = exp(2 pi i tau), times exp(shift pi i tau)."""
+    ns = sorted(range(-_TERMS, _TERMS), key=lambda n: n * (3 * n - 1))[:_TERMS]
+    return tuple((-1.0 if n % 2 else 1.0, (n * (3 * n - 1) + shift) * _PI_I) for n in ns)
+
+
+_ETA = _pentagonal(1.0 / 12.0)  # exp(pi i tau/12) folded in
+_PENTAGONAL = _pentagonal(0.0)
 
 
 def _q_series(tau, terms):
-    """sum_k a_k exp(lam_k tau) over (a_k, lam_k) in terms, |lam_k| increasing,
-    for a number tau; for a jet in tau, its jet from the termwise derivatives
-    a_k lam_k^j exp(lam_k tau0), j <= 3.
+    """sum_k a_k exp(lam_k tau) over the table terms, for a number tau; for a
+    jet in tau, its jet from the termwise derivatives a_k lam_k^j
+    exp(lam_k tau0), j <= 3.
 
     The stop rule watches the terms of the highest derivative summed: the
     value's for a number, the third derivative's for a jet, which decay
-    slowest; where they are small, so are the lower ones.  terms ends at the
-    budget, after _MAX_TERMS values of its index.  A sum below the normal
-    float range, theta2 or eta far up the half-plane, is an AccuracyError:
-    as a subnormal or a zero it would lose its digits and be divided by.
+    slowest; where they are small, so are the lower ones.  A sum below the
+    normal float range, theta2 or eta far up the half-plane, is an
+    AccuracyError: as a subnormal or a zero it would lose its digits and be
+    divided by.
     """
     jet = isinstance(tau, _Jet)
     t = tau.c[0] if jet else tau
@@ -104,33 +125,17 @@ def theta2(tau) -> complex:
     half.  The quarter-power prefactor is exp(pi i tau/4) itself (holomorphic
     in tau), never a principal root of the nome; it folds into the exponents.
     """
-    return _q_series(_tau_value(tau),
-                     ((2.0, (k * k + k + 0.25) * _PI_I) for k in range(_MAX_TERMS)))
-
-
-def _theta34_terms(sign: float):
-    yield 1.0, 0j
-    for k in range(1, _MAX_TERMS):
-        yield 2.0 * sign**k, k * k * _PI_I
+    return _q_series(_tau_value(tau), _THETA2)
 
 
 def theta3(tau) -> complex:
     """theta_3(tau) = sum_k exp(k^2 pi i tau)."""
-    return _q_series(_tau_value(tau), _theta34_terms(1.0))
+    return _q_series(_tau_value(tau), _THETA3)
 
 
 def theta4(tau) -> complex:
     """theta_4(tau) = sum_k (-1)^k exp(k^2 pi i tau)."""
-    return _q_series(_tau_value(tau), _theta34_terms(-1.0))
-
-
-def _pentagonal_terms():
-    """(sign, exponent) of Euler's series below, exp(pi i tau/12) folded in."""
-    yield 1.0, _PI_I / 12.0
-    for n in range(1, _MAX_TERMS):
-        sign = -1.0 if n % 2 else 1.0
-        yield sign, (n * (3 * n - 1) + 1.0 / 12.0) * _PI_I
-        yield sign, (n * (3 * n + 1) + 1.0 / 12.0) * _PI_I
+    return _q_series(_tau_value(tau), _THETA4)
 
 
 def dedekind_eta(tau) -> complex:
@@ -140,7 +145,7 @@ def dedekind_eta(tau) -> complex:
     sum_n (-1)^n x^(n(3n-1)/2) over n in Z with x = exp(2 pi i tau), which
     needs far fewer terms than the raw product at equal accuracy.
     """
-    return _q_series(_tau_value(tau), _pentagonal_terms())
+    return _q_series(_tau_value(tau), _ETA)
 
 
 def hauptmodul_lemniscatic(tau) -> complex:
@@ -149,9 +154,17 @@ def hauptmodul_lemniscatic(tau) -> complex:
 
 
 def hauptmodul_equianharmonic(tau) -> complex:
-    """z(tau) = 9 eta(9 tau)^3 / eta(tau)^3 + 1."""
+    """z(tau) = 9 eta(9 tau)^3 / eta(tau)^3 + 1 = 9 x (P(9 tau)/P(tau))^3 + 1,
+    x = exp(2 pi i tau), P = eta/exp(pi i tau/12) the pentagonal sum alone.
+
+    Taken out of the quotient, the prefactors leave nothing to underflow but
+    x itself, so z tends to 1 far up the half-plane where eta(9 tau) leaves
+    the float range (from Im(tau) = 301 on).
+    """
     t = _tau_value(tau)
-    return 9.0 * dedekind_eta(9.0 * t) ** 3 / dedekind_eta(t) ** 3 + 1.0
+    w = 2.0 * _PI_I * t
+    x = w.exp() if isinstance(w, _Jet) else cmath.exp(w)
+    return 9.0 * x * (_q_series(9.0 * t, _PENTAGONAL) / _q_series(t, _PENTAGONAL)) ** 3 + 1.0
 
 
 def hauptmodul_hyperelliptic(tau) -> complex:

@@ -208,7 +208,7 @@ def _check_u_derivative(tau, cfg, tol):
     root = s.derivatives()[0] * cmath.sqrt(1.0 - z**4)
     per_m = {}
     for m in ms:
-        rhs = 1j * z**m * z_prime / root
+        rhs = 1j * z**m * (z_prime / root)  # z^m z' alone underflows far up the half-plane
         size = abs(rhs)
         if size < sys.float_info.min:
             raise AccuracyError(f"z^{m} z'/sqrt(z^5 - z) underflows at tau = {tau!r}")

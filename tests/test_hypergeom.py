@@ -4,6 +4,9 @@ identities against their quadrature oracle."""
 import cmath
 import math
 import random
+import sys
+from bisect import bisect_left
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -101,6 +104,12 @@ class TestGauss2F1:
 
     def test_max_terms_exhaustion_on_numbers_and_jets(self, monkeypatch):
         monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
+        # the route's tables and edges end at the budget they were built under:
+        # fresh caches, so that none outlives the test
+        for name in ("_f21_table", "_falling_edges"):
+            cached = getattr(hypergeom, name)
+            monkeypatch.setattr(hypergeom, name, lru_cache(cached.cache_info().maxsize)(
+                cached.__wrapped__))
         # the series in w, and at -3.0 (|w| = 1/2) Pfaff; a jet is summed in w only
         for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-2.0, 1.0)):
             with pytest.raises(AccuracyError):
@@ -176,25 +185,27 @@ class TestQuadraticRoute:
     ])
     def test_route_runs_exactly_when_a_is_half_and_c_is_b_plus_one(self, monkeypatch,
                                                                     a, b, c):
-        # the route hands the kernel (1, 2b; c) for a number and a jet; other
-        # parameters go to gauss_2f1 as (a, b; c), and a jet is refused
-        calls = []
-        series = hypergeom._f21_series
+        # the route sums over b's table for a number and a jet; other
+        # parameters go to gauss_2f1's series as (a, b; c), and a jet is refused
+        calls, tables = [], []
+        series, table = hypergeom._f21_series, hypergeom._f21_table
         monkeypatch.setattr(hypergeom, "_f21_series",
                             lambda *args: calls.append(args[:3]) or series(*args))
+        monkeypatch.setattr(hypergeom, "_f21_table", lambda b: tables.append(b) or table(b))
         route = a == 0.5 and c == b + 1.0
         for z in (0.0, 0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
             ref = f21(a, b, c, z)
             calls.clear()
+            tables.clear()
             value = _f21(a, b, c, z)
             assert abs(value - ref) <= 1e-14 * abs(value)
             if not route:
-                assert calls == [(a, b, c)], (z, calls)
+                assert calls == [(a, b, c)] and tables == [], (z, calls, tables)
                 with pytest.raises(DomainNotSupported):
                     _f21(a, b, c, _Jet(z, 1.0))
                 continue
             jet = _f21(a, b, c, _Jet(z, 1.0))
-            assert calls == [(1.0, 2.0 * b, c)] * 2, (z, calls)
+            assert calls == [] and tables == [b] * 2, (z, calls, tables)
             assert abs(jet.derivatives()[0] - value) <= 1e-15 * abs(value)
 
     @pytest.mark.parametrize("z", [
@@ -229,6 +240,86 @@ class TestQuadraticRoute:
                 for z in (complex(x, y), complex(x, -y)):
                     with pytest.raises(DomainNotSupported):
                         _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z)
+
+
+# the b of U(m, tau) for m = 0..3, of u_lemniscatic and of the two
+# equianharmonic uniformizers
+UNIFORMIZER_B = (0.125, 0.375, 0.625, 0.875, 0.25, 1.0 / 6.0, 1.0 / 3.0)
+KERNEL_B = st.one_of(st.sampled_from(UNIFORMIZER_B), ROUTE_B)
+KERNEL_W = st.builds(cmath.rect, st.floats(0.0, 0.45), st.floats(-math.pi, math.pi))
+# the size below which a subnormal b leaves its t_n no relative accuracy,
+# and the kernel's tail counts as none
+KERNEL_FLOOR = sys.float_info.min / 2.0**-53
+
+
+def kernel_rows(b, count):
+    """The w^n coefficients (n+1)...(n+j) t_(n+j), j = 0..3, n < count, of
+    2F1(1, 2b; b+1 | w) = sum t_n w^n and its first three derivatives."""
+    t = [1.0]
+    for k in range(count + 3):
+        t.append(t[k] * (2.0 * b + k) / (b + 1.0 + k))
+    return [[math.prod(range(n + 1, n + j + 1)) * t[n + j] for j in range(4)]
+            for n in range(count)]
+
+
+def kernel(b, w):
+    """The value the kernel returns for a number w, and the four derivatives for a jet."""
+    jet = hypergeom._f21_half(b, None, _Jet(w, 1.0))
+    return hypergeom._f21_half(b, None, w), jet.derivatives()
+
+
+class TestHornerKernel:
+    """2F1(1, 2b; b+1 | w), |w| <= 0.45, by Horner's rule over as many rows of
+    b's table as a tail bound asks for at |w|."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=KERNEL_B, w=KERNEL_W)
+    @example(b=0.875, w=-0.45)  # the longest sum of the seven, at the edge
+    @example(b=3.0 + 1.0j, w=0.45j)
+    def test_against_mpmath(self, b, w):
+        # the value relative to itself, each derivative relative to the sum of
+        # its terms' moduli, the size that rounding in any sum scales with
+        assume(abs(w) <= 0.45)
+        scale = [max(KERNEL_FLOOR, sum(abs(c) * abs(w) ** n for n, c in enumerate(col)))
+                 for col in zip(*kernel_rows(b, 400))]
+        with mpmath.workdps(40):
+            ref = [complex(mpmath.factorial(k) * mpmath.rf(2 * b, k) / mpmath.rf(b + 1, k)
+                           * mpmath.hyp2f1(1 + k, 2 * b + k, b + 1 + k, w)) for k in range(4)]
+        value, derivatives = kernel(b, w)
+        assert abs(value - ref[0]) <= 1e-15 * abs(ref[0]), (value, ref[0])
+        for j, (got, want) in enumerate(zip(derivatives, ref)):
+            assert abs(got - want) <= 1e-15 * scale[j], (j, got, want)
+
+    @pytest.mark.parametrize("b", UNIFORMIZER_B + (2.2e-313, 0.5, 1.0, 1.0 + 0j))
+    def test_real_b_up_to_one_counts_from_w_alone(self, b):
+        # their t_n fall from 1, so one list of edges, free of b, serves them all
+        assert hypergeom._f21_table(b)[1] == hypergeom._f21_table(0.999)[1]
+        assert hypergeom._f21_table(3.0)[1] != hypergeom._f21_table(0.999)[1]  # its own
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=KERNEL_B, w=KERNEL_W)
+    @example(b=0.875, w=-0.45)
+    @example(b=2.2e-313, w=0.25)  # subnormal t_n: a tail below the normal range is none
+    def test_twice_the_terms_agree(self, b, w):
+        # the rows past the count, as many again, sum below 2^-53 of the
+        # leading coefficient or of KERNEL_FLOOR, and the Horner sum over all
+        # of them agrees with the kernel's
+        assume(abs(w) <= 0.45)
+        _, edges = hypergeom._f21_table(b)
+        value, derivatives = kernel(b, w)
+        for jet, got in ((False, [value]), (True, derivatives)):
+            count = bisect_left(edges[jet], abs(w)) + 1
+            rows = kernel_rows(b, 2 * count)
+            longer = [0j] * 4
+            for row in reversed(rows):
+                longer = [s * w + c for s, c in zip(longer, row)]
+            scale = [max(KERNEL_FLOOR, sum(abs(c) * abs(w) ** n for n, c in enumerate(col)))
+                     for col in zip(*rows)]
+            for j, sum_ in enumerate(got):
+                lead = max(abs(rows[0][j]), KERNEL_FLOOR)
+                tail = sum(abs(row[j]) * abs(w) ** n for n, row in enumerate(rows) if n >= count)
+                assert tail <= 2.0**-53 * lead, (jet, j, count, tail)
+                assert abs(sum_ - longer[j]) <= 1e-15 * scale[j], (jet, j, sum_, longer[j])
 
 
 class TestGammaBeta:

@@ -163,6 +163,24 @@ class TestHauptmoduln:
     def test_equianharmonic_tends_to_one(self):
         assert abs(hauptmodul_equianharmonic(6j) - 1.0) < 1e-13
 
+    @pytest.mark.parametrize("tau", [301j, 400j, 0.3 + 1e5j])
+    def test_equianharmonic_far_up_the_half_plane(self, tau):
+        # eta(9 tau) leaves the normal float range from Im(tau) = 301 on, but
+        # z - 1 = 9 exp(2 pi i tau) (P(9 tau)/P(tau))^3 is only exp(2 pi i tau) small
+        assert hauptmodul_equianharmonic(tau) == 1.0
+        assert hauptmodul_equianharmonic(_Jet(tau, 1.0)).derivatives() == (1.0, 0.0, 0.0, 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(re=st.floats(-1.0, 1.0), im=st.floats(0.3, 3.0))
+    def test_equianharmonic_is_the_eta_quotient(self, re, im):
+        # the pentagonal sums without their prefactors give the eta form's z,
+        # relative to the sizes of its two summands; nearer the cusps both
+        # lose digits to the theta defect (ROADMAP item 2)
+        tau = complex(re, im)
+        quotient = 9.0 * dedekind_eta(9.0 * tau) ** 3 / dedekind_eta(tau) ** 3
+        z = hauptmodul_equianharmonic(tau)
+        assert abs(z - (quotient + 1.0)) <= 4e-15 * (abs(quotient) + 1.0)
+
     def test_equianharmonic_at_fricke_fixed_point(self):
         # tau = i/3 is fixed by tau -> -1/(9 tau); frozen eta-oracle value 1 + sqrt(3)
         v = hauptmodul_equianharmonic(1j / 3.0)
@@ -237,17 +255,30 @@ class TestDomainsAndPolicies:
             assert abs(a - b) < 1e-15 * abs(b)
 
     def test_max_terms_exhaustion(self, monkeypatch):
-        # every q-series, on a number and on a jet, gives up at its budget
-        monkeypatch.setattr(modular, "_MAX_TERMS", 3)
-        for fn in (theta2, theta3, theta4, dedekind_eta):
+        # every q-series, on a number and on a jet, gives up at the end of its table
+        for table, fn in (("_THETA2", theta2), ("_THETA3", theta3), ("_THETA4", theta4),
+                          ("_ETA", dedekind_eta), ("_PENTAGONAL", hauptmodul_equianharmonic)):
+            monkeypatch.setattr(modular, table, getattr(modular, table)[:3])
             for tau in (0.011j, _Jet(0.011j, 1.0)):
                 with pytest.raises(AccuracyError):
                     fn(tau)
+
+    @pytest.mark.parametrize("re", [-1.0, -0.5, 0.0, 0.3, 0.5, 1.0])
+    def test_tables_end_well_past_the_stop_rule(self, re):
+        # at the lowest Im(tau) served, numbers and jets, every q-series
+        # stops with at least a quarter of its table unused
+        tau = complex(re, modular.MIN_IM_TAU)
+        for table in (modular._THETA2, modular._THETA3, modular._THETA4, modular._ETA,
+                      modular._PENTAGONAL):
+            for t in (tau, _Jet(tau, 1.0)):
+                used = []
+                modular._q_series(t, (used.append(row) or row for row in table))
+                assert len(used) <= 0.75 * len(table), (t, len(used), len(table))
 
     @pytest.mark.parametrize("tau", (complex(math.nan, 1.0), complex(0.3, math.inf),
                                      complex(math.inf, 1.0), _Jet(complex(math.nan, 1.0), 1.0)))
     def test_non_finite_tau_rejected(self, monkeypatch, tau):
         # refused at the gate, before any series term is summed
-        monkeypatch.setattr(modular, "_MAX_TERMS", 0)
+        monkeypatch.setattr(modular, "_THETA3", ())
         with pytest.raises(DomainError):
             theta3(tau)
