@@ -202,8 +202,10 @@ def _human_line(rec: RunRecord) -> str:
 
 
 def _emit(records: list[RunRecord], cfg: RunConfig) -> None:
-    lines = [json.dumps(r.to_json_dict()) for r in records]
-    if cfg.output == "json-lines":
+    json_lines = cfg.output == "json-lines"
+    lines = ([json.dumps(r.to_json_dict()) for r in records]
+             if json_lines or cfg.report_path else [])
+    if json_lines:
         for line in lines:
             print(line)
     else:

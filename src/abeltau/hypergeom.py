@@ -345,6 +345,9 @@ def _meets_cut(vertices, n: int) -> bool:
     return False
 
 
+_UNIT_SEGMENT = Polyline((0.0, 1.0))  # the first segment, in w
+
+
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
                                path: Polyline | None = None,
                                tol: float = 1e-10) -> complex:
@@ -357,7 +360,9 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     segment [0, v1], u = v1 w^(1/g) with g = 1 + Re(e) turns u^e du into the
     bounded (v1^(e+1)/g) w^(i Im(e)/g) dw on w in [0, 1], so the tanh-sinh
     quadrature stays accurate as Re(e) nears -1.  Each node takes one exp of
-    a sum of principal logs, which is the product of the principal powers.
+    a sum of principal logs, which is the product of the principal powers.  A
+    node w of the first segment forms 1 - u^n as 1 - v1^n exp((n/g) log w),
+    with v1^n computed once per call and log w, exp in real arithmetic.
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
@@ -399,20 +404,22 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     g = 1.0 + exponent.real
     scale = principal_power(v1, exponent + 1.0) / g
     spin = 1j * exponent.imag / g
+    power = n / g  # u^n = v1^n w^(n/g)
 
     def mapped(w: complex) -> complex:
         log_w = math.log(w.real)  # w runs over the real segment (0, 1]
-        u = v1 * math.exp(log_w / g)
-        d = 1.0 - u**n
-        if d == 0:  # the value 0, or a DomainError
-            return scale * principal_power(d, -b)
-        return scale * cmath.exp(spin * log_w - b * cmath.log(d))
+        try:
+            return scale * cmath.exp(spin * log_w
+                                     - b * cmath.log(1.0 - v1n * math.exp(power * log_w)))
+        except ValueError:  # Log(0) at u^n = 1: the value 0, or a DomainError
+            return scale * principal_power(0j, -b)
 
     try:
-        value = contour_quadrature(mapped, (0.0, 1.0), tol)
+        v1n = v1**n
+        value = contour_quadrature(mapped, _UNIT_SEGMENT, tol)
         if len(vertices) > 2:
             value += contour_quadrature(integrand, vertices[1:], tol)
-    except OverflowError:  # from cmath.exp or u**n at a node
+    except OverflowError:  # from v1**n, or from cmath.exp or u**n at a node
         raise AccuracyError(f"the oracle integrand overflows on the path of {spec!r}") from None
     return coeff * value
 

@@ -266,6 +266,13 @@ def _ts_level(level: int) -> tuple[array, array]:
     return gaps, weights
 
 
+def _on_real_axis(v: complex) -> bool:
+    """Whether v = x + 0.0i with a positive zero.  A segment between two such
+    vertices has that imaginary part at every node; a -0.0 picks the other
+    side of a cut on the negative real axis, so such a node stays complex."""
+    return v.imag == 0.0 and math.copysign(1.0, v.imag) > 0.0
+
+
 def contour_quadrature(
     f: Callable[[complex], complex],
     path: Polyline | Sequence[complex],
@@ -285,12 +292,19 @@ def contour_quadrature(
     next level would pass the evaluation budget, or when they agree only to
     rounding level, the best estimate is surfaced inside an AccuracyError; its
     error bound is the larger distance to the two estimates before it.
+
+    f takes each node as a float on a segment of the real axis, one whose
+    vertices both have imaginary part +0.0, and as a complex number elsewhere.
     """
     if not isinstance(path, Polyline):
         path = Polyline(path)
     if not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    segments = [(a, b, 0.5 * (b - a)) for a, b in path.segments()]
+    segments = []
+    for a, b in path.segments():
+        if _on_real_axis(a) and _on_real_axis(b):  # so is every node: sweep them as floats
+            a, b = a.real, b.real
+        segments.append((a, b, 0.5 * (b - a)))
     evals = len(segments)
     mids = [0.5 * math.pi * half * ensure_finite(f(a + half), "integrand sample")
             for a, b, half in segments]

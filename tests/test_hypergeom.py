@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abeltau import hypergeom
+from abeltau import hypergeom, registry
 from abeltau.errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from abeltau.hypergeom import (
     HypergeometricParams,
@@ -28,7 +28,7 @@ from abeltau.hypergeom import (
     oracle_incomplete_integral,
 )
 from abeltau.numerics import Polyline, _Jet, contour_quadrature, principal_power
-from abeltau.registry import REGISTRY
+from abeltau.registry import REGISTRY, RunConfig, run_identity
 
 
 def f21(a, b, c, z):
@@ -610,6 +610,11 @@ class TestIncompleteIntegrals:
         spec = IncompleteIntegralSpec(1.0, 300.0, 1, -0.5, "from_zero")
         with pytest.raises(AccuracyError):
             oracle_incomplete_integral(spec, Polyline([0.0, 0.95 + 2j, 0.95 - 2j, -0.5]))
+        # the far end v1 = 1/z = 1e80 e^(-i pi/4): v1^4 leaves the float range
+        far = IncompleteIntegralSpec(0.5, 0.5, 4, 1e-80 * cmath.exp(0.25j * math.pi),
+                                     "from_infinity")
+        with pytest.raises(AccuracyError, match="overflows on the path"):
+            oracle_incomplete_integral(far)
         # the straight path to 0.999 ends inside that distance
         with pytest.raises(DomainNotSupported, match="within 0.962 "):
             oracle_incomplete_integral(spec._replace(z=0.999))
@@ -776,3 +781,22 @@ class TestIncompleteIntegrals:
             evals[0] = 0
             oracle_incomplete_integral(spec, tol=1e-10)
             assert evals[0] < 300, spec
+
+    def test_verify_all_takes_the_same_quadrature_nodes(self, monkeypatch):
+        # the registry's quadrature calls, counted: a cheaper node must not
+        # change which nodes the rule takes or where it stops
+        calls, evals = [0], [0]
+
+        def counting(f, path, tol):
+            def g(z):
+                evals[0] += 1
+                return f(z)
+            calls[0] += 1
+            return contour_quadrature(g, path, tol)
+
+        monkeypatch.setattr(hypergeom, "contour_quadrature", counting)
+        monkeypatch.setattr(registry, "contour_quadrature", counting)
+        cfg = RunConfig()
+        for name in REGISTRY:
+            run_identity(name, cfg)
+        assert (evals[0], calls[0]) == (1564, 23)

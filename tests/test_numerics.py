@@ -238,6 +238,16 @@ class TestContourQuadrature:
         with pytest.raises(AccuracyError, match=r"^non-finite integrand sample: \(\w+\+0j\)$"):
             contour_quadrature(f, [0.0, 1.0])
 
+    @pytest.mark.parametrize("path, kind", [
+        ([0.0, 1.0], float), ([2.0, 3.0], float),
+        ([0, 1j], complex), ([complex(-2.0, -0.0), complex(-1.0, -0.0)], complex)])
+    def test_nodes_on_the_real_axis_are_floats(self, path, kind):
+        # only a segment between vertices x + 0.0i runs on floats: a -0.0 node
+        # picks the lower side of a cut on the negative real axis
+        kinds = set()
+        contour_quadrature(lambda z: kinds.add(type(z)) or 1.0, path, 1e-10)
+        assert kinds == {kind}
+
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
             contour_quadrature(lambda u: u, [0.0, 1.0], -1e-8)
