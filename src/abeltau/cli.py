@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from collections import Counter
@@ -122,8 +121,11 @@ def _as_small_int(v: complex) -> int:
     return int(v.real)
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+# Built once per process; parsing leaves the parsers unchanged.  Returns the
+# top-level parser and the subparser of each command, so that main can hand
+# a command's arguments straight to its own parser.
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="abeltau",
         description="evaluate special functions and verify the identity suite",
@@ -155,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--region", required=True, metavar="re0,re1,im0,im1")
     p_grid.add_argument("--steps", type=int, required=True)
     add_run_flags(p_grid)
-    return parser
+    return parser, {"eval": p_eval, "verify": p_verify, "grid": p_grid}
 
 
 def _read_config_file(path: str, cfg: RunConfig) -> None:
@@ -203,17 +205,16 @@ def _human_line(rec: RunRecord) -> str:
 
 def _emit(records: list[RunRecord], cfg: RunConfig) -> None:
     json_lines = cfg.output == "json-lines"
-    lines = ([json.dumps(r.to_json_dict()) for r in records]
-             if json_lines or cfg.report_path else [])
+    text = ("".join(f"{r.to_json_line()}\n" for r in records)
+            if json_lines or cfg.report_path else "")
     if json_lines:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
     else:
         for rec in records:
             print(_human_line(rec))
     if cfg.report_path:
         with open(cfg.report_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(text)
 
 
 def _summarize(records: list[RunRecord]) -> tuple[str, int]:
@@ -313,6 +314,10 @@ def _is_literal(text: str) -> bool:
     return True
 
 
+# The prefixes argparse takes for --region; "--re" could also be --report.
+_REGION_FLAGS = frozenset("--region"[:n] for n in range(5, 9))
+
+
 def _fold_dashed_values(argv: list[str]) -> list[str]:
     # argparse mistakes a value that starts with "-" for an option: fold the
     # region "-0.2,0.2,..." into --region=, and end eval's options before its
@@ -320,8 +325,8 @@ def _fold_dashed_values(argv: list[str]) -> list[str]:
     out = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--region" and i + 1 < len(argv):
-            out.append(f"--region={argv[i + 1]}")
+        if argv[i] in _REGION_FLAGS and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
             continue
         if (out[:1] == ["eval"] and "--" not in out and argv[i].startswith("-")
@@ -333,10 +338,17 @@ def _fold_dashed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     argv = _fold_dashed_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            # what the top-level parse would do, without scanning argv twice
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

@@ -10,10 +10,12 @@ reported as skipped.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 import sys
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 
 from .errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from .hypergeom import (
@@ -107,8 +109,8 @@ class RunConfig:
         for key in self.grids:
             self.samples_for(REGISTRY[key])
         for v in self.tolerances.values():
-            if not v > 0:
-                raise DomainError("tolerance overrides must be positive")
+            if not 0 < v < math.inf:  # an infinite tolerance would pass every record
+                raise DomainError("tolerance overrides must be positive and finite")
         if self.output not in ("human", "json-lines"):
             raise DomainError(f"unknown output mode {self.output!r}")
         if self.m_filter is not None and self.m_filter not in (0, 1, 2, 3):
@@ -133,15 +135,29 @@ class RunRecord(_value_type("RunRecord", "identity point residual tolerance stat
         return super().__new__(cls, identity, point, residual, tolerance, status,
                                {} if metadata is None else metadata)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "point": [self.point.real, self.point.imag],
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
-        }
+    def to_json_line(self) -> str:
+        """The record as one line of the json-lines stream: byte for byte what
+        json.dumps writes for the object with keys identity, point ([re, im]),
+        residual (a float or None), tolerance (a float), status and metadata
+        (complex values as [re, im]), without the generic encoder."""
+        p = self.point
+        meta = (json.dumps({k: _jsonable(v) for k, v in self.metadata.items()})
+                if self.metadata else "{}")
+        return (f'{{"identity": {encode_basestring_ascii(self.identity)}, '
+                f'"point": [{_json_float(p.real)}, {_json_float(p.imag)}], '
+                f'"residual": {_json_float(self.residual)}, '
+                f'"tolerance": {_json_float(self.tolerance)}, '
+                f'"status": {encode_basestring_ascii(self.status)}, "metadata": {meta}}}')
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float | None) -> str:
+    if x is None:
+        return "null"
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
 
 
 def _jsonable(v):

@@ -1,6 +1,8 @@
 """Registry coverage and the command-line interface (eval / verify / grid)."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abeltau
 from abeltau import cli
@@ -16,7 +20,15 @@ from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
 from abeltau.modular import hauptmodul_hyperelliptic, sqrt_theta_ratio
 from abeltau.numerics import _Jet
-from abeltau.registry import REGISTRY, IdentityEntry, RunConfig, run_identity, run_identity_at
+from abeltau.registry import (
+    REGISTRY,
+    IdentityEntry,
+    RunConfig,
+    RunRecord,
+    _jsonable,
+    run_identity,
+    run_identity_at,
+)
 from abeltau.uniform import u_hyperelliptic
 
 
@@ -160,6 +172,32 @@ class TestRunRecord:
         assert recs[1].residual is None
         assert recs[1].metadata["error"] == "AccuracyError: budget spent"
 
+    @staticmethod
+    def _reference(rec):
+        # the generic encoding the json-lines stream is defined by
+        return {
+            "identity": rec.identity,
+            "point": [rec.point.real, rec.point.imag],
+            "residual": rec.residual,
+            "tolerance": rec.tolerance,
+            "status": rec.status,
+            "metadata": {k: _jsonable(v) for k, v in rec.metadata.items()},
+        }
+
+    _text = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€τ😀'))
+    _float = st.floats()  # NaN and both infinities included
+    _complex = st.builds(complex, _float, _float)
+
+    @settings(max_examples=300, deadline=None)
+    @given(identity=_text, point=_complex, residual=st.none() | _float, tolerance=_float,
+           status=st.sampled_from(("pass", "fail", "skipped")) | _text,
+           metadata=st.dictionaries(_text, _float | _text | _complex | st.integers()
+                                    | st.lists(_float | _complex, max_size=3), max_size=4))
+    def test_json_line_is_the_generic_encoding(self, identity, point, residual, tolerance,
+                                               status, metadata):
+        rec = RunRecord(identity, point, residual, tolerance, status, metadata)
+        assert rec.to_json_line() == json.dumps(self._reference(rec))
+
 
 class TestConcurrency:
     def test_pure_functions_thread_safe(self):
@@ -273,6 +311,33 @@ class TestEval:
         assert cli._build_parser.cache_info().currsize == 1
 
 
+class TestUsage:
+    @staticmethod
+    def _captured(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = call()
+            except SystemExit as exc:
+                code = int(exc.code or 0)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["grid"], ["grid", "-h"],
+        ["grid", "schwarz-chi", "--steps", "2"],
+        ["grid", "schwarz-chi", "--steps", "2", "--bogus"],
+        ["grid", "schwarz-chi", "--region", "0,1,1,2", "--steps", "two"],
+        ["verify", "--steps", "2"], ["verify", "--output", "xml"], ["eval", "theta3", "--bogus"],
+    ])
+    def test_usage_errors_match_the_full_parse(self, argv):
+        # main hands a command's arguments to its subparser; what it prints
+        # and its exit code are those of argparse's nested parse
+        parser = cli._build_parser()[0]
+        expected = self._captured(lambda: parser.parse_args(list(argv)))
+        assert expected[0] in (0, 2)  # the parse exited
+        assert self._captured(lambda: main(list(argv))) == expected
+
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         assert main(["verify", "jacobi-quartic"]) == 0
@@ -316,6 +381,19 @@ class TestVerify:
         assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert "2 failed" in out  # two overridden grid points, impossible tolerance
+
+    def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
+        # an infinite tolerance passed every record and was written as Infinity
+        runs = [["verify", "jacobi-quartic", "--tol", "1e999"], ["verify", "--tol", "inf"],
+                ["grid", "jacobi-quartic", "--region", "0,0.1,1,1.1", "--steps", "2",
+                 "--tol", "inf"]]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jacobi-quartic.tolerance = inf\n")
+        runs.append(["verify", "jacobi-quartic", "--config", str(cfg)])
+        for argv in runs:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("config error"), argv
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -419,6 +497,15 @@ class TestGrid:
         assert captured.err == (f"summary: {counts['pass']} passed, {counts['fail']} failed, "
                                 f"0 informational, {counts['skipped']} skipped\n")
         assert code == (1 if counts["fail"] else 0)
+
+    @pytest.mark.parametrize("flag", ["--reg", "--regi", "--regio"])
+    def test_abbreviated_region_takes_a_negative_bound(self, capsys, flag):
+        # argparse takes the prefix for --region; it read -0.1,... as an option
+        tail = ["--steps", "2"]
+        assert main(["grid", "schwarz-chi", "--region=-0.1,0.1,1.1,1.2", *tail]) == 0
+        expected = capsys.readouterr()
+        assert main(["grid", "schwarz-chi", flag, "-0.1,0.1,1.1,1.2", *tail]) == 0
+        assert capsys.readouterr() == expected
 
     def test_fixed_identity_rejected(self, capsys):
         assert main(["grid", "u0-digits", "--region", "0,1,1,2", "--steps", "2"]) == 2
