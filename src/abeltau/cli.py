@@ -86,30 +86,21 @@ def _wrap_invariants(fn):
 
 # name -> (callable taking parsed args, argument names)
 EVAL_FUNCTIONS = {
-    "theta2": (theta2, ("tau",)),
-    "theta3": (theta3, ("tau",)),
-    "theta4": (theta4, ("tau",)),
-    "dedekind_eta": (dedekind_eta, ("tau",)),
-    "hauptmodul_lemniscatic": (hauptmodul_lemniscatic, ("tau",)),
-    "hauptmodul_equianharmonic": (hauptmodul_equianharmonic, ("tau",)),
-    "hauptmodul_hyperelliptic": (hauptmodul_hyperelliptic, ("tau",)),
-    "sqrt_theta_ratio": (sqrt_theta_ratio, ("tau",)),
+    **{fn.__name__: (fn, ("tau",)) for fn in (
+        theta2, theta3, theta4, dedekind_eta, hauptmodul_lemniscatic, hauptmodul_equianharmonic,
+        hauptmodul_hyperelliptic, sqrt_theta_ratio, u_lemniscatic, u_equianharmonic_root,
+        u_equianharmonic_rootfree)},
+    **{fn.__name__: (_wrap_invariants(fn), ("u", "g2", "g3"))
+       for fn in (wp, wp_prime, weier_sigma, weier_zeta)},
     "gauss_2f1": (lambda a, b, c, z: gauss_2f1(HypergeometricParams(a, b, c), z),
                   ("a", "b", "c", "z")),
     "gamma_fn": (gamma_fn, ("z",)),
     "euler_beta": (euler_beta, ("a", "b")),
     "elliptic_K": (elliptic_K, ("k",)),
     "elliptic_F": (elliptic_F, ("x", "k")),
-    "wp": (_wrap_invariants(wp), ("u", "g2", "g3")),
-    "wp_prime": (_wrap_invariants(wp_prime), ("u", "g2", "g3")),
-    "weier_sigma": (_wrap_invariants(weier_sigma), ("u", "g2", "g3")),
-    "weier_zeta": (_wrap_invariants(weier_zeta), ("u", "g2", "g3")),
     "wp_inverse_lemniscatic": (wp_inverse_lemniscatic, ("x",)),
     "wp_inverse_equianharmonic": (wp_inverse_equianharmonic, ("z",)),
     "u0_constant": (u0_constant, ()),
-    "u_lemniscatic": (u_lemniscatic, ("tau",)),
-    "u_equianharmonic_root": (u_equianharmonic_root, ("tau",)),
-    "u_equianharmonic_rootfree": (u_equianharmonic_rootfree, ("tau",)),
     "u_hyperelliptic": (lambda m, tau: u_hyperelliptic(_as_small_int(m), tau),
                         ("m", "tau")),
 }
@@ -119,6 +110,10 @@ def _as_small_int(v: complex) -> int:
     if v.imag != 0 or not v.real.is_integer():  # an inf or nan literal too
         raise DomainError(f"expected a small integer, got {v!r}")
     return int(v.real)
+
+
+# the output mode a flag or a config line names -> RunConfig.output
+_OUTPUT_MODES = {"human": "human", "json": "json-lines", "json-lines": "json-lines"}
 
 
 # Built once per process; parsing leaves the parsers unchanged.  Returns the
@@ -139,8 +134,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def add_run_flags(p):
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the selected identities")
-        p.add_argument("--output", choices=("human", "json", "json-lines"),
-                       default=None)
+        p.add_argument("--output", choices=tuple(_OUTPUT_MODES), default=None)
         p.add_argument("--report", default=None, metavar="PATH",
                        help="also write the json-lines stream to PATH")
         p.add_argument("--config", default=None, metavar="PATH",
@@ -177,7 +171,7 @@ def _read_config_file(path: str, cfg: RunConfig) -> None:
                 points = tuple(parse_complex(v) for v in value.split(",") if v.strip())
                 cfg.grids[key[len("grid."):]] = points
             elif key == "output":
-                cfg.output = value
+                cfg.output = _OUTPUT_MODES.get(value, value)  # RunConfig.validate refuses the rest
             else:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
 
@@ -187,7 +181,7 @@ def _config_from_args(args, selected_ids: Sequence[str]) -> RunConfig:
     if args.config:
         _read_config_file(args.config, cfg)
     if args.output is not None:  # explicit flag beats the config file
-        cfg.output = "json-lines" if args.output in ("json", "json-lines") else "human"
+        cfg.output = _OUTPUT_MODES[args.output]
     if args.tol is not None:
         for name in selected_ids:
             cfg.tolerances[name] = args.tol

@@ -32,7 +32,6 @@ from bisect import bisect_left
 from functools import lru_cache
 
 from .errors import AccuracyError, DomainError, DomainNotSupported
-from .modular import _REL_TOL
 from .numerics import (Polyline, _Jet, _value_type, contour_quadrature, ensure_finite,
                        principal_power)
 
@@ -50,6 +49,7 @@ __all__ = [
 
 _SERIES_DISK = 0.95
 _MAX_TERMS = 10_000  # the most terms a 2F1 series sums
+_REL_TOL = 1e-16  # the stop rule of _f21_series
 _TAIL = 2.0**-53  # what the rows a Horner sum leaves out may add up to, relative
 # _f21_w's disk in w = (1 - sqrt(1-z))/2.  On it the Horner sum for a real b in
 # (0, 1], the seven b of the uniformizers among them, takes at most 47 rows for
@@ -82,10 +82,10 @@ class HypergeometricParams(_value_type("HypergeometricParams", "a b c")):
 def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     """2F1(a, b; c | z) for a number z, term by term: with t_n the series
     coefficients, 1 + t1 z + t2 z^2 plus the sum of t_n z^n from n = 3 on,
-    each term from the one before by its coefficient ratio.  The stop rule
-    of modular._q_series watches the terms after the leading 1, from a
-    magnitude of 1; _MAX_TERMS terms without it is an AccuracyError.
-    """
+    each term from the one before by its coefficient ratio.  Its term sizes
+    depend on a, b and c, so it owns its stop rule: two consecutive terms below
+    _REL_TOL of the magnitude summed from 1; _MAX_TERMS terms without it is an
+    AccuracyError."""
     t1 = a * b / c
     t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
     q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
@@ -97,12 +97,9 @@ def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
         s += q
         size = abs(q)
         mag += size
-        if size <= _REL_TOL * mag:
-            small_run += 1
-            if small_run >= 2:
-                return ensure_finite(1.0 + (t1 + t2 * z) * z + s, "2F1 series")
-        else:
-            small_run = 0
+        small_run = small_run + 1 if size <= _REL_TOL * mag else 0
+        if small_run == 2:
+            return ensure_finite(1.0 + (t1 + t2 * z) * z + s, "2F1 series")
         q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
     raise AccuracyError("2F1 series did not converge within max_terms")
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_right
+from operator import itemgetter
 
 from .errors import AccuracyError, DomainError
 from .numerics import _Jet
@@ -50,28 +52,42 @@ def _tau_value(tau):
     return tau if jet else t
 
 
-# Series stop rule, shared with the 2F1 series of gauss_2f1: quit after two
-# consecutive terms fall below _REL_TOL times the accumulated magnitude
-# (guards parity cancellation).
-_REL_TOL = 1e-16
 _TINY = sys.float_info.min  # a value below it is an AccuracyError
 
-# The q-series term tables, (a_k, lam_k) with |lam_k| increasing.  A term's
-# size, and so where the stop rule ends a series, depends on Im(tau) alone; at
-# Im(tau) = MIN_IM_TAU the longest, eta's on a jet, ends after 46 terms.  Each
-# table holds _TERMS, a margin above that; running out of one is an
-# AccuracyError.
+# The q-series term tables: rows (a_k, lam_k, w_k), w_k = Im(lam_k) increasing.
+# At y = Im(tau) a number sums the terms with w_k <= w_0 + _TAIL_LOG/y and a jet
+# those with w_k <= w_f + _JET_TAIL_LOG/y, w_f the first w_k != 0; at MIN_IM_TAU
+# that is at most 40 and 47 of a table's _TERMS.  Why it suffices: |term k| =
+# |a_k| exp(-w_k y) (DLMF 20.2) and |a_k/a_m| <= 2, so term k is below 2^-54 of
+# term m once (w_k - w_m) y >= _TAIL_LOG = ln(2^53 4); the ln 2 to spare covers
+# the tail, which falls off faster than by halves for y >= MIN_IM_TAU.  A number
+# measures each term against the first, the largest.  A jet's derivatives of
+# order j <= 3 carry lam_k^j, adding 3 ln(w_k/w_m): against m = max(f, k//4),
+# where w_m is near w_k/16 as the exponents grow like k^2, term k needs
+# (w_k - w_f) y >= (_TAIL_LOG + 3 ln(w_k/w_m)) (w_k - w_f)/(w_k - w_m), which is
+# at most 52.51 over all tables (eta's k = 3, w_3/w_0 = 121; a test checks each
+# term).  What is left out of each order sums below 2^-53 of a summed term.
 _TERMS = 64
-_THETA2 = tuple((2.0, (k * k + k + 0.25) * _PI_I) for k in range(_TERMS))
-_THETA3 = ((1.0, 0j),) + tuple((2.0, k * k * _PI_I) for k in range(1, _TERMS))
-_THETA4 = ((1.0, 0j),) + tuple((-2.0 if k % 2 else 2.0, k * k * _PI_I) for k in range(1, _TERMS))
+_TAIL_LOG = 53.0 * math.log(2.0) + math.log(4.0)
+_JET_TAIL_LOG = 52.6
+_W = itemgetter(2)
+
+
+def _rows(terms) -> tuple:
+    """The table of the terms (a_k, lam_k): each with w_k = Im(lam_k) appended."""
+    return tuple((a, lam, lam.imag) for a, lam in terms)
+
+
+_THETA2 = _rows((2.0, (k * k + k + 0.25) * _PI_I) for k in range(_TERMS))
+_THETA3 = _rows([(1.0, 0j)] + [(2.0, k * k * _PI_I) for k in range(1, _TERMS)])
+_THETA4 = _rows([(1.0, 0j)] + [(-2.0 if k % 2 else 2.0, k * k * _PI_I) for k in range(1, _TERMS)])
 
 
 def _pentagonal(shift: float) -> tuple:
-    """(sign, exponent) of Euler's series sum_n (-1)^n x^(n(3n-1)/2), n over Z,
-    x = exp(2 pi i tau), times exp(shift pi i tau)."""
-    ns = sorted(range(-_TERMS, _TERMS), key=lambda n: n * (3 * n - 1))[:_TERMS]
-    return tuple((-1.0 if n % 2 else 1.0, (n * (3 * n - 1) + shift) * _PI_I) for n in ns)
+    """The table of Euler's series sum_n (-1)^n x^(n(3n-1)/2), x = exp(2 pi i tau),
+    times exp(shift pi i tau); n = 0, 1, -1, 2, -2, ... raises the exponent."""
+    ns = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(_TERMS)]
+    return _rows((-1.0 if n % 2 else 1.0, (n * (3 * n - 1) + shift) * _PI_I) for n in ns)
 
 
 _ETA = _pentagonal(1.0 / 12.0)  # exp(pi i tau/12) folded in
@@ -79,23 +95,20 @@ _PENTAGONAL = _pentagonal(0.0)
 
 
 def _q_series(tau, terms):
-    """sum_k a_k exp(lam_k tau) over the table terms, for a number tau; for a
-    jet in tau, its jet from the termwise derivatives a_k lam_k^j
-    exp(lam_k tau0), j <= 3.
-
-    The stop rule watches the terms of the highest derivative summed: the
-    value's for a number, the third derivative's for a jet, which decay
-    slowest; where they are small, so are the lower ones.  A sum below the
-    normal float range, theta2 or eta far up the half-plane, is an
-    AccuracyError: as a subnormal or a zero it would lose its digits and be
-    divided by.
-    """
+    """sum_k a_k exp(lam_k tau) over the terms tau's count takes from a table,
+    for a number tau; for a jet in tau, its jet from the termwise derivatives
+    a_k lam_k^j exp(lam_k tau0), j <= 3.  A sum below the normal float range,
+    theta2 or eta far up the half-plane, is an AccuracyError: as a subnormal
+    or a zero it would lose its digits and be divided by."""
     jet = isinstance(tau, _Jet)
     t = tau.c[0] if jet else tau
+    w0 = terms[0][2]
+    bound = (w0 or terms[1][2]) + _JET_TAIL_LOG / t.imag if jet else w0 + _TAIL_LOG / t.imag
+    n = bisect_right(terms, bound, key=_W)
+    if n == len(terms):
+        raise AccuracyError(f"q-series: tau = {t!r} needs more terms than the table holds")
     f0 = f1 = f2 = f3 = 0j
-    mag = 0.0
-    small_run = 0
-    for a, lam in terms:
+    for a, lam, _ in terms[:n]:
         e = a * cmath.exp(lam * t)
         f0 += e
         if jet:
@@ -105,17 +118,9 @@ def _q_series(tau, terms):
             f2 += e
             e *= lam
             f3 += e
-        size = abs(e)
-        mag += size
-        if size <= _REL_TOL * mag:
-            small_run += 1
-            if small_run >= 2:
-                if abs(f0) < _TINY:
-                    raise AccuracyError(f"q-series: the value at tau = {t!r} underflows")
-                return tau.compose(f0, f1, f2, f3) if jet else f0
-        else:
-            small_run = 0
-    raise AccuracyError("q-series: truncation budget exhausted")
+    if abs(f0) < _TINY:
+        raise AccuracyError(f"q-series: the value at tau = {t!r} underflows")
+    return tau.compose(f0, f1, f2, f3) if jet else f0
 
 
 def theta2(tau) -> complex:

@@ -3,9 +3,10 @@
 Expected decimals were frozen from the stated oracles (brute-force q-series
 with 10x tighter truncation, the raw eta product, closed Gamma forms); the
 oracles themselves are re-implemented below, independent of the package's
-stop-rule machinery.
+term tables and term counts.
 """
 
+import bisect
 import cmath
 import math
 
@@ -29,9 +30,10 @@ from abeltau.modular import (
 from abeltau.numerics import _Jet
 
 TAU_GRID = (0.3j, 0.2 + 0.5j, 1j, -0.4 + 1.7j, 1 + 2j, 0.05j)
+TABLES = ("_THETA2", "_THETA3", "_THETA4", "_ETA", "_PENTAGONAL")
 
 
-# brute-force oracles: fixed wide summation range, no stop rule
+# brute-force oracles: fixed wide summation range, no term count
 def theta_oracle(kind, tau, kmax=400):
     q_log = 1j * math.pi * tau
     if kind == 2:
@@ -248,7 +250,7 @@ class TestDomainsAndPolicies:
             theta3(-1j)
 
     def test_tighter_policy_agrees(self):
-        # the stop rule against the brute-force sum, which never stops early
+        # the term count against the brute-force sum, which never stops early
         for tau in (0.4j, 0.2 + 0.9j):
             a = theta3(tau)
             b = theta_oracle(3, tau)
@@ -263,17 +265,53 @@ class TestDomainsAndPolicies:
                 with pytest.raises(AccuracyError):
                     fn(tau)
 
-    @pytest.mark.parametrize("re", [-1.0, -0.5, 0.0, 0.3, 0.5, 1.0])
-    def test_tables_end_well_past_the_stop_rule(self, re):
-        # at the lowest Im(tau) served, numbers and jets, every q-series
-        # stops with at least a quarter of its table unused
-        tau = complex(re, modular.MIN_IM_TAU)
-        for table in (modular._THETA2, modular._THETA3, modular._THETA4, modular._ETA,
-                      modular._PENTAGONAL):
-            for t in (tau, _Jet(tau, 1.0)):
-                used = []
-                modular._q_series(t, (used.append(row) or row for row in table))
-                assert len(used) <= 0.75 * len(table), (t, len(used), len(table))
+    @pytest.mark.parametrize("table", TABLES)
+    def test_tables_end_well_past_the_stop_rule(self, table):
+        # a count depends on Im(tau) alone and grows as it falls: at the
+        # lowest Im(tau) served, numbers and jets, every q-series stops with
+        # at least a quarter of its table unused.  The exponents increase
+        # down the table, as the bisection that counts needs.
+        terms = getattr(modular, table)
+        w = [row[2] for row in terms]
+        assert w == sorted(w), table
+        y = modular.MIN_IM_TAU
+        for bound in (w[0] + modular._TAIL_LOG / y, (w[0] or w[1]) + modular._JET_TAIL_LOG / y):
+            count = bisect.bisect_right(w, bound)
+            assert count <= 0.75 * len(terms), (table, count, len(terms))
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_jet_tail_log_covers_every_term(self, table):
+        # a jet leaves out term k once (w_k - w_f) y >= _JET_TAIL_LOG; against
+        # term m = max(f, k//4) that must give (w_k - w_m) y >= _TAIL_LOG +
+        # 3 ln(w_k/w_m), the bound for its derivatives up to the third
+        w = [row[2] for row in getattr(modular, table)]
+        f = 1 if w[0] == 0 else 0
+        for k in range(f + 1, len(w)):
+            m = max(f, k // 4)
+            need = (modular._TAIL_LOG + 3.0 * math.log(w[k] / w[m])) * (w[k] - w[f]) / (w[k] - w[m])
+            assert need <= modular._JET_TAIL_LOG, (table, k, need)
+
+    @settings(max_examples=200, deadline=None)
+    @given(re=st.floats(-1.0, 1.0), im=st.floats(modular.MIN_IM_TAU, 3.0),
+           table=st.sampled_from(TABLES))
+    def test_count_against_the_full_table(self, re, im, table):
+        # every derivative order of the counted sum, for a number and for a
+        # jet, is within 2^-52 of its sum of |terms| from the sum of all 64,
+        # summed in the same order and turned into Taylor coefficients alike
+        tau = complex(re, im)
+        terms = getattr(modular, table)
+        full, size = [0j] * 4, [0.0] * 4
+        for a, lam, _ in terms:
+            e = a * cmath.exp(lam * tau)
+            for j in range(4):
+                full[j] += e
+                size[j] += abs(e)
+                e *= lam
+        want = _Jet(tau, 1.0).compose(*full).c
+        got = modular._q_series(_Jet(tau, 1.0), terms).c
+        assert abs(modular._q_series(tau, terms) - full[0]) <= 2.0**-52 * size[0], (table, tau)
+        for j in range(4):
+            assert abs(got[j] - want[j]) <= 2.0**-52 * size[j] / math.factorial(j), (table, tau, j)
 
     @pytest.mark.parametrize("tau", (complex(math.nan, 1.0), complex(0.3, math.inf),
                                      complex(math.inf, 1.0), _Jet(complex(math.nan, 1.0), 1.0)))

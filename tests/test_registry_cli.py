@@ -404,6 +404,38 @@ class TestVerify:
         cfg.write_text("grid.u0-digits = 1i\n")
         assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
 
+    def test_output_mode_from_the_config_file_as_from_the_flag(self, tmp_path, capsys):
+        # the config value json once exited 2 while the flag took it
+        assert main(["verify", "u0-digits", "--output", "json"]) == 0
+        flag = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output = json\n")
+        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == flag
+        cfg.write_text("output = xml\n")
+        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_override_judges_every_row(self, tmp_path, capsys, source):
+        # the k_pm row and the two branch-point rows carry their own tolerance
+        # only without an override
+        ids = ["cover-cubic", "cover-factored"]
+        argv = ["verify", *ids, "--output", "json"]
+        if source == "flag":
+            argv += ["--tol", "1e-30"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{name}.tolerance = 1e-30\n" for name in ids))
+            argv += ["--config", str(cfg)]
+        main(argv)
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert {rec["identity"] for rec in records} == set(ids)
+        assert {rec["tolerance"] for rec in records} == {1e-30}
+        assert main(["verify", *ids, "--output", "json"]) == 0
+        own = {json.loads(line)["tolerance"] for line in capsys.readouterr().out.splitlines()[:-1]}
+        assert own == {1e-9, 1e-10, 1e-14}
+
     def test_numerical_settings_are_not_options(self, tmp_path, capsys):
         # the derivatives come from Taylor jets, which have no setting to report
         assert main(["verify", "schwarz-chi", "--output", "json"]) == 0
