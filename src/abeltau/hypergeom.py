@@ -14,9 +14,10 @@ F(a, b; a+b+1/2 | 4w(1-w)) = F(2a, 2b; a+b+1/2 | w) (DLMF 15.8(iii)) gives
 
     2F1(1/2, b; b+1 | z) = 2F1(1, 2b; b+1 | w),   w = (1 - sqrt(1-z))/2,
 
-principal root.  The private _f21 sums that series in w for |w| <= 0.45, by
-Horner's rule over a cached coefficient table per b: the series disk
-|z| <= 0.95 (|w| <= 0.39), and on the real axis z in [-2.61, 0.99].
+principal root.  The private _f21 sums that series in w for |w| <= 0.45: the
+series disk |z| <= 0.95 (|w| <= 0.39), and on the real axis z in
+[-2.61, 0.99].  For a real b in (0, 1] it runs Horner's rule over a cached
+coefficient table per b; any other b is summed term by term, numbers only.
 
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
@@ -51,9 +52,9 @@ _SERIES_DISK = 0.95
 _MAX_TERMS = 10_000  # the most terms a 2F1 series sums
 _REL_TOL = 1e-16  # the stop rule of _f21_series
 _TAIL = 2.0**-53  # what the rows a Horner sum leaves out may add up to, relative
-# _f21_w's disk in w = (1 - sqrt(1-z))/2.  On it the Horner sum for a real b in
-# (0, 1], the seven b of the uniformizers among them, takes at most 47 rows for
-# a number and 61 for a jet.
+# _f21_w's disk in w = (1 - sqrt(1-z))/2.  On it the Horner sum, which serves a
+# real b in (0, 1] (the seven b of the uniformizers among them), takes at most
+# 47 rows for a number and 61 for a jet; any other b goes to _f21_series.
 # The cut z in [1, inf) maps to the line Re w = 1/2: the disk keeps 0.01 from
 # it (at z = 0.99), so no value is taken on either side of the cut.
 _W_DISK = 0.45
@@ -144,94 +145,67 @@ def _f21_w(z):
     return None
 
 
-def _f21_edges(size, ratio):
-    """([number edges], [jet edges]) of a table of w^n coefficients c_nj
-    (j = 0 for the value, 1..3 for its derivatives) with |c_nj| at most
-    size(n)[j] |c_0j|, whose t_n have |t_(k+1)/t_k| <= ratio(m) for k >= m.
-    Edge N-1 is the largest |w| at which the first N rows leave out less than
-    2^-53 of each |c_0j|: of j = 0 for a number, of every j for a jet.
+@lru_cache(maxsize=1)
+def _f21_edges():
+    """([number edges], [jet edges]) of the Horner sum over _f21_table(b), the
+    same for every real b in (0, 1].  Edge N-1 is the largest |w| at which the
+    first N rows leave out less than 2^-53 of each |c_0j|: of j = 0 for a
+    number, of every j for a jet.
 
-    For n >= N the ratio |c_(n+1)j / c_nj| is at most
-    rho = (N+1+j)/(N+1) ratio(N + j), so the rows left out add up to at most
-    size(N)[j] |c_0j| |w|^N/(1 - rho |w|), and |w| <= _W_DISK bounds the
-    denominator.  The edges end where a jet's reaches _W_DISK, or after
-    _MAX_TERMS."""
+    There the t_n fall from t_0 = 1, so |c_nj| <= |c_0j| (n+1)...(n+j)/j!, and
+    for n >= N |c_(n+1)j / c_nj| <= rho = (N+1+j)/(N+1): the rows left out add
+    up to at most |c_0j| (N+1)...(N+j)/j! |w|^N/(1 - rho |w|), and |w| <= _W_DISK
+    bounds the denominator.  The edges end where a jet's reaches _W_DISK, or
+    after _MAX_TERMS."""
     edges = ([], [])
     n = 0
     while n < _MAX_TERMS and not (edges[1] and edges[1][-1] >= _W_DISK):
         n += 1
         reach = []
-        for j, bound in enumerate(size(n)):
-            rho = (n + 1 + j) / (n + 1) * ratio(n + j)
-            if not bound:
-                reach.append(math.inf)
-            elif rho * _W_DISK >= 1.0:
-                reach.append(0.0)
-            else:
-                reach.append((_TAIL * (1.0 - rho * _W_DISK) / bound) ** (1.0 / n))
+        for j, bound in enumerate((1.0, n + 1.0, (n + 1) * (n + 2) / 2.0,
+                                   (n + 1) * (n + 2) * (n + 3) / 6.0)):
+            rho = (n + 1 + j) / (n + 1)
+            reach.append((_TAIL * (1.0 - rho * _W_DISK) / bound) ** (1.0 / n)
+                         if rho * _W_DISK < 1.0 else 0.0)
         # N + 1 rows serve wherever N do: each edge is at least the one before
         for k, edge in enumerate((reach[0], min(reach))):
             edges[k].append(max(edge, edges[k][-1]) if edges[k] else edge)
     return edges
 
 
-@lru_cache(maxsize=1)
-def _falling_edges():
-    """The edges of every real b in (0, 1]: there the t_n fall from t_0 = 1,
-    so |c_nj| <= (n+1)...(n+j) t_j = |c_0j| (n+1)...(n+j)/j!, and |w| alone
-    fixes the count."""
-    return _f21_edges(lambda n: (1.0, n + 1.0, (n + 1) * (n + 2) / 2.0,
-                                 (n + 1) * (n + 2) * (n + 3) / 6.0), lambda m: 1.0)
-
-
 @lru_cache(maxsize=32)
 def _f21_table(b):
-    """(rows, edges) of 2F1(1, 2b; b+1 | w) = sum t_n w^n, t_0 = 1,
-    t_(n+1) = t_n (2b + n)/(b + 1 + n).  rows[n] holds the w^n coefficients
-    c_nj = (n+1)...(n+j) t_(n+j) of the value (j = 0) and of its first three
-    derivatives in w, as many rows as the edges reach.  The edges are
-    _falling_edges for a real b in (0, 1]; for any other b they come from b's
-    own table, with |t_(k+1)/t_k| <= 1 + |b - 1|/(Re b + 1 + m) for k >= m."""
+    """The rows of 2F1(1, 2b; b+1 | w) = sum t_n w^n, t_0 = 1,
+    t_(n+1) = t_n (2b + n)/(b + 1 + n), for a real b in (0, 1]: rows[n] holds
+    the w^n coefficients c_nj = (n+1)...(n+j) t_(n+j) of the value (j = 0) and
+    of its first three derivatives in w, as many rows as _f21_edges reach."""
+    count = len(_f21_edges()[1])
     t = [1.0]
-    rows = []
-
-    def row(n):
-        while len(rows) <= n:
-            m = len(rows)
-            while len(t) < m + 4:
-                k = len(t) - 1
-                t.append(t[k] * (2.0 * b + k) / (b + 1.0 + k))
-            rows.append((t[m], (m + 1) * t[m + 1], (m + 1) * (m + 2) * t[m + 2],
-                         (m + 1) * (m + 2) * (m + 3) * t[m + 3]))
-        return rows[n]
-
-    if b.imag == 0 and 0.0 < b.real <= 1.0:
-        edges = _falling_edges()
-    else:
-        # a tail below the smallest normal float counts as none: with a tiny b
-        # the t_n stall at the smallest subnormal while (n+1)(n+2)(n+3) t_(n+3) grows
-        lead = [max(abs(c), sys.float_info.min / _TAIL) for c in row(0)]
-        edges = _f21_edges(lambda n: [abs(c) / scale for c, scale in zip(row(n), lead)],
-                           lambda m: 1.0 + abs(b - 1.0) / (b.real + 1.0 + m)
-                           if b.real + 1.0 + m > 0 else math.inf)
-    return tuple(row(n) for n in range(len(edges[1]))), edges
+    for k in range(count + 2):
+        t.append(t[k] * (2.0 * b + k) / (b + 1.0 + k))
+    return tuple((t[m], (m + 1) * t[m + 1], (m + 1) * (m + 2) * t[m + 2],
+                  (m + 1) * (m + 2) * (m + 3) * t[m + 3]) for m in range(count))
 
 
 def _f21_half(b, z, w):
-    """2F1(1/2, b; b+1 | z) from w = _f21_w(z): 2F1(1, 2b; b+1 | w) by
-    Horner's rule over _f21_table(b), as many rows as its edges ask for at
-    |w|, for a number or a jet w; or gauss_2f1 where w is None.  One w
-    serves every b at the same z."""
+    """2F1(1/2, b; b+1 | z) from w = _f21_w(z), one w for every b at the same
+    z: 2F1(1, 2b; b+1 | w) by Horner's rule over _f21_table(b), as many rows as
+    _f21_edges ask for at |w|, for a real b in (0, 1]; for any other b by
+    _f21_series, numbers only; by gauss_2f1 where w is None."""
     if w is None:
         return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
-    rows, edges = _f21_table(b)
     jet = isinstance(w, _Jet)
+    if not (b.imag == 0 and 0.0 < b.real <= 1.0):
+        if jet:
+            raise DomainNotSupported(f"2F1 jet with b = {b!r}: only a real b in (0, 1] is served")
+        return _f21_series(1.0, 2.0 * b, b + 1.0, w)
+    edges = _f21_edges()[jet]
     x = w.c[0] if jet else w
-    n = bisect_left(edges[jet], abs(x)) + 1
-    if n > len(edges[jet]):
+    n = bisect_left(edges, abs(x)) + 1
+    if n > len(edges):
         raise AccuracyError(f"2F1 series: b = {b!r} needs over {n - 1} terms at |w| = {abs(x):.3g}")
     s0 = s1 = s2 = s3 = 0j
-    for c0, c1, c2, c3 in rows[n - 1::-1]:
+    for c0, c1, c2, c3 in _f21_table(b)[n - 1::-1]:
         s0 = s0 * x + c0
         if jet:
             s1 = s1 * x + c1

@@ -3,7 +3,9 @@ modulo the half-periods, which come from Carlson's R_F, sigma by its classical
 double series, zeta = sigma'/sigma, the hypergeometric inverses of P on the
 lemniscatic (4, 0) and equianharmonic (0, 4) curves, and the second/third-kind
 integrals expressed through zeta and sigma.  sigma and zeta live on a
-validated disk with no quasi-periodic extension.
+validated disk with no quasi-periodic extension: |u| <= 2 for |g2|, |g3| <= 5,
+and for larger invariants the disk homogeneity maps that box to,
+|u| <= 2 min(1, (5/|g2|)^(1/4), (5/|g3|)^(1/6)).
 """
 
 from __future__ import annotations
@@ -35,9 +37,15 @@ __all__ = [
 
 # sigma's double series is summed over weights 2m + 3n <= 22 (powers of u up
 # to 45); the terms left out sum to below 2e-19 for |u| <= this radius at
-# |g2|, |g3| <= 5.  Against a 40-digit evaluation, sigma and zeta agree to
-# ~1e-15 on this disk on both shipped curves (tests).
+# |g2|, |g3| <= _SIGMA_BOX.  Against a 40-digit evaluation, sigma and zeta agree
+# to ~1e-15 on this disk on both shipped curves (tests).  Larger invariants are
+# brought into the box by homogeneity, sigma(r v; r^-4 g2, r^-6 g3) =
+# r sigma(v; g2, g3) (DLMF 23.10.17), so their disk has radius SIGMA_RADIUS r.
 SIGMA_RADIUS = 2.0
+_SIGMA_BOX = 5.0
+# zeta's Cauchy circle shrinks near the disk's edge, and its rounding error
+# grows as 1/radius: 4e-15 relative at radius 9e-3, 3e-8 at 1e-10
+_ZETA_MIN_RADIUS = 1e-2
 
 _WP_MAX_TERMS = 64
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
@@ -246,45 +254,61 @@ def _sigma_coeff_table() -> tuple[tuple[int, int, float, float], ...]:
     )
 
 
-def weier_sigma(u: complex, inv) -> complex:
-    """sigma(u; g2, g3) on the validated disk |u| <= 2.0 (no quasi-periodic
-    extension; larger arguments are refused rather than extrapolated)."""
-    inv = _invariants(inv)
+def _sigma_frame(u: complex, inv: EllipticInvariants):
+    """(v, g2, g3, r) with u = r v and sigma(u; inv) = r sigma(v; g2, g3), where
+    |g2|, |g3| <= _SIGMA_BOX: r = 1 unless an invariant of inv is larger.  A v
+    outside the sigma disk |v| <= SIGMA_RADIUS is refused."""
+    g2, g3, r = inv.g2, inv.g3, 1.0
+    if abs(g2) > _SIGMA_BOX or abs(g3) > _SIGMA_BOX:
+        r = 1.0 / max((abs(g2) / _SIGMA_BOX) ** 0.25, (abs(g3) / _SIGMA_BOX) ** (1.0 / 6.0))
+        g2, g3 = g2 * r**4, g3 * r**6
     u = complex(u)
-    if abs(u) > SIGMA_RADIUS:
+    if abs(u) > SIGMA_RADIUS * r:
         raise DomainNotSupported(
-            f"|u| = {abs(u):g} outside the validated sigma disk (radius {SIGMA_RADIUS})"
+            f"|u| = {abs(u):g} outside the validated sigma disk (radius {SIGMA_RADIUS * r:g})"
         )
-    half_g2 = 0.5 * inv.g2
-    two_g3 = 2.0 * inv.g3
+    return u / r, g2, g3, r
+
+
+def _sigma_series(v: complex, g2: complex, g3: complex) -> complex:
+    """sigma(v; g2, g3) by the double series, |v| <= SIGMA_RADIUS, |g2|, |g3| <= _SIGMA_BOX."""
+    half_g2, two_g3 = 0.5 * g2, 2.0 * g3
     acc = 0.0 + 0.0j
     for m, n, amn, inv_fact in _sigma_coeff_table():
-        acc += amn * half_g2**m * two_g3**n * u ** (4 * m + 6 * n + 1) * inv_fact
+        acc += amn * half_g2**m * two_g3**n * v ** (4 * m + 6 * n + 1) * inv_fact
     return ensure_finite(acc, "sigma value")
+
+
+def weier_sigma(u: complex, inv) -> complex:
+    """sigma(u; g2, g3) on the validated disk of the module docstring (no
+    quasi-periodic extension; larger arguments are refused rather than
+    extrapolated)."""
+    v, g2, g3, r = _sigma_frame(u, _invariants(inv))
+    return r * _sigma_series(v, g2, g3)
 
 
 def weier_zeta(u: complex, inv) -> complex:
     """zeta(u) = sigma'(u)/sigma(u), sigma' by Cauchy-circle differentiation.
 
-    Domain: 0 < |u| < 1.999.  The sampling circle has radius 0.25 up to
-    |u| = 1.749 and shrinks beyond, so that it stays inside the sigma disk;
+    Domain: 0 < |u| < 1.989 r, r = 1 for |g2|, |g3| <= 5 (module docstring).
+    The sampling circle has radius 0.25 r up to |u| = 1.749 r and shrinks
+    beyond, so that it stays inside the sigma disk, down to _ZETA_MIN_RADIUS r;
     the only sigma zero there is u = 0 (nearest lattice points of both
     shipped curves lie beyond the disk).
     """
-    inv = _invariants(inv)
-    u = complex(u)
-    if u == 0:
+    v, g2, g3, r = _sigma_frame(u, _invariants(inv))
+    if v == 0:
         raise PoleError("zeta has a pole at u = 0")
-    radius = min(0.25, SIGMA_RADIUS - abs(u) - 1e-3)
-    if radius <= 0:
+    radius = min(0.25, SIGMA_RADIUS - abs(v) - 1e-3)
+    if radius < _ZETA_MIN_RADIUS:
         raise DomainNotSupported(
-            f"|u| = {abs(u):g} leaves no room for the differentiation circle"
+            f"|u| = {abs(v) * r:.10g} leaves no room for the differentiation circle"
         )
-    sigma_u = weier_sigma(u, inv)
-    if sigma_u == 0:
+    sigma_v = _sigma_series(v, g2, g3)
+    if sigma_v == 0:
         raise PoleError(f"sigma vanishes at u = {u!r}")
-    (sigma_prime,) = holomorphic_derivatives(lambda w: weier_sigma(w, inv), u, 1, radius)
-    return sigma_prime / sigma_u
+    (sigma_prime,) = holomorphic_derivatives(lambda w: _sigma_series(w, g2, g3), v, 1, radius)
+    return sigma_prime / sigma_v / r
 
 
 def _wp_inverse_for(inv: EllipticInvariants):

@@ -106,7 +106,7 @@ class TestGauss2F1:
         monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
         # the route's tables and edges end at the budget they were built under:
         # fresh caches, so that none outlives the test
-        for name in ("_f21_table", "_falling_edges"):
+        for name in ("_f21_table", "_f21_edges"):
             cached = getattr(hypergeom, name)
             monkeypatch.setattr(hypergeom, name, lru_cache(cached.cache_info().maxsize)(
                 cached.__wrapped__))
@@ -185,22 +185,25 @@ class TestQuadraticRoute:
     ])
     def test_route_runs_exactly_when_a_is_half_and_c_is_b_plus_one(self, monkeypatch,
                                                                     a, b, c):
-        # the route sums over b's table for a number and a jet; other
-        # parameters go to gauss_2f1's series as (a, b; c), and a jet is refused
+        # the route sums over b's table for a number and a jet, or for a b
+        # that is not real in (0, 1] sums (1, 2b; b+1) in w for a number only;
+        # other parameters go to gauss_2f1's series as (a, b; c), and a jet is refused
         calls, tables = [], []
         series, table = hypergeom._f21_series, hypergeom._f21_table
         monkeypatch.setattr(hypergeom, "_f21_series",
                             lambda *args: calls.append(args[:3]) or series(*args))
         monkeypatch.setattr(hypergeom, "_f21_table", lambda b: tables.append(b) or table(b))
         route = a == 0.5 and c == b + 1.0
+        falling = b.imag == 0 and 0.0 < b.real <= 1.0
         for z in (0.0, 0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
             ref = f21(a, b, c, z)
             calls.clear()
             tables.clear()
             value = _f21(a, b, c, z)
             assert abs(value - ref) <= 1e-14 * abs(value)
-            if not route:
-                assert calls == [(a, b, c)] and tables == [], (z, calls, tables)
+            if not (route and falling):
+                summed = (a, b, c) if not route else (1.0, 2.0 * b, b + 1.0)
+                assert calls == [summed] and tables == [], (z, calls, tables)
                 with pytest.raises(DomainNotSupported):
                     _f21(a, b, c, _Jet(z, 1.0))
                 continue
@@ -245,10 +248,11 @@ class TestQuadraticRoute:
 # the b of U(m, tau) for m = 0..3, of u_lemniscatic and of the two
 # equianharmonic uniformizers
 UNIFORMIZER_B = (0.125, 0.375, 0.625, 0.875, 0.25, 1.0 / 6.0, 1.0 / 3.0)
-KERNEL_B = st.one_of(st.sampled_from(UNIFORMIZER_B), ROUTE_B)
+# the b that the kernel sums by Horner's rule, numbers and jets: real in (0, 1]
+KERNEL_B = st.one_of(st.sampled_from(UNIFORMIZER_B), st.floats(0.0, 1.0, exclude_min=True))
 KERNEL_W = st.builds(cmath.rect, st.floats(0.0, 0.45), st.floats(-math.pi, math.pi))
 # the size below which a subnormal b leaves its t_n no relative accuracy,
-# and the kernel's tail counts as none
+# and a tail counts as none
 KERNEL_FLOOR = sys.float_info.min / 2.0**-53
 
 
@@ -270,12 +274,11 @@ def kernel(b, w):
 
 class TestHornerKernel:
     """2F1(1, 2b; b+1 | w), |w| <= 0.45, by Horner's rule over as many rows of
-    b's table as a tail bound asks for at |w|."""
+    b's table as a tail bound asks for at |w|, for a real b in (0, 1]."""
 
     @settings(max_examples=300, deadline=None)
     @given(b=KERNEL_B, w=KERNEL_W)
     @example(b=0.875, w=-0.45)  # the longest sum of the seven, at the edge
-    @example(b=3.0 + 1.0j, w=0.45j)
     def test_against_mpmath(self, b, w):
         # the value relative to itself, each derivative relative to the sum of
         # its terms' moduli, the size that rounding in any sum scales with
@@ -292,9 +295,29 @@ class TestHornerKernel:
 
     @pytest.mark.parametrize("b", UNIFORMIZER_B + (2.2e-313, 0.5, 1.0, 1.0 + 0j))
     def test_real_b_up_to_one_counts_from_w_alone(self, b):
-        # their t_n fall from 1, so one list of edges, free of b, serves them all
-        assert hypergeom._f21_table(b)[1] == hypergeom._f21_table(0.999)[1]
-        assert hypergeom._f21_table(3.0)[1] != hypergeom._f21_table(0.999)[1]  # its own
+        # their t_n fall from 1, so one list of edges, free of b, serves them
+        # all: at |w| = 0.45 a number takes 47 rows and a jet 61, all of b's table
+        edges = hypergeom._f21_edges()
+        assert [bisect_left(e, 0.45) + 1 for e in edges] == [47, 61]
+        assert len(hypergeom._f21_table(b)) == len(edges[1])
+
+    @pytest.mark.parametrize("b", [0.0, -0.25, 1.0 + 1e-15, 1.5, 3.0, 0.25 + 0.5j, 0.5 - 1e-9j])
+    def test_any_other_b_is_summed_by_the_series(self, monkeypatch, b):
+        # no table: a number w goes to _f21_series as (1, 2b; b+1), and a jet is refused
+        calls = []
+        series = hypergeom._f21_series
+        monkeypatch.setattr(hypergeom, "_f21_series",
+                            lambda *args: calls.append(args) or series(*args))
+        monkeypatch.setattr(hypergeom, "_f21_table", lambda b: pytest.fail("a table was built"))
+        for w in (0.0, 0.3, -0.45, 0.2 - 0.4j):
+            calls.clear()
+            value = hypergeom._f21_half(b, None, w)
+            assert calls == [(1.0, 2.0 * b, b + 1.0, w)]
+            with mpmath.workdps(40):
+                ref = complex(mpmath.hyp2f1(1, 2 * b, b + 1, w))
+            assert abs(value - ref) <= 1e-14 * abs(ref), (w, value, ref)
+            with pytest.raises(DomainNotSupported, match="only a real b in"):
+                hypergeom._f21_half(b, None, _Jet(w, 1.0))
 
     @settings(max_examples=300, deadline=None)
     @given(b=KERNEL_B, w=KERNEL_W)
@@ -305,7 +328,7 @@ class TestHornerKernel:
         # leading coefficient or of KERNEL_FLOOR, and the Horner sum over all
         # of them agrees with the kernel's
         assume(abs(w) <= 0.45)
-        _, edges = hypergeom._f21_table(b)
+        edges = hypergeom._f21_edges()
         value, derivatives = kernel(b, w)
         for jet, got in ((False, [value]), (True, derivatives)):
             count = bisect_left(edges[jet], abs(w)) + 1

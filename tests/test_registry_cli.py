@@ -270,6 +270,11 @@ class TestEval:
         # an overflowing literal parses to inf, which is no integer m
         assert main(["eval", "u_hyperelliptic", "1e999", "1i"]) == 3
         assert "DomainError" in capsys.readouterr().err
+        # sigma's series overflowed here (a traceback, exit 1), and zeta took
+        # a Cauchy circle of radius 1e-10 (a value 3.4e-8 off, exit 0)
+        for args in (["weier_sigma", "0.5", "1e80", "0"], ["weier_zeta", "1.9989999999", "4", "0"]):
+            assert main(["eval", *args]) == 3
+            assert "DomainNotSupported" in capsys.readouterr().err
 
     def test_pfaff_pole_exits_3(self, capsys):
         # z/(z - 1) divided by zero at z = 1

@@ -40,8 +40,12 @@ FOUR_CURVES = (LEMNISCATIC, EQUIANHARMONIC,
 
 
 def _roots_mp(inv):
-    """The roots of 4x^3 - g2 x - g3; the caller sets 40 digits."""
-    return mp.polyroots([4, 0, -mp.mpc(inv.g2), -mp.mpc(inv.g3)], extraprec=100)
+    """The roots of 4x^3 - g2 x - g3; the caller sets 40 digits.  They are
+    s times those of 4y^3 - (g2/s^2) y - g3/s^3, whose size polyroots' start
+    points suit; s = 1 for invariants up to 1 in size."""
+    s = max(1.0, abs(inv.g2) ** 0.5, abs(inv.g3) ** (1.0 / 3.0))
+    return [s * y for y in mp.polyroots([4, 0, -mp.mpc(inv.g2) / s**2, -mp.mpc(inv.g3) / s**3],
+                                        extraprec=100)]
 
 
 def _wp_mp(u, inv):
@@ -387,15 +391,20 @@ class TestSigmaDisk:
     integrals that need it, against a 40-digit reference: P from Jacobi's sn,
     zeta(u) = 1/u - int_0^u (P - 1/s^2) ds and
     log(sigma(u)/u) = -int_0^u (u - s)(P - 1/s^2) ds by 48-point Gauss-Legendre
-    (the nearest lattice point is beyond 2.6, so the rule is exact to 40 digits)."""
+    (the nearest lattice point is beyond 2.6 on the shipped curves, and beyond
+    2.1 r in a sample of other invariants, r the scale of their disk, so on
+    the disk the rule's error is far below the checks).  tanh-sinh nodes,
+    mp.quad's default, would cancel catastrophically in P - 1/s^2 near 0."""
 
     @staticmethod
     def _zeta_sigma(u, inv):
         """(zeta(u), sigma(u)); the caller sets 40 digits."""
         if inv is LEMNISCATIC:
             e1, e2, e3 = mp.mpf(1), mp.mpf(0), mp.mpf(-1)
-        else:
+        elif inv is EQUIANHARMONIC:
             e1, e2, e3 = mp.mpf(1), mp.expjpi(mp.mpf(2) / 3), mp.expjpi(mp.mpf(-2) / 3)
+        else:
+            e1, e2, e3 = _roots_mp(inv)
         a, m = mp.sqrt(e1 - e3), (e2 - e3) / (e1 - e3)
         nodes = _gauss_legendre_48(mp.mp.prec)
         u = mp.mpc(u)
@@ -415,6 +424,49 @@ class TestSigmaDisk:
                 zeta, sigma = map(complex, self._zeta_sigma(u, inv))
             assert abs(weier_sigma(u, inv) - sigma) <= 1e-14 * abs(sigma), u
             assert abs(weier_zeta(u, inv) - zeta) <= 5e-14 * abs(zeta), u
+
+    @pytest.mark.parametrize("inv", [LEMNISCATIC, EQUIANHARMONIC])
+    @pytest.mark.parametrize("modulus", [1.95, 1.985, 1.9885, 1.99, 1.998, 1.9989999999, 1.9999])
+    def test_zeta_near_the_edge_is_accurate_or_refused(self, inv, modulus):
+        # the Cauchy circle shrinks past |u| = 1.749 and stops at radius 1e-2,
+        # |u| = 1.989; at 1.9989999999 (radius 1e-10) zeta was 3.4e-8 off
+        u = modulus * cmath.exp(0.7j)
+        if modulus > 1.989:
+            with pytest.raises(DomainNotSupported):
+                weier_zeta(u, inv)
+            return
+        with mp.workdps(40):
+            zeta = complex(self._zeta_sigma(u, inv)[0])
+        assert abs(weier_zeta(u, inv) - zeta) <= 1e-13 * abs(zeta)
+
+    @settings(max_examples=15, deadline=None)
+    @given(exponent=st.floats(0.7, 30.0), large=st.sampled_from(("g2", "g3", "both")),
+           small=st.floats(0.0, 5.0), fraction=st.floats(0.02, 1.2),
+           phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3))
+    # sigma was 3.4e-5 off at (1024, 0), zeta 2.0e-9 at (324, 0), both at
+    # u = 1.5 e^(i pi/8), and (1e80, 0) overflowed at any u
+    @example(exponent=math.log10(1024.0), large="g2", small=0.0, fraction=2.84, phases=(0, 0, 0.39))
+    @example(exponent=math.log10(324.0), large="g2", small=0.0, fraction=2.13, phases=(0, 0, 0.39))
+    @example(exponent=80.0, large="g2", small=0.0, fraction=0.5, phases=(0, 0, 0.3))
+    def test_large_invariants_accurate_or_refused(self, exponent, large, small, fraction,
+                                                  phases):
+        # the disk of (g2, g3) is |u| <= 2r, r = min(1, (5/|g2|)^(1/4), (5/|g3|)^(1/6)):
+        # inside it, and on the way out, each value is within 1e-13 or refused
+        big = 10.0**exponent
+        g2 = (small if large == "g3" else big) * cmath.exp(1j * phases[0])
+        g3 = (small if large == "g2" else big**1.5) * cmath.exp(1j * phases[1])
+        inv = EllipticInvariants(g2, g3)
+        r = 1.0 / max(1.0, (abs(g2) / 5.0) ** 0.25, (abs(g3) / 5.0) ** (1.0 / 6.0))
+        u = 2.0 * r * fraction * cmath.exp(1j * phases[2])
+        with mp.workdps(40):
+            zeta, sigma = map(complex, self._zeta_sigma(u, inv))
+        for f, want, edge in ((weier_sigma, sigma, 1.0), (weier_zeta, zeta, 0.994)):
+            try:
+                got = f(u, inv)
+            except DomainNotSupported:
+                assert fraction > 0.999 * edge, (f, u)
+                continue
+            assert abs(got - want) <= 1e-13 * abs(want), (f, u, got, want)
 
     @pytest.mark.parametrize("z, alpha, inv", [
         # the integral_third_kind calls of the eval-mix benchmark at seeds 10,
