@@ -33,7 +33,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .registry import REGISTRY, RunConfig, RunRecord, run_identity, run_identity_at
+from .registry import REGISTRY, RunConfig, RunRecord, run_identity
 from .uniform import (
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
@@ -112,8 +112,8 @@ def _as_small_int(v: complex) -> int:
     return int(v.real)
 
 
-# the output mode a flag or a config line names -> RunConfig.output
-_OUTPUT_MODES = {"human": "human", "json": "json-lines", "json-lines": "json-lines"}
+# the output mode a flag or a config line names -> whether it is json-lines
+_OUTPUT_MODES = {"human": False, "json": True, "json-lines": True}
 
 
 # Built once per process; parsing leaves the parsers unchanged.  Returns the
@@ -154,7 +154,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, {"eval": p_eval, "verify": p_verify, "grid": p_grid}
 
 
-def _read_config_file(path: str, cfg: RunConfig) -> None:
+def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple], str]:
+    """The tolerances, grids and output mode a config file sets."""
+    tolerances, grids, output = {}, {}, "human"
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -166,29 +168,28 @@ def _read_config_file(path: str, cfg: RunConfig) -> None:
             key = key.strip()
             value = value.strip()
             if key.endswith(".tolerance"):
-                cfg.tolerances[key[: -len(".tolerance")]] = float(value)
+                tolerances[key[: -len(".tolerance")]] = float(value)
             elif key.startswith("grid."):
-                points = tuple(parse_complex(v) for v in value.split(",") if v.strip())
-                cfg.grids[key[len("grid."):]] = points
+                grids[key[len("grid."):]] = tuple(
+                    parse_complex(v) for v in value.split(",") if v.strip())
             elif key == "output":
-                cfg.output = _OUTPUT_MODES.get(value, value)  # RunConfig.validate refuses the rest
+                output = value
             else:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+    return tolerances, grids, output
 
 
-def _config_from_args(args, selected_ids: Sequence[str]) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        _read_config_file(args.config, cfg)
-    if args.output is not None:  # explicit flag beats the config file
-        cfg.output = _OUTPUT_MODES[args.output]
+def _config_from_args(args, selected_ids: Sequence[str]) -> tuple[RunConfig, bool]:
+    """The run's RunConfig, and whether its records are written as json-lines."""
+    tolerances, grids, output = (_read_config_file(args.config) if args.config
+                                 else ({}, {}, "human"))
     if args.tol is not None:
-        for name in selected_ids:
-            cfg.tolerances[name] = args.tol
-    cfg.m_filter = args.m
-    cfg.report_path = args.report
-    cfg.validate()
-    return cfg
+        tolerances.update(dict.fromkeys(selected_ids, args.tol))
+    cfg = RunConfig(tolerances, grids, args.m)
+    output = args.output or output  # explicit flag beats the config file
+    if output not in _OUTPUT_MODES:
+        raise DomainError(f"unknown output mode {output!r}")
+    return cfg, _OUTPUT_MODES[output]
 
 
 def _human_line(rec: RunRecord) -> str:
@@ -197,27 +198,26 @@ def _human_line(rec: RunRecord) -> str:
             f"residual={res:>10s} tol={rec.tolerance:.1e} {rec.status.upper()}")
 
 
-def _emit(records: list[RunRecord], cfg: RunConfig) -> None:
-    json_lines = cfg.output == "json-lines"
+def _report(records: list[RunRecord], json_lines: bool, report_path: str | None,
+            summary_to) -> int:
+    """Write the records to stdout (and the report file), then the summary
+    line to summary_to; return the exit code."""
     text = ("".join(f"{r.to_json_line()}\n" for r in records)
-            if json_lines or cfg.report_path else "")
+            if json_lines or report_path else "")
     if json_lines:
         sys.stdout.write(text)
     else:
         for rec in records:
             print(_human_line(rec))
-    if cfg.report_path:
-        with open(cfg.report_path, "w", encoding="utf-8") as fh:
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _summarize(records: list[RunRecord]) -> tuple[str, int]:
     counts = Counter(rec.status for rec in records)
     # Every record passes, fails or is skipped.  "0 informational" stays in
     # the line: benchmarks/workloads.py rebuilds this exact line to judge a sweep.
-    summary = (f"summary: {counts['pass']} passed, {counts['fail']} failed, "
-               f"0 informational, {counts['skipped']} skipped")
-    return summary, (1 if counts["fail"] else 0)
+    print(f"summary: {counts['pass']} passed, {counts['fail']} failed, "
+          f"0 informational, {counts['skipped']} skipped", file=summary_to)
+    return 1 if counts["fail"] else 0
 
 
 def _cmd_eval(args) -> int:
@@ -254,17 +254,12 @@ def _cmd_verify(args) -> int:
         print(f"unknown identities: {', '.join(unknown)}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        cfg = _config_from_args(args, ids)
+        cfg, json_lines = _config_from_args(args, ids)
     except (DomainError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    records: list[RunRecord] = []
-    for name in ids:
-        records.extend(run_identity(name, cfg))
-    _emit(records, cfg)
-    summary, code = _summarize(records)
-    print(summary)
-    return code
+    records = [rec for name in ids for rec in run_identity(name, cfg)]
+    return _report(records, json_lines, args.report, sys.stdout)
 
 
 def _cmd_grid(args) -> int:
@@ -280,24 +275,19 @@ def _cmd_grid(args) -> int:
         if len(parts) != 4 or not all(map(math.isfinite, parts)):
             raise ValueError("region needs four comma-separated finite reals")
         re0, re1, im0, im1 = parts
-        if args.steps < 1:
+        n = args.steps
+        if n < 1:
             raise ValueError("steps must be >= 1")
-        cfg = _config_from_args(args, [name])
-        cfg.output = "json-lines"  # grid sweeps are machine-readable by contract
+        cfg, _ = _config_from_args(args, [name])
+        fractions = [k / (n - 1) if n > 1 else 0.5 for k in range(n)]
+        points = tuple(complex(re0 + (re1 - re0) * fk, im0 + (im1 - im0) * fj)
+                       for fj in fractions for fk in fractions)
+        cfg = cfg._replace(grids={**cfg.grids, name: points})
     except (DomainError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    records: list[RunRecord] = []
-    n = args.steps
-    for j in range(n):
-        for k in range(n):
-            re = re0 + (re1 - re0) * (k / (n - 1) if n > 1 else 0.5)
-            im = im0 + (im1 - im0) * (j / (n - 1) if n > 1 else 0.5)
-            records.append(run_identity_at(name, complex(re, im), cfg))
-    _emit(records, cfg)
-    summary, code = _summarize(records)
-    print(summary, file=sys.stderr)
-    return code
+    # grid sweeps are machine-readable by contract
+    return _report(run_identity(name, cfg), True, args.report, sys.stderr)
 
 
 def _is_literal(text: str) -> bool:

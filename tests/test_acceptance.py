@@ -84,12 +84,15 @@ def test_criterion_06_round_trips():
 
 
 def test_criterion_07_covering_algebra():
-    records = _run_criterion(7, "cover cubic + factored form + k_pm",
-                             ["cover-cubic", "cover-factored"], 2.0)
-    cubic = [r for r in records if r.metadata.get("check") is None]
-    assert len(cubic) == 400  # 100 points per sign per form
-    kpm_rows = [r for r in records if "k_pm" in str(r.metadata.get("check"))]
-    assert kpm_rows and all(r.tolerance == 1e-14 for r in kpm_rows)
+    records = _run_criterion(7, "cover cubic + factored form + k_pm + branch point",
+                             ["cover-cubic", "cover-factored", "k-pm", "cover-branch-point"],
+                             2.0)
+    tolerances = {}
+    for r in records:
+        tolerances.setdefault(r.identity, []).append(r.tolerance)
+    assert len(tolerances["cover-cubic"]) == len(tolerances["cover-factored"]) == 200
+    assert tolerances["k-pm"] == [1e-14]
+    assert tolerances["cover-branch-point"] == [1e-10, 1e-10]  # one per sign
 
 
 def test_criterion_08_base_integral_family():

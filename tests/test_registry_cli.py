@@ -27,7 +27,6 @@ from abeltau.registry import (
     RunRecord,
     _jsonable,
     run_identity,
-    run_identity_at,
 )
 from abeltau.uniform import u_hyperelliptic
 
@@ -41,6 +40,12 @@ def _fresh_run(argv):
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
+def _run_at(name, *taus):
+    """The records of a tau-grid identity at the given points: its run with
+    the points as its grid."""
+    return run_identity(name, RunConfig(grids={name: taus}))
+
+
 EXPECTED_IDENTITIES = {
     "jacobi-quartic", "eta-shift", "sqrt-ratio",
     "schwarz-chi", "schwarz-z",
@@ -48,7 +53,7 @@ EXPECTED_IDENTITIES = {
     "wp-diffeq", "wp-roundtrip-lemn", "wp-roundtrip-equi",
     "u0-digits", "u0-wp-zero", "u0-fk-conventions",
     "eq6-oracle", "eq7-oracle", "eq12-oracle",
-    "cover-cubic", "cover-factored", "du-reduction",
+    "cover-cubic", "k-pm", "cover-factored", "cover-branch-point", "du-reduction",
     "U-derivative", "U-quadrature", "II-oracle", "III-oracle",
 }
 
@@ -70,21 +75,35 @@ class TestRegistry:
         rows = sum(len(run_identity(n, cfg)) for n in ("eq6-oracle", "eq7-oracle", "eq12-oracle"))
         assert rows >= 12
 
-    def test_config_validation(self):
-        cfg = RunConfig(tolerances={"no-such-identity": 1e-8})
+    @pytest.mark.parametrize("kwargs", [
+        {"tolerances": {"no-such-identity": 1e-8}}, {"tolerances": {"jacobi-quartic": -1.0}},
+        {"grids": {"no-such-identity": (1j,)}},
+        {"grids": {"u0-digits": (1j,)}},  # a table has no tau grid
+        {"grids": {"schwarz-chi": ()}},  # an empty grid verifies nothing
+        {"m_filter": 4},
+    ])
+    def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
-            cfg.validate()
-        cfg = RunConfig(tolerances={"jacobi-quartic": -1.0})
-        with pytest.raises(DomainError):
-            cfg.validate()
-        cfg = RunConfig(output="yaml")
-        with pytest.raises(DomainError):
-            cfg.validate()
-        cfg = RunConfig(grids={"u0-digits": (1j,)})  # a table has no tau grid
-        with pytest.raises(DomainError):
-            cfg.validate()
-        with pytest.raises(DomainError):
-            run_identity("u0-digits", cfg)
+            RunConfig(**kwargs)
+        with pytest.raises(DomainError):  # a replaced field is validated too
+            RunConfig()._replace(**kwargs)
+
+    def test_config_cannot_change_after_validation(self):
+        # an infinite tolerance set into a built config passed every record
+        tolerances = {"jacobi-quartic": 1e-8}
+        cfg = RunConfig(tolerances=tolerances)
+        tolerances["jacobi-quartic"] = math.inf
+        assert cfg.tolerances == {"jacobi-quartic": 1e-8}
+        with pytest.raises(TypeError):
+            cfg.tolerances["jacobi-quartic"] = math.inf
+        with pytest.raises(TypeError):
+            cfg.grids["jacobi-quartic"] = ()
+
+    def test_config_holds_only_run_options(self):
+        # the output mode and the report path belong to the command line
+        assert RunConfig._fields == ("tolerances", "grids", "m_filter")
+        with pytest.raises(TypeError):
+            RunConfig(output="yaml")
 
     def test_grid_override_and_skip(self):
         cfg = RunConfig(grids={"schwarz-u-lemn": (2j,)})
@@ -93,10 +112,10 @@ class TestRegistry:
 
     def test_u_derivative_skips_tau_outside_the_2f1_region(self):
         # theta2^4/theta3^4 = 0.994 at tau = 0.4i, where |w| = 0.461 > 0.45
-        rec = run_identity_at("U-derivative", 0.4j, RunConfig())
+        rec, inside = _run_at("U-derivative", 0.4j, 0.5j)
         assert rec.status == "skipped" and rec.residual is None
         assert "|w| > 0.45" in rec.metadata["reason"]
-        assert run_identity_at("U-derivative", 0.5j, RunConfig()).status == "pass"
+        assert inside.status == "pass"
 
     @pytest.mark.parametrize("tau", [1.2j, 1.5j, 0.05 + 1.7j, 250j])
     def test_u_derivative_as_from_the_public_functions(self, tau):
@@ -105,7 +124,7 @@ class TestRegistry:
         jet = _Jet(tau, 1.0)
         z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
         root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
-        rec = run_identity_at("U-derivative", tau, RunConfig())
+        (rec,) = _run_at("U-derivative", tau)
         for m in range(4):
             rhs = 1j * z**m * (z_prime / root)
             lhs = u_hyperelliptic(m, jet).derivatives()[1]
@@ -117,13 +136,9 @@ class TestRegistry:
         # ZeroDivisionError, and (theta3/theta2)^4 an OverflowError
         for name, entry in REGISTRY.items():
             if entry.tau_grid:
-                rec = run_identity_at(name, tau, RunConfig())
+                (rec,) = _run_at(name, tau)
                 assert rec.status in ("pass", "fail", "skipped"), rec
                 assert rec.status == "pass" or rec.residual is None, rec  # or refused
-
-    def test_point_runner_rejects_fixed_identities(self):
-        with pytest.raises(DomainError):
-            run_identity_at("u0-digits", 1j, RunConfig())
 
     def test_u0_fk_conventions_passes(self):
         # the elliptic-integral form lands on the rotated P-zero e^(i pi/3) u0
@@ -136,6 +151,8 @@ class TestRegistry:
         for name in REGISTRY:
             for rec in run_identity(name, cfg):
                 assert rec.status in ("pass", "fail", "skipped"), (name, rec)
+                # the entry's tolerance judges every one of its records
+                assert rec.tolerance == REGISTRY[name].tolerance, (name, rec)
 
 
 class TestRunRecord:
@@ -144,7 +161,7 @@ class TestRunRecord:
     @staticmethod
     def _statuses(monkeypatch, residuals):
         entry = IdentityEntry("stub", "residuals as given", 0.5,
-                              lambda r, cfg, tol: (0j, r, tol, {}), tuple(residuals))
+                              lambda r, cfg: (0j, r, {}), tuple(residuals))
         monkeypatch.setitem(REGISTRY, entry.name, entry)
         return [r.status for r in run_identity(entry.name, RunConfig())]
 
@@ -160,10 +177,10 @@ class TestRunRecord:
         raising = {entry.samples[0]: DomainNotSupported("outside"),
                    entry.samples[1]: AccuracyError("budget spent")}
 
-        def check(spec, cfg, tol):
+        def check(spec, cfg):
             if spec in raising:
                 raise raising[spec]
-            return entry.check(spec, cfg, tol)
+            return entry.check(spec, cfg)
 
         monkeypatch.setitem(REGISTRY, entry.name, entry._replace(check=check))
         recs = run_identity(entry.name, RunConfig())
@@ -205,12 +222,12 @@ class TestConcurrency:
         # reproduce the sequential records exactly
         from concurrent.futures import ThreadPoolExecutor
 
-        cfg = RunConfig()
         grid = REGISTRY["schwarz-chi"].samples
-        sequential = [run_identity_at("schwarz-chi", t, cfg) for t in grid]
+        sequential = [_run_at("schwarz-chi", t) for t in grid]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda t: run_identity_at("schwarz-chi", t, cfg), grid))
-        for a, b in zip(sequential, threaded):
+            threaded = list(pool.map(lambda t: _run_at("schwarz-chi", t), grid))
+        assert len(threaded) == len(sequential) == len(grid)
+        for (a,), (b,) in zip(sequential, threaded):
             assert a.residual == b.residual and a.point == b.point
 
 
@@ -408,6 +425,11 @@ class TestVerify:
         assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 2
         cfg.write_text("grid.u0-digits = 1i\n")
         assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
+        # an empty grid verified nothing and exited 0
+        cfg.write_text("grid.schwarz-chi =\n")
+        assert main(["verify", "schwarz-chi", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith("config error: grid override of "
+                                                "'schwarz-chi' has no points\n")
 
     def test_output_mode_from_the_config_file_as_from_the_flag(self, tmp_path, capsys):
         # the config value json once exited 2 while the flag took it
@@ -423,9 +445,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_tolerance_override_judges_every_row(self, tmp_path, capsys, source):
-        # the k_pm row and the two branch-point rows carry their own tolerance
-        # only without an override
-        ids = ["cover-cubic", "cover-factored"]
+        # an override replaces the tolerance of every record of the
+        # identities it names; without one, each record has its entry's
+        ids = ["cover-cubic", "k-pm", "cover-factored", "cover-branch-point"]
         argv = ["verify", *ids, "--output", "json"]
         if source == "flag":
             argv += ["--tol", "1e-30"]
@@ -438,8 +460,10 @@ class TestVerify:
         assert {rec["identity"] for rec in records} == set(ids)
         assert {rec["tolerance"] for rec in records} == {1e-30}
         assert main(["verify", *ids, "--output", "json"]) == 0
-        own = {json.loads(line)["tolerance"] for line in capsys.readouterr().out.splitlines()[:-1]}
-        assert own == {1e-9, 1e-10, 1e-14}
+        own = {(rec["identity"], rec["tolerance"])
+               for rec in map(json.loads, capsys.readouterr().out.splitlines()[:-1])}
+        assert own == {("cover-cubic", 1e-9), ("k-pm", 1e-14), ("cover-factored", 1e-9),
+                       ("cover-branch-point", 1e-10)}
 
     def test_numerical_settings_are_not_options(self, tmp_path, capsys):
         # the derivatives come from Taylor jets, which have no setting to report
@@ -474,12 +498,27 @@ class TestGrid:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_RECTS))
     def test_benchmark_rectangles_never_fail(self, name):
         re0, re1, im0, im1 = BENCHMARK_RECTS[name]
-        cfg = RunConfig()
-        for j in range(5):
-            for k in range(5):
-                tau = complex(re0 + (re1 - re0) * k / 4, im0 + (im1 - im0) * j / 4)
-                rec = run_identity_at(name, tau, cfg)
-                assert rec.status != "fail", rec
+        taus = [complex(re0 + (re1 - re0) * k / 4, im0 + (im1 - im0) * j / 4)
+                for j in range(5) for k in range(5)]
+        records = _run_at(name, *taus)
+        assert len(records) == 25
+        for rec in records:
+            assert rec.status != "fail", rec
+
+    @pytest.mark.parametrize("name, region", [("schwarz-chi", "-0.1,0.1,1.1,1.3"),
+                                              ("U-derivative", "-0.05,0.05,1.2,1.8")])
+    def test_grid_is_verify_on_the_generated_points(self, tmp_path, capsys, name, region):
+        # one run path: a grid sweep writes the records verify writes for
+        # the same points given as a grid.<id> config line
+        assert main(["grid", name, "--region", region, "--steps", "3"]) == 0
+        grid_out = capsys.readouterr().out.splitlines()
+        points = [complex(*json.loads(line)["point"]) for line in grid_out]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid.{name} = "
+                       + ", ".join(f"{p.real!r}+{p.imag!r}i" for p in points) + "\n")
+        assert main(["verify", name, "--config", str(cfg), "--output", "json"]) == 0
+        verify_out = capsys.readouterr().out.splitlines()
+        assert len(grid_out) == 9 and verify_out[:-1] == grid_out
 
     def test_schwarz_chi_rectangle(self, capsys):
         assert main(["grid", "schwarz-chi", "--region", "-0.2,0.2,1.0,1.4",
