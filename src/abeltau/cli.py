@@ -112,10 +112,6 @@ def _as_small_int(v: complex) -> int:
     return int(v.real)
 
 
-# the output mode a flag or a config line names -> whether it is json-lines
-_OUTPUT_MODES = {"human": False, "json": True, "json-lines": True}
-
-
 # Built once per process; parsing leaves the parsers unchanged.  Returns the
 # top-level parser and the subparser of each command, so that main can hand
 # a command's arguments straight to its own parser.
@@ -134,16 +130,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     def add_run_flags(p):
         p.add_argument("--tol", type=float, default=None,
                        help="tolerance override for the selected identities")
-        p.add_argument("--output", choices=tuple(_OUTPUT_MODES), default=None)
         p.add_argument("--report", default=None, metavar="PATH",
                        help="also write the json-lines stream to PATH")
         p.add_argument("--config", default=None, metavar="PATH",
                        help="flat key-value config file")
-        p.add_argument("--m", type=int, default=None,
-                       help="restrict U-derivative checks to one m in 0..3")
 
     p_verify = sub.add_parser("verify", help="run named identities (or all)")
     p_verify.add_argument("ids", nargs="*", default=[])
+    p_verify.add_argument("--output", choices=("human", "json"), default="human")
     add_run_flags(p_verify)
 
     p_grid = sub.add_parser("grid", help="sweep one identity over a tau rectangle")
@@ -154,9 +148,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, {"eval": p_eval, "verify": p_verify, "grid": p_grid}
 
 
-def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple], str]:
-    """The tolerances, grids and output mode a config file sets."""
-    tolerances, grids, output = {}, {}, "human"
+def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple]]:
+    """The tolerances and grids a config file sets."""
+    tolerances, grids = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -172,24 +166,16 @@ def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple], st
             elif key.startswith("grid."):
                 grids[key[len("grid."):]] = tuple(
                     parse_complex(v) for v in value.split(",") if v.strip())
-            elif key == "output":
-                output = value
             else:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-    return tolerances, grids, output
+    return tolerances, grids
 
 
-def _config_from_args(args, selected_ids: Sequence[str]) -> tuple[RunConfig, bool]:
-    """The run's RunConfig, and whether its records are written as json-lines."""
-    tolerances, grids, output = (_read_config_file(args.config) if args.config
-                                 else ({}, {}, "human"))
+def _config_from_args(args, selected_ids: Sequence[str]) -> RunConfig:
+    tolerances, grids = _read_config_file(args.config) if args.config else ({}, {})
     if args.tol is not None:
         tolerances.update(dict.fromkeys(selected_ids, args.tol))
-    cfg = RunConfig(tolerances, grids, args.m)
-    output = args.output or output  # explicit flag beats the config file
-    if output not in _OUTPUT_MODES:
-        raise DomainError(f"unknown output mode {output!r}")
-    return cfg, _OUTPUT_MODES[output]
+    return RunConfig(tolerances, grids)
 
 
 def _human_line(rec: RunRecord) -> str:
@@ -254,12 +240,12 @@ def _cmd_verify(args) -> int:
         print(f"unknown identities: {', '.join(unknown)}", file=sys.stderr)
         return USAGE_EXIT
     try:
-        cfg, json_lines = _config_from_args(args, ids)
+        cfg = _config_from_args(args, ids)
     except (DomainError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     records = [rec for name in ids for rec in run_identity(name, cfg)]
-    return _report(records, json_lines, args.report, sys.stdout)
+    return _report(records, args.output == "json", args.report, sys.stdout)
 
 
 def _cmd_grid(args) -> int:
@@ -278,7 +264,7 @@ def _cmd_grid(args) -> int:
         n = args.steps
         if n < 1:
             raise ValueError("steps must be >= 1")
-        cfg, _ = _config_from_args(args, [name])
+        cfg = _config_from_args(args, [name])
         fractions = [k / (n - 1) if n > 1 else 0.5 for k in range(n)]
         points = tuple(complex(re0 + (re1 - re0) * fk, im0 + (im1 - im0) * fj)
                        for fj in fractions for fk in fractions)

@@ -3,9 +3,9 @@ at every sample of a tau grid or of a fixed table.
 
 The registry is the coverage map of the verification suite: `verify`, `grid`
 (a run on a generated tau grid) and the acceptance tests run it.  A check
-measures a point, a residual and metadata; the run judges the residual
-against the entry's tolerance or its override.  A record passes, fails, or
-is skipped where a uniformizer's 2F1 is refused.
+takes its sample alone and measures a point, a residual and metadata; the
+run judges the residual against the entry's tolerance or its override.  A
+record passes, fails, or is skipped where a uniformizer's 2F1 is refused.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ __all__ = [
     "RunRecord",
     "IdentityEntry",
     "REGISTRY",
-    "identity_names",
     "run_identity",
 ]
 
@@ -84,18 +83,16 @@ __all__ = [
 U0_IM_DIGITS = 1.402182105325
 
 
-class RunConfig(_value_type("RunConfig", "tolerances grids m_filter", defaults=(None,) * 3)):
+class RunConfig(_value_type("RunConfig", "tolerances grids", defaults=(None,) * 2)):
     """Options shared by every registry run: tolerance overrides and tau
-    grids by identity name, and the one m the U-derivative check keeps
-    (None for all four).  An override names a registered identity, a
+    grids by identity name.  An override names a registered identity, a
     tolerance is positive and finite, and a grid holds at least one point
     of an identity with a tau grid; both mappings are read-only copies."""
 
     __slots__ = ()
 
     def __new__(cls, tolerances: Mapping[str, float] | None = None,
-                grids: Mapping[str, tuple[complex, ...]] | None = None,
-                m_filter: int | None = None):
+                grids: Mapping[str, tuple[complex, ...]] | None = None):
         tolerances, grids = dict(tolerances or {}), dict(grids or {})
         for key in (*tolerances, *grids):
             if key not in REGISTRY:
@@ -108,9 +105,7 @@ class RunConfig(_value_type("RunConfig", "tolerances grids m_filter", defaults=(
         for v in tolerances.values():
             if not 0 < v < math.inf:  # an infinite tolerance would pass every record
                 raise DomainError("tolerance overrides must be positive and finite")
-        if m_filter is not None and m_filter not in (0, 1, 2, 3):
-            raise DomainError("m filter must be in 0..3")
-        return super().__new__(cls, MappingProxyType(tolerances), MappingProxyType(grids), m_filter)
+        return super().__new__(cls, MappingProxyType(tolerances), MappingProxyType(grids))
 
 
 class RunRecord(_value_type("RunRecord", "identity point residual tolerance status metadata")):
@@ -162,10 +157,10 @@ def _jsonable(v):
 class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check samples tau_grid",
                                 defaults=(False,))):
     """An identity as a check run at each of its samples,
-    check(sample, cfg) -> (point, residual, metadata), judged against the
-    tolerance.  The samples of a tau-grid identity are tau points, which
-    RunConfig.grids may replace; those of any other identity are the rows
-    of a fixed table."""
+    check(sample) -> (point, residual, metadata), judged against the
+    tolerance or its RunConfig override.  The samples of a tau-grid identity
+    are tau points, which RunConfig.grids may replace; those of any other
+    identity are the rows of a fixed table."""
 
     __slots__ = ()
 
@@ -173,24 +168,24 @@ class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check s
 # --------------------------------------------------------------------------
 # tau-grid checks
 
-def _check_jacobi_quartic(tau, cfg):
+def _check_jacobi_quartic(tau):
     t2, t3, t4 = theta2(tau) ** 4, theta3(tau) ** 4, theta4(tau) ** 4
     return tau, abs(t2 + t4 - t3) / abs(t3), {}
 
 
-def _check_eta_shift(tau, cfg):
+def _check_eta_shift(tau):
     base = dedekind_eta(tau)
     residual = abs(dedekind_eta(tau + 1.0) - cmath.exp(1j * math.pi / 12.0) * base) / abs(base)
     return tau, residual, {}
 
 
-def _check_sqrt_ratio(tau, cfg):
+def _check_sqrt_ratio(tau):
     target = hauptmodul_hyperelliptic(tau)
     return tau, abs(sqrt_theta_ratio(tau) ** 2 - target) / abs(target), {}
 
 
 def _schwarz_point_check(q, candidate):
-    def check(tau, cfg):
+    def check(tau):
         return tau, schwarz_residual(q, candidate, tau), {}
     return check
 
@@ -199,7 +194,7 @@ _Q_LEMN = eq5_equation(LEMNISCATIC)
 _Q_EQUI = eq5_equation(EQUIANHARMONIC)
 
 
-def _check_u_derivative(tau, cfg):
+def _check_u_derivative(tau):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio, s = sqrt(2) theta2(tau)/theta2(tau/2):
     1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every U(m, .), z and s come from one
@@ -207,18 +202,17 @@ def _check_u_derivative(tau, cfg):
     where the 2F1 of U refuses a jet is skipped, and a right side that
     underflows fails."""
     thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
-    ms = (cfg.m_filter,) if cfg.m_filter is not None else (0, 1, 2, 3)
-    us = _u_hyperelliptic(ms, thetas)
+    us = _u_hyperelliptic((0, 1, 2, 3), thetas)
     r, s = thetas
     z, z_prime = r.derivatives()[:2]
     root = s.derivatives()[0] * cmath.sqrt(1.0 - z**4)
     per_m = {}
-    for m in ms:
+    for m, u in us.items():
         rhs = 1j * z**m * (z_prime / root)  # z^m z' alone underflows far up the half-plane
         size = abs(rhs)
         if size < sys.float_info.min:
             raise AccuracyError(f"z^{m} z'/sqrt(z^5 - z) underflows at tau = {tau!r}")
-        per_m[f"m{m}"] = abs(us[m].derivatives()[1] - rhs) / size
+        per_m[f"m{m}"] = abs(u.derivatives()[1] - rhs) / size
     return tau, max(per_m.values()), {"branch": "sqrt_theta_ratio", **per_m}
 
 
@@ -236,7 +230,7 @@ def _wp_diffeq_rows():
     return tuple(rows)
 
 
-def _check_wp_diffeq(row, cfg):
+def _check_wp_diffeq(row):
     u, inv = row
     p = wp(u, inv)
     pp = wp_prime(u, inv)
@@ -249,24 +243,24 @@ _ROUNDTRIP_EQUI = (2, 3, 4, 10, 2j, 5j, -2 + 2j, 3 - 2j, 1.2 + 1.2j, 1.5)
 
 
 def _roundtrip_check(inverse, inv):
-    def check(x, cfg):
+    def check(x):
         u = inverse(complex(x))
         return x, abs(wp(u, inv) - x), {"u": u, "invariants": inv.as_tuple}
     return check
 
 
-def _check_u0_digits(_, cfg):
+def _check_u0_digits(_):
     u0 = u0_constant()
     residual = max(abs(u0.imag - U0_IM_DIGITS), abs(u0.real))
     return u0, residual, {"real_part_exact_zero": u0.real == 0.0}
 
 
-def _check_u0_wp_zero(_, cfg):
+def _check_u0_wp_zero(_):
     u0 = u0_constant()
     return u0, abs(wp(u0, EQUIANHARMONIC)), {}
 
 
-def _check_u0_fk(_, cfg):
+def _check_u0_fk(_):
     """i/(2 3^(1/4)) F(3^(1/4)(sqrt3 - 1), sin 75) - 3^(-1/4) K(sin 15), F and K
     taking the modulus, is the rotated P-zero e^(i pi/3) u0: by homogeneity
     (DLMF 23.10.17) P(lambda z; lambda^-4 g2, lambda^-6 g3) = lambda^-2 P(z; g2, g3),
@@ -302,7 +296,7 @@ _EQ12_ROWS = (
 )
 
 
-def _check_integral_row(spec, cfg):
+def _check_integral_row(spec):
     value = incomplete_integral_2f1(spec)
     oracle = oracle_incomplete_integral(spec, tol=1e-10)
     residual = abs(value - oracle) / (1.0 + abs(value))
@@ -329,12 +323,12 @@ def _curve_rows(sign, count, seed):
     return tuple(rows)
 
 
-def _check_k_pm(row, cfg):
+def _check_k_pm(row):
     kp, km = k_pm(*row)
     return row[0], max(abs(kp - _KP_EXPECT), abs(km - _KM_EXPECT)), {}
 
 
-def _check_cover_cubic(row, cfg):
+def _check_cover_cubic(row):
     x, y, sign = row
     inv = _COVER.quotient_invariants(sign)
     P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
@@ -342,14 +336,14 @@ def _check_cover_cubic(row, cfg):
     return x, residual, {"sign": sign, "invariants": inv.as_tuple}
 
 
-def _check_cover_factored(row, cfg):
+def _check_cover_factored(row):
     x, y, sign = row
     e1, e2, e3 = _COVER.branch(sign)[2]
     P, Pp = covering_map(CurvePoint(x, y, sign), _COVER)
     return x, abs(Pp * Pp - 4.0 * (P - e1) * (P - e2) * (P - e3)), {"sign": sign}
 
 
-def _check_cover_branch_point(row, cfg):
+def _check_cover_branch_point(row):
     """The branch point x = 0 maps to the 2-torsion value e1 = -(k+1)/3."""
     x, y, sign = row
     e1 = _COVER.branch(sign)[2][0]
@@ -360,7 +354,7 @@ def _check_cover_branch_point(row, cfg):
 _ARCS = ((1.8 + 0.4j, 0.12 * cmath.exp(0.3j), 1), (1.6 - 0.5j, 0.12 * cmath.exp(-0.2j), -1))
 
 
-def _check_du_reduction(row, cfg):
+def _check_du_reduction(row):
     """Quadrature of du/dx along a short arc against the increment of u from
     inverting P on the quotient curve, u = +-R_F(P - e1, P - e2, P - e3)
     (DLMF 19.25(vi)), the sign the one whose P' is the cover's."""
@@ -383,7 +377,7 @@ def _check_du_reduction(row, cfg):
     return x0, residual, {"sign": sign, "arc": dx, "delta_u": delta_u}
 
 
-def _check_u_quadrature(row, cfg):
+def _check_u_quadrature(row):
     tau, m = row
     z = hauptmodul_hyperelliptic(tau)
     value = u_hyperelliptic(m, tau)
@@ -408,7 +402,7 @@ def _branch_sign(inv, z1) -> float:
 _II_SAMPLES = ((3.0, 5.0, LEMNISCATIC), (2.5, 4.0, EQUIANHARMONIC))
 
 
-def _check_ii_oracle(row, cfg):
+def _check_ii_oracle(row):
     z1, z2, inv = row
     s = _branch_sign(inv, complex(z1))
     quad = contour_quadrature(lambda z: z / (s * _curve_w(inv, z)), [z1, z2], 1e-11)
@@ -421,7 +415,7 @@ def _check_ii_oracle(row, cfg):
 _III_SAMPLES = ((3.0, 3.8, 0.5, LEMNISCATIC), (2.0, 2.5, 0.6, EQUIANHARMONIC))
 
 
-def _check_iii_oracle(row, cfg):
+def _check_iii_oracle(row):
     z1, z2, alpha, inv = row
     pa = wp(alpha, inv)
     ppa = wp_prime(alpha, inv)
@@ -510,10 +504,6 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
 )}
 
 
-def identity_names() -> tuple[str, ...]:
-    return tuple(REGISTRY)
-
-
 def _sample_point(sample) -> complex:
     """Where a sample whose check raised is reported: the sample itself, the
     first item of a table row, or an integral spec's z; else 0j."""
@@ -529,7 +519,7 @@ def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
     residual that is not a finite nonnegative real fails."""
     tol = cfg.tolerances.get(entry.name, entry.tolerance)
     try:
-        point, residual, meta = entry.check(sample, cfg)
+        point, residual, meta = entry.check(sample)
     except DomainNotSupported as exc:
         return RunRecord(entry.name, _sample_point(sample), None, tol, "skipped",
                          {"reason": str(exc)})

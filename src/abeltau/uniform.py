@@ -42,9 +42,11 @@ __all__ = [
     "k_pm",
 ]
 
-# Each u_* function sums its 2F1 where hypergeom._f21_w says, and is refused
-# where it refuses.  It keeps 0.01 from the cut x in [1, inf) of the
-# 2F1 argument x, so no value is taken on either side of it.
+# Each u_* function sums its 2F1 where hypergeom._f21_w puts w in its disk.
+# Past it a jet is refused, and a number goes to gauss_2f1, which sums it by
+# the Pfaff transformation where |x/(x-1)| <= 0.95 and refuses it elsewhere.
+# Either way no value is taken within 0.01 of the cut x in [1, inf) of the
+# 2F1 argument x, so none is taken on either side of it.
 
 # The right-hand sides Q of the bracket equations [x, tau] = Q(x).  The
 # rational ones are evaluated in Horner form; each raises PoleError at its

@@ -175,7 +175,13 @@ def _wp_pair(u: complex, inv: EllipticInvariants) -> tuple[complex, complex]:
 
 
 def wp(u: complex, inv) -> complex:
-    """Weierstrass P(u; g2, g3)."""
+    """Weierstrass P(u; g2, g3).
+
+    Its error relative to max(1, |P|) grows as the lattice elongates, where
+    two roots of 4x^3 - g2 x - g3 nearly coincide and _cubic_roots loses
+    digits: over 1000 u with |u| < 8, against 40 digits, 2e-15 on the lattice
+    Z + iZ (|j| = 1.7e3), 6e-14 at |j| = 1.2e4, 9e-12 at 1e6 and 2e-11 from
+    1.9e6 up to the refusal near 3.5e6."""
     return _wp_pair(u, _invariants(inv))[0]
 
 

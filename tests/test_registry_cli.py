@@ -80,7 +80,6 @@ class TestRegistry:
         {"grids": {"no-such-identity": (1j,)}},
         {"grids": {"u0-digits": (1j,)}},  # a table has no tau grid
         {"grids": {"schwarz-chi": ()}},  # an empty grid verifies nothing
-        {"m_filter": 4},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -101,9 +100,17 @@ class TestRegistry:
 
     def test_config_holds_only_run_options(self):
         # the output mode and the report path belong to the command line
-        assert RunConfig._fields == ("tolerances", "grids", "m_filter")
-        with pytest.raises(TypeError):
-            RunConfig(output="yaml")
+        assert RunConfig._fields == ("tolerances", "grids")
+        for removed in ("output", "m_filter"):
+            with pytest.raises(TypeError):
+                RunConfig(**{removed: 0})
+
+    def test_every_check_takes_its_sample_alone(self):
+        for name, entry in REGISTRY.items():
+            point, residual, metadata = entry.check(entry.samples[0])
+            assert isinstance(point, (int, float, complex)), name
+            assert 0.0 <= residual <= entry.tolerance, name
+            assert isinstance(metadata, dict), name
 
     def test_grid_override_and_skip(self):
         cfg = RunConfig(grids={"schwarz-u-lemn": (2j,)})
@@ -161,7 +168,7 @@ class TestRunRecord:
     @staticmethod
     def _statuses(monkeypatch, residuals):
         entry = IdentityEntry("stub", "residuals as given", 0.5,
-                              lambda r, cfg: (0j, r, {}), tuple(residuals))
+                              lambda r: (0j, r, {}), tuple(residuals))
         monkeypatch.setitem(REGISTRY, entry.name, entry)
         return [r.status for r in run_identity(entry.name, RunConfig())]
 
@@ -177,10 +184,10 @@ class TestRunRecord:
         raising = {entry.samples[0]: DomainNotSupported("outside"),
                    entry.samples[1]: AccuracyError("budget spent")}
 
-        def check(spec, cfg):
+        def check(spec):
             if spec in raising:
                 raise raising[spec]
-            return entry.check(spec, cfg)
+            return entry.check(spec)
 
         monkeypatch.setitem(REGISTRY, entry.name, entry._replace(check=check))
         recs = run_identity(entry.name, RunConfig())
@@ -431,17 +438,20 @@ class TestVerify:
         assert capsys.readouterr().err.endswith("config error: grid override of "
                                                 "'schwarz-chi' has no points\n")
 
-    def test_output_mode_from_the_config_file_as_from_the_flag(self, tmp_path, capsys):
-        # the config value json once exited 2 while the flag took it
-        assert main(["verify", "u0-digits", "--output", "json"]) == 0
-        flag = capsys.readouterr().out
+    def test_removed_run_options_exit_2(self, tmp_path, capsys):
+        # --output on verify is the one way to set the output mode; U-derivative
+        # always certifies every m
         cfg = tmp_path / "run.cfg"
         cfg.write_text("output = json\n")
-        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 0
-        assert capsys.readouterr().out == flag
-        cfg.write_text("output = xml\n")
-        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error")
+        runs = (["grid", "U-derivative", "--region", "0,0,1.2,1.2", "--steps", "1", "--m", "1"],
+                ["verify", "u0-digits", "--output", "json-lines"],
+                ["verify", "u0-digits", "--config", str(cfg)],
+                ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1",
+                 "--output", "json"])
+        for argv in runs:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err, argv
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_tolerance_override_judges_every_row(self, tmp_path, capsys, source):
@@ -536,25 +546,16 @@ class TestGrid:
         assert all(r["status"] == "skipped" for r in records)
         assert all(r["residual"] is None for r in records)
 
-    def test_u_derivative_with_m(self, capsys):
+    def test_u_derivative_records_every_m(self, capsys):
+        # each record keeps the residual of every m; the worst one is judged
         assert main(["grid", "U-derivative", "--region", "-0.05,0.05,1.2,1.8",
-                     "--steps", "4", "--m", "1"]) == 0
+                     "--steps", "4"]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert len(records) == 16
-        assert all(r["residual"] < 1e-6 for r in records)
-        assert all("m1" in r["metadata"] for r in records)
-
-    def test_u_derivative_m3_matches_all_m(self, capsys):
-        # --m 3 takes U(3, .) from the same chain of jets as the all-m check
-        region = ["--region", "-0.05,0.05,1.2,1.8", "--steps", "3"]
-        assert main(["grid", "U-derivative", *region, "--m", "3"]) == 0
-        only = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert main(["grid", "U-derivative", *region]) == 0
-        every = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert len(only) == len(every) == 9
-        for one, all_m in zip(only, every):
-            assert one["metadata"]["m3"] == all_m["metadata"]["m3"]
-            assert list(one["metadata"]) == ["branch", "m3"]
+        for rec in records:
+            meta = rec["metadata"]
+            assert list(meta) == ["branch", "m0", "m1", "m2", "m3"]
+            assert rec["residual"] == max(meta[f"m{m}"] for m in range(4)) < 1e-6
 
     def test_large_im_tau_gives_records(self, capsys):
         # at 250i z^3 z' underflows; this printed a ZeroDivisionError traceback

@@ -68,6 +68,17 @@ def _rf_inverse(z, inv):
     return _carlson_rf(z - e1, z - e2, z - e3)
 
 
+def _lattice_invariants(tau):
+    """(g2, g3) of the period lattice Z + tau Z, rounded from 40 digits: the
+    Eisenstein series E4 and E6 in q = e^(2 pi i tau), Im tau >= 1."""
+    with mp.workdps(40):
+        q = mp.exp(2j * mp.pi * mp.mpc(tau))
+        e4 = 1 + 240 * mp.fsum(k**3 * q**k / (1 - q**k) for k in range(1, 40))
+        e6 = 1 - 504 * mp.fsum(k**5 * q**k / (1 - q**k) for k in range(1, 40))
+        return EllipticInvariants(complex(4 * mp.pi**4 / 3 * e4),
+                                  complex(8 * mp.pi**6 / 27 * e6))
+
+
 def _off_lattice(d, inv):
     """Distance from d to the nearest point of the period lattice 2(Z a + Z b)."""
     a, b = _lattice(inv.g2, inv.g3)[:2]
@@ -221,12 +232,29 @@ class TestWpLattice:
 
     def test_elongated_lattice_refused(self):
         # tau = 1/2 + 2.45i: |j| = 4.7e6, past what 64 Laurent terms certify
-        q = cmath.exp(2j * math.pi * (0.5 + 2.45j))
-        e4 = 1 + 240 * sum(k**3 * q**k / (1 - q**k) for k in range(1, 40))
-        e6 = 1 - 504 * sum(k**5 * q**k / (1 - q**k) for k in range(1, 40))
-        inv = EllipticInvariants(4 * math.pi**4 / 3 * e4, 8 * math.pi**6 / 27 * e6)
         with pytest.raises(DomainNotSupported):
-            wp(0.3, inv)
+            wp(0.3, _lattice_invariants(0.5 + 2.45j))
+
+    # Twice the worst error of P over these 40 u, relative to max(1, |P|), at
+    # tau of growing |j| up to near the refusal.  Two roots of 4x^3 - g2 x - g3
+    # nearly coincide there, and _cubic_roots loses digits that P inherits:
+    # with correctly rounded roots the same u stay within 5e-14.  The bounds
+    # pin that loss so that it cannot grow unseen.
+    @pytest.mark.parametrize("tau, bound", [
+        (1j, 5.8e-16),  # |j| = 1.7e3
+        (0.5 + 1.5j, 2.3e-14),  # 1.2e4
+        (0.5 + 2.2j, 1.9e-12),  # 1.0e6
+        (0.3 + 2.3j, 8.5e-12),  # 1.9e6
+        (0.5 + 2.39j, 2.3e-11),  # 3.3e6
+    ])
+    def test_accuracy_envelope_toward_the_refusal(self, tau, bound):
+        inv = _lattice_invariants(tau)
+        rng = random.Random(1)
+        us = [rng.uniform(0.0, 8.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+              for _ in range(40)]
+        refs = [_wp_mp(u, inv)[0] for u in us]
+        worst = max(abs(wp(u, inv) - ref) / max(1.0, abs(ref)) for u, ref in zip(us, refs))
+        assert worst <= bound
 
 
 class TestWpInverses:
