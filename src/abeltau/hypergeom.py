@@ -429,7 +429,9 @@ def gamma_fn(z: complex) -> complex:
     """Gamma(z) by the Lanczos series, for Re(z) < 1/2 by the reflection
     pi / (sin(pi z) Gamma(1 - z)) in logs: Gamma(0.2 + 300i) and the subnormal
     Gamma(-171.5) are finite although the sine or Gamma(1 - z) overflows.
-    Gamma past the float range, or below 2^-1031, is an AccuracyError."""
+    Gamma past the float range, or below 2^-1031, is an AccuracyError, and so
+    is a z whose pi z or power t^(z-1/2) leaves it (sin(pi z) at
+    Re(z) = -9.2e307, t^(z-1/2) at Im(z) = -6.9e307)."""
     z = _finite(z, "gamma_fn")
     if _is_nonpositive_integer(z):
         raise DomainError(f"gamma_fn pole at {z!r}")
@@ -451,6 +453,8 @@ def gamma_fn(z: complex) -> complex:
             g = math.sqrt(2.0 * math.pi) * x * p * (p * cmath.exp(-t))
     except OverflowError:
         raise AccuracyError(f"gamma_fn({z!r}) overflows") from None
+    except (ValueError, ZeroDivisionError):  # sin or a power of an argument past the float range
+        raise AccuracyError(f"gamma_fn({z!r}) leaves the float range") from None
     if abs(g) < 2.0**-1031:  # a subnormal below this keeps fewer than 43 bits
         raise AccuracyError(f"gamma_fn({z!r}) underflows")
     return ensure_finite(g, "gamma_fn")

@@ -10,7 +10,15 @@ are O(1), and theta3(1 + 0.0101i) is 9e17 relative off.  Modular reduction
 with a conditioning guard (ROADMAP item 2) is the open fix.  Far up the
 half-plane theta2 and eta leave the normal float range (theta2 from
 Im(tau) = 903 on, eta from 2706 on) and raise AccuracyError; the
-equianharmonic Hauptmodul, a quotient with their prefactors taken out, does not.
+equianharmonic Hauptmodul, a quotient with their prefactors taken out, does
+not, and is 1 to the last bit once exp(2 pi i tau) underflows.
+
+Every q-series quantity formed here has period 48 in tau (theta2: 8,
+theta2(tau/2): 16, eta: 24, theta3 and theta4: 2, exp(2 pi i tau): 1), so a
+tau with |Re(tau)| > 24 is first folded into [-24, 24] by an exact fmod.  Far
+out on the real axis the exponents lam_k tau would otherwise lose the digits
+of Re(tau) mod 2: unfolded, theta3 was 6e-6 relative off at Re(tau) = 1e12
+and wrong outright at 1e300.
 """
 
 from __future__ import annotations
@@ -41,14 +49,27 @@ MIN_IM_TAU = 1e-2
 _PI_I = 1j * math.pi
 
 
+_PERIOD = 48.0  # of every q-series quantity the package forms (module docstring)
+_HALF_PERIOD = 0.5 * _PERIOD
+
+
 def _tau_value(tau):
-    """tau as a complex number, or a jet in tau unchanged; its value checked."""
+    """tau as a complex number, or a jet in tau, its value checked and its
+    real part folded into [-24, 24] (a jet's c0 alone moves).  fmod is exact,
+    and so is the shift by 48 of a remainder past 24 (Sterbenz), so every
+    tau with |Re(tau)| <= 24 comes back unchanged."""
     jet = isinstance(tau, _Jet)
     t = tau.c[0] if jet else complex(tau)
     if not (cmath.isfinite(t) and t.imag > 0):
         raise DomainError(f"tau must be finite and in the upper half-plane, got {t!r}")
     if t.imag < MIN_IM_TAU:
         raise AccuracyError(f"Im(tau) = {t.imag:g} < {MIN_IM_TAU:g}: the q-series would lose digits")
+    if abs(t.real) > _HALF_PERIOD:
+        x = math.fmod(t.real, _PERIOD)
+        if abs(x) > _HALF_PERIOD:
+            x -= math.copysign(_PERIOD, x)
+        t = complex(x, t.imag)
+        return _Jet(t, *tau.c[1:]) if jet else t
     return tau if jet else t
 
 
@@ -154,8 +175,9 @@ def dedekind_eta(tau) -> complex:
 
 
 def hauptmodul_lemniscatic(tau) -> complex:
-    """chi(tau) = theta_2(tau)^2 / theta_3(tau)^2."""
-    return theta2(tau) ** 2 / theta3(tau) ** 2
+    """chi(tau) = theta_2(tau)^2 / theta_3(tau)^2, formed as (theta_2/theta_3)^2."""
+    t = _tau_value(tau)
+    return (_q_series(t, _THETA2) / _q_series(t, _THETA3)) ** 2
 
 
 def hauptmodul_equianharmonic(tau) -> complex:
@@ -164,17 +186,22 @@ def hauptmodul_equianharmonic(tau) -> complex:
 
     Taken out of the quotient, the prefactors leave nothing to underflow but
     x itself, so z tends to 1 far up the half-plane where eta(9 tau) leaves
-    the float range (from Im(tau) = 301 on).
+    the float range (from Im(tau) = 301 on).  Once x underflows, z is 1 to
+    the last bit and the quotient is not formed: 9 tau may not even be finite.
     """
     t = _tau_value(tau)
     w = 2.0 * _PI_I * t
-    x = w.exp() if isinstance(w, _Jet) else cmath.exp(w)
+    jet = isinstance(w, _Jet)
+    x = w.exp() if jet else cmath.exp(w)
+    if (x.c[0] if jet else x) == 0:
+        return x + 1.0
     return 9.0 * x * (_q_series(9.0 * t, _PENTAGONAL) / _q_series(t, _PENTAGONAL)) ** 3 + 1.0
 
 
 def hauptmodul_hyperelliptic(tau) -> complex:
     """z(tau) = theta_2(tau) / theta_3(tau), the degree-one theta quotient."""
-    return theta2(tau) / theta3(tau)
+    t = _tau_value(tau)
+    return _q_series(t, _THETA2) / _q_series(t, _THETA3)
 
 
 def sqrt_theta_ratio(tau) -> complex:
@@ -184,6 +211,8 @@ def sqrt_theta_ratio(tau) -> complex:
 
     The right side is a ratio of holomorphic series, so it is continuous in
     tau; it is the branch used everywhere a square root of the theta quotient
-    is needed.
+    is needed.  theta_2(tau/2) checks its own argument, so Im(tau)/2 must
+    reach MIN_IM_TAU.
     """
-    return math.sqrt(2.0) * theta2(tau) / theta2(0.5 * tau)
+    t = _tau_value(tau)
+    return math.sqrt(2.0) * _q_series(t, _THETA2) / theta2(0.5 * t)

@@ -150,11 +150,11 @@ class _Jet:
         if not isinstance(n, int):
             return NotImplemented
         x = self.c[0]
-        ds, falling = [], 1  # falling = n (n-1) ... (n-k+1)
-        for k in range(4):
-            ds.append(falling * x ** (n - k) if falling else 0j)
-            falling *= n - k
-        return self.compose(*ds)
+        n2 = n * (n - 1)
+        n3 = n2 * (n - 2)
+        # a derivative whose falling factorial is 0 is 0, never 0 ** negative
+        return self.compose(x ** n, n * x ** (n - 1) if n else 0j,
+                            n2 * x ** (n - 2) if n2 else 0j, n3 * x ** (n - 3) if n3 else 0j)
 
     def exp(self) -> "_Jet":
         try:
@@ -163,28 +163,30 @@ class _Jet:
             raise AccuracyError(f"exp({self!r}) overflows") from None
         return self.compose(e, e, e, e)
 
-    def log(self) -> "_Jet":
-        """Principal logarithm."""
-        x = self.c[0]
-        if x == 0:
-            raise DomainError("the logarithm has a branch point at 0")
-        r = 1.0 / x
-        return self.compose(cmath.log(x), r, -r * r, 2.0 * r * r * r)
-
 
 def principal_power(z: complex, a: complex) -> complex:
     """z**a = exp(a Log z) with the principal logarithm, Im(Log) in (-pi, pi].
 
     z = 0 is allowed only for Re(a) > 0 (the limit value 0), and a result
     past the float range is an AccuracyError.  A jet z takes the branch of
-    its value c0, so its derivatives are those of that branch.
+    its value c0, so its derivatives are those of that branch: with
+    f = c0**a, they are f, a f/c0, a(a-1) f/c0^2 and a(a-1)(a-2) f/c0^3.
     """
     try:  # no isinstance test on the scalar path, the common one
         z = complex(z)
     except TypeError:  # a jet has no __complex__
         if not isinstance(z, _Jet):
             raise
-        return (complex(a) * z.log()).exp()
+        a, x = complex(a), z.c[0]
+        if x == 0:
+            raise DomainError("principal_power: a jet's base has a branch point at 0") from None
+        try:
+            f = cmath.exp(a * cmath.log(x))
+        except OverflowError:
+            raise AccuracyError(f"principal_power: {x!r}**{a!r} overflows") from None
+        f1 = a * f / x
+        f2 = (a - 1.0) * f1 / x
+        return z.compose(f, f1, f2, (a - 2.0) * f2 / x)
     a = complex(a)
     if z == 0:
         if a.real <= 0:

@@ -11,7 +11,6 @@ record passes, fails, or is skipped where a uniformizer's 2F1 is refused.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 import sys
@@ -125,16 +124,16 @@ class RunRecord(_value_type("RunRecord", "identity point residual tolerance stat
         residual (a float or None), tolerance (a float), status and metadata
         (complex values as [re, im]), without the generic encoder."""
         p = self.point
-        meta = (json.dumps({k: _jsonable(v) for k, v in self.metadata.items()})
-                if self.metadata else "{}")
         return (f'{{"identity": {encode_basestring_ascii(self.identity)}, '
                 f'"point": [{_json_float(p.real)}, {_json_float(p.imag)}], '
                 f'"residual": {_json_float(self.residual)}, '
                 f'"tolerance": {_json_float(self.tolerance)}, '
-                f'"status": {encode_basestring_ascii(self.status)}, "metadata": {meta}}}')
+                f'"status": {encode_basestring_ascii(self.status)}, '
+                f'"metadata": {_json_object(self.metadata)}}}')
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_float(x: float | None) -> str:
@@ -144,14 +143,31 @@ def _json_float(x: float | None) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _jsonable(v):
+def _json_object(d: Mapping) -> str:
+    """What json.dumps writes for a mapping with string keys."""
+    if not d:  # the metadata of most checks
+        return "{}"
+    return "{" + ", ".join([f"{encode_basestring_ascii(k)}: {_json_value(v)}"
+                            for k, v in d.items()]) + "}"
+
+
+def _json_value(v) -> str:
+    """What json.dumps writes for v, a complex number written as [re, im]."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        return _json_float(v)
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return f"[{_json_float(v.real)}, {_json_float(v.imag)}]"
+    if v is None or isinstance(v, bool):
+        return _JSON_CONSTANTS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
     if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
+        return "[" + ", ".join(map(_json_value, v)) + "]"
     if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+        return _json_object(v)
+    raise TypeError(f"metadata value {v!r} of type {type(v).__name__} has no JSON form")
 
 
 class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check samples tau_grid",

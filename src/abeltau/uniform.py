@@ -18,8 +18,10 @@ from .hypergeom import _f21, _f21_half, _f21_w
 from .modular import (
     hauptmodul_equianharmonic,
     theta2,
-    theta3,
+    _THETA2,
+    _THETA3,
     _TINY,
+    _q_series,
     _tau_value,
 )
 from .numerics import _Jet, _value_type
@@ -168,7 +170,7 @@ def u_lemniscatic(tau) -> complex:
     of its root where both are defined.
     """
     t = _tau_value(tau)
-    ratio = theta3(t) / theta2(t)
+    ratio = _q_series(t, _THETA3) / _q_series(t, _THETA2)
     try:
         x = ratio**4
     except OverflowError:  # far outside the disk of _f21, which would refuse it
@@ -197,10 +199,11 @@ def u_equianharmonic_rootfree(tau) -> complex:
 def _hyperelliptic_thetas(tau):
     """(r, s) = (theta2/theta3, sqrt(2) theta2(tau)/theta2(tau/2)) for a number
     or a jet tau: z = r and its root s, as sqrt_theta_ratio takes it, are the
-    two quotients that U(m, tau) is made of, for every m at once."""
+    two quotients that U(m, tau) is made of, for every m at once.  tau is
+    checked once; theta2(tau/2) checks its own argument."""
     t = _tau_value(tau)
-    t2 = theta2(t)
-    return t2 / theta3(t), math.sqrt(2.0) * t2 / theta2(0.5 * t)
+    t2 = _q_series(t, _THETA2)
+    return t2 / _q_series(t, _THETA3), math.sqrt(2.0) * t2 / theta2(0.5 * t)
 
 
 def _u_hyperelliptic(ms, thetas) -> dict:

@@ -14,7 +14,7 @@ import cmath
 import math
 from functools import cache, lru_cache
 
-from .errors import DomainError, DomainNotSupported, PoleError
+from .errors import AccuracyError, DomainError, DomainNotSupported, PoleError
 from .hypergeom import _carlson_rf, _f21, euler_beta
 from .numerics import _value_type, ensure_finite, holomorphic_derivatives, principal_power
 
@@ -126,7 +126,9 @@ def _lattice(g2: complex, g3: complex):
     P(v) - v^-2 = sum_{k>=2} c_k v^(2k-2), c_k = (2k-1) G_2k, |G_2k| <= 7 R^-2k for
     k >= 4, R = 2|a| the shortest period: the terms from k = K >= 4 sum to at most
     |v|^-2 7 x^K ((2K-1)/(1-x) + 2x/(1-x)^2), x = (|v|/R)^2.  The table has the
-    fewest terms that keep this below 2^-53 on the whole reduced cell."""
+    fewest terms that keep this below 2^-53 on the whole reduced cell; a
+    coefficient past the float range (g3 = 1e50 with a 1e-8 cell) is an
+    AccuracyError."""
     r0, r1, r2 = _cubic_roots(g2, g3)
     e, f, g = max(((r0, r1, r2), (r1, r2, r0), (r2, r0, r1)), key=lambda t: abs(t[0] - t[1]))
     a, ca, b, cb = _half_period(e, f, g), 1, _half_period(f, e, g), 2
@@ -144,6 +146,9 @@ def _lattice(g2: complex, g3: complex):
     c = [0j, 0j, g2 / 20.0, g3 / 28.0]
     for k in range(4, terms):
         c.append(3.0 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3)))
+    if not all(map(cmath.isfinite, c)):  # P and P' would be nan
+        raise AccuracyError(f"the Laurent coefficients of the lattice of {(g2, g3)} "
+                            "leave the float range")
     return a, b, ca, cb, steps, tuple((c[k], (2 * k - 2) * c[k]) for k in range(terms - 1, 1, -1))
 
 
@@ -314,7 +319,8 @@ def weier_zeta(u: complex, inv) -> complex:
     if sigma_v == 0:
         raise PoleError(f"sigma vanishes at u = {u!r}")
     (sigma_prime,) = holomorphic_derivatives(lambda w: _sigma_series(w, g2, g3), v, 1, radius)
-    return sigma_prime / sigma_v / r
+    # past the float range for 0 < |u| < 5.6e-309, where sigma(u) ~ u is subnormal
+    return ensure_finite(sigma_prime / sigma_v / r, "zeta value")
 
 
 def _wp_inverse_for(inv: EllipticInvariants):

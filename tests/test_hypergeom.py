@@ -426,6 +426,17 @@ class TestGammaBeta:
         with pytest.raises(AccuracyError):
             euler_beta(5e-324, 5e-324)
 
+    # pi z or the Lanczos power t^(z-1/2) leaves the float range: cmath.sin
+    # raised ValueError, and the power's infinite phase ZeroDivisionError
+    @pytest.mark.parametrize("z", [7.83 - 6.88e307j, -9.2e307 + 0.0008j])
+    def test_gamma_of_an_argument_past_the_float_range_raises(self, z):
+        with pytest.raises(AccuracyError, match="gamma_fn"):
+            gamma_fn(z)
+
+    def test_beta_of_an_argument_past_the_float_range_raises(self):
+        with pytest.raises(AccuracyError, match="gamma_fn"):
+            euler_beta(1.0, 1e308 + 1e308j)
+
     def test_beta_pole(self):
         with pytest.raises(DomainError):
             euler_beta(0.5, -0.5)  # a + b = 0

@@ -161,6 +161,26 @@ def test_jet_arithmetic_is_exact_on_polynomials():
         assert abs(got - w) <= 1e-14 * abs(w)
 
 
+@pytest.mark.parametrize("n", range(-3, 6))
+@pytest.mark.parametrize("c", [(0.7 - 1.3j, 1.0, 0.5j, -2.0), (0.0, 1.5 - 0.5j, 0.25, 1j)])
+def test_integer_power_is_repeated_multiplication(n, c):
+    # at c0 = 0 the derivatives of x^n past the n-th are 0 for n = 0..3, not
+    # 0 to a negative power; a negative power of a jet at 0 divides by 0
+    x = _Jet(*c)
+    if c[0] == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    want = _Jet(1.0)
+    for _ in range(abs(n)):
+        want = want * x
+    if n < 0:
+        want = 1.0 / want
+    got = (x**n).c
+    for g, w in zip(got, want.c):
+        assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (n, got, want.c)
+
+
 def test_principal_power_jet_refuses_zero():
     with pytest.raises(DomainError):
         principal_power(_Jet(0.0, 1.0), 0.5)

@@ -12,7 +12,7 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeltau import modular
@@ -28,6 +28,7 @@ from abeltau.modular import (
     theta4,
 )
 from abeltau.numerics import _Jet
+from abeltau.uniform import u_hyperelliptic
 
 TAU_GRID = (0.3j, 0.2 + 0.5j, 1j, -0.4 + 1.7j, 1 + 2j, 0.05j)
 TABLES = ("_THETA2", "_THETA3", "_THETA4", "_ETA", "_PENTAGONAL")
@@ -149,6 +150,56 @@ def test_theta_and_eta_against_mpmath(re, im):
         assert abs(fn(tau) - ref) <= 1e-13 * abs(ref), fn.__name__
 
 
+def _mp_far_references(tau):
+    """_mp_references at tau, and chi = (theta2/theta3)^2, the equianharmonic
+    z = 9 eta(9 tau)^3/eta(tau)^3 + 1 and U(m, tau) for m = 0..3 at
+    tau + i/2 (Im >= 1, where the 2F1 of U serves every Re(tau))."""
+    refs = _mp_references(tau)
+    t2, t3 = refs[theta2], refs[theta3]
+    refs[hauptmodul_lemniscatic] = (t2 / t3) ** 2
+    eta9 = _mp_references(9 * mp.mpc(tau))[dedekind_eta]
+    refs[hauptmodul_equianharmonic] = 9 * eta9**3 / refs[dedekind_eta] ** 3 + 1
+    up = mp.mpc(tau + 0.5j)
+    u2, u3 = (_mp_references(up)[f] for f in (theta2, theta3))
+    half = _mp_references(up / 2)[theta2]
+    for m in range(4):
+        b = mp.mpf(m) / 4 + mp.mpf(1) / 8
+        refs[m] = (2 * mp.sqrt(2) * 1j / (2 * m + 1)) * u2 ** (m + 1) / (u3**m * half) \
+            * mp.hyp2f1(0.5, b, b + 1, (u2 / u3) ** 4)
+    return refs
+
+
+@settings(max_examples=30, deadline=None)
+@given(re=st.floats(24.0, 1e300, exclude_min=True) | st.floats(-1e300, -24.0, exclude_max=True),
+       im=st.floats(0.5, 2.0))
+@example(re=25.3, im=0.7)
+@example(re=1e6 + 0.3, im=0.7)
+@example(re=1e12 + 0.3, im=0.7)
+@example(re=1e15 + 0.3, im=0.7)
+@example(re=1e300, im=0.7)  # an even integer as a double: theta3(0.7i)
+@example(re=-1e307, im=1.3)
+@example(re=1.7976931348623157e308, im=0.5)
+def test_far_real_part_against_mpmath(re, im):
+    # every q-series quantity has period 48 in tau; far out on the real axis
+    # the terms' phases lost the digits of Re(tau) mod 2.  mpmath takes tau as
+    # it is, with the digits that Re(tau) itself needs.
+    tau = complex(re, im)
+    with mp.workdps(40 + math.ceil(math.log10(abs(re)))):
+        refs = {fn: complex(v) for fn, v in _mp_far_references(tau).items()}
+    for key, ref in refs.items():
+        got = u_hyperelliptic(key, tau + 0.5j) if isinstance(key, int) else key(tau)
+        assert abs(got - ref) <= 1e-13 * abs(ref), (key, tau, got, ref)
+
+
+@pytest.mark.parametrize("fn", [theta2, theta3, theta4, dedekind_eta, hauptmodul_lemniscatic,
+                                hauptmodul_equianharmonic, sqrt_theta_ratio])
+def test_a_jet_far_out_on_the_real_axis_is_the_jet_a_period_in(fn):
+    # 48 * 2^20 + 0.25 is exact, and folds back to 0.25 exactly
+    near, far = complex(0.25, 0.8), complex(48 * 2**20 + 0.25, 0.8)
+    assert fn(far) == fn(near)
+    assert fn(_Jet(far, 1.0)).c == fn(_Jet(near, 1.0)).c
+
+
 class TestHauptmoduln:
     def test_lemniscatic_at_i(self):
         assert abs(hauptmodul_lemniscatic(1j) - 2.0**-0.5) < 1e-14
@@ -165,10 +216,11 @@ class TestHauptmoduln:
     def test_equianharmonic_tends_to_one(self):
         assert abs(hauptmodul_equianharmonic(6j) - 1.0) < 1e-13
 
-    @pytest.mark.parametrize("tau", [301j, 400j, 0.3 + 1e5j])
+    @pytest.mark.parametrize("tau", [301j, 400j, 0.3 + 1e5j, 1e308 + 1e308j])
     def test_equianharmonic_far_up_the_half_plane(self, tau):
         # eta(9 tau) leaves the normal float range from Im(tau) = 301 on, but
-        # z - 1 = 9 exp(2 pi i tau) (P(9 tau)/P(tau))^3 is only exp(2 pi i tau) small
+        # z - 1 = 9 exp(2 pi i tau) (P(9 tau)/P(tau))^3 is only exp(2 pi i tau)
+        # small; at 1e308 i, where 9 tau overflows, z was nan
         assert hauptmodul_equianharmonic(tau) == 1.0
         assert hauptmodul_equianharmonic(_Jet(tau, 1.0)).derivatives() == (1.0, 0.0, 0.0, 0.0)
 

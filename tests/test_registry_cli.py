@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abeltau
@@ -25,7 +25,6 @@ from abeltau.registry import (
     IdentityEntry,
     RunConfig,
     RunRecord,
-    _jsonable,
     run_identity,
 )
 from abeltau.uniform import u_hyperelliptic
@@ -197,7 +196,18 @@ class TestRunRecord:
         assert recs[1].metadata["error"] == "AccuracyError: budget spent"
 
     @staticmethod
-    def _reference(rec):
+    def _jsonable(v):
+        """v with every complex number as [re, im]."""
+        if isinstance(v, complex):
+            return [v.real, v.imag]
+        if isinstance(v, (list, tuple)):
+            return [TestRunRecord._jsonable(x) for x in v]
+        if isinstance(v, dict):
+            return {k: TestRunRecord._jsonable(x) for k, x in v.items()}
+        return v
+
+    @classmethod
+    def _reference(cls, rec):
         # the generic encoding the json-lines stream is defined by
         return {
             "identity": rec.identity,
@@ -205,22 +215,31 @@ class TestRunRecord:
             "residual": rec.residual,
             "tolerance": rec.tolerance,
             "status": rec.status,
-            "metadata": {k: _jsonable(v) for k, v in rec.metadata.items()},
+            "metadata": cls._jsonable(rec.metadata),
         }
 
     _text = st.text(st.sampled_from('ab"\\/\n\t\x00\x7fé€τ😀'))
     _float = st.floats()  # NaN and both infinities included
     _complex = st.builds(complex, _float, _float)
+    # every kind of value a check may report, nested in lists, tuples and dicts
+    _value = st.recursive(
+        _float | _text | _complex | st.integers() | st.booleans() | st.none(),
+        lambda inner, keys=_text: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                                   | st.dictionaries(keys, inner, max_size=3)),
+        max_leaves=8)
 
     @settings(max_examples=300, deadline=None)
     @given(identity=_text, point=_complex, residual=st.none() | _float, tolerance=_float,
            status=st.sampled_from(("pass", "fail", "skipped")) | _text,
-           metadata=st.dictionaries(_text, _float | _text | _complex | st.integers()
-                                    | st.lists(_float | _complex, max_size=3), max_size=4))
+           metadata=st.dictionaries(_text, _value, max_size=4))
     def test_json_line_is_the_generic_encoding(self, identity, point, residual, tolerance,
                                                status, metadata):
         rec = RunRecord(identity, point, residual, tolerance, status, metadata)
         assert rec.to_json_line() == json.dumps(self._reference(rec))
+
+    def test_json_line_refuses_what_json_cannot_write(self):
+        with pytest.raises(TypeError):
+            RunRecord("x", 0j, 0.0, 1.0, "pass", {"set": {1}}).to_json_line()
 
 
 class TestConcurrency:
@@ -351,6 +370,25 @@ class TestUsage:
                 code = int(exc.code or 0)
         return code, out.getvalue(), err.getvalue()
 
+    @settings(max_examples=300, deadline=None)
+    @given(ident=st.text(max_size=12), region=st.text(max_size=12),
+           steps=st.text("0123456789", min_size=1, max_size=3)
+           | st.text("0123456789+-_ .e٣²", max_size=4),
+           flags=st.sampled_from((("--region", "--steps"), ("--reg", "--steps"),
+                                  ("--region", "--st"), ("--region", "--tol"))))
+    @example(ident="schwarz-chi", region="-0.1,0.1,1.1,1.3", steps="2",
+             flags=("--region", "--steps"))
+    def test_a_sweep_is_read_as_argparse_reads_it(self, ident, region, steps, flags):
+        # main reads `grid ID --region R --steps N` without argparse, and
+        # hands every other command line to it: what it reads must be what
+        # argparse reads
+        argv = cli._fold_dashed_values(["grid", ident, flags[0], region, flags[1], steps])
+        direct = cli._sweep_args(argv)
+        if direct is None:
+            return
+        parsed, extra = cli._build_parser()[1]["grid"].parse_known_args(argv[1:])
+        assert extra == [] and vars(direct) == {**vars(parsed), "command": "grid"}
+
     @pytest.mark.parametrize("argv", [
         [], ["-h"], ["bogus"], ["grid"], ["grid", "-h"],
         ["grid", "schwarz-chi", "--steps", "2"],
@@ -399,6 +437,17 @@ class TestVerify:
         assert main(["verify", "u0-wp-zero", "--report", str(path)]) == 0
         rec = json.loads(path.read_text().strip())
         assert rec["identity"] == "u0-wp-zero" and rec["status"] == "pass"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "u0-digits"],
+        ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1"]])
+    def test_report_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, argv):
+        # the records were printed, then a FileNotFoundError traceback exited 1
+        path = tmp_path / "missing" / "x.jsonl"
+        assert main([*argv, "--report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+        assert main([*argv, "--report", str(tmp_path)]) == 2  # a directory
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -529,6 +578,18 @@ class TestGrid:
         assert main(["verify", name, "--config", str(cfg), "--output", "json"]) == 0
         verify_out = capsys.readouterr().out.splitlines()
         assert len(grid_out) == 9 and verify_out[:-1] == grid_out
+
+    def test_region_replaces_the_config_grid_and_keeps_its_tolerance(self, tmp_path, capsys):
+        # the region's points, not the config file's grid, judged by the
+        # file's tolerance: one RunConfig holds both
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.schwarz-chi = 1.1i, 1.3i, 0.1+1.2i\n"
+                       "schwarz-chi.tolerance = 3e-9\n")
+        assert main(["grid", "schwarz-chi", "--region", "-0.1,0.1,1.1,1.3", "--steps", "2",
+                     "--config", str(cfg)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["point"] for r in records] == [[-0.1, 1.1], [0.1, 1.1], [-0.1, 1.3], [0.1, 1.3]]
+        assert {r["tolerance"] for r in records} == {3e-9}
 
     def test_schwarz_chi_rectangle(self, capsys):
         assert main(["grid", "schwarz-chi", "--region", "-0.2,0.2,1.0,1.4",

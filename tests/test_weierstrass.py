@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abeltau.errors import AbeltauError, DomainError, DomainNotSupported, PoleError
+from abeltau.errors import (AbeltauError, AccuracyError, DomainError, DomainNotSupported,
+                            PoleError)
 from abeltau.hypergeom import _carlson_rf, gamma_fn
 from abeltau.numerics import contour_quadrature, holomorphic_derivatives
 from abeltau.weier import (
@@ -229,6 +230,13 @@ class TestWpLattice:
             p_ref, pp_ref = _wp_mp(u, inv)
             assert abs(wp(u, inv) - p_ref) <= 1e-13 * abs(p_ref)
             assert abs(wp_prime(u, inv) - pp_ref) <= 1e-13 * abs(pp_ref)
+
+    def test_laurent_table_past_the_float_range_raises(self):
+        # a cell of size 7e-9 whose c_k overflow: P and P' were nan+nanj
+        inv = EllipticInvariants(-5.56e-301 - 8.17e-51j, -9.93e9 + 9.48e49j)
+        for fn in (wp, wp_prime):
+            with pytest.raises(AccuracyError, match="Laurent"):
+                fn(0.000946j, inv)
 
     def test_elongated_lattice_refused(self):
         # tau = 1/2 + 2.45i: |j| = 4.7e6, past what 64 Laurent terms certify
@@ -452,6 +460,12 @@ class TestSigmaDisk:
                 zeta, sigma = map(complex, self._zeta_sigma(u, inv))
             assert abs(weier_sigma(u, inv) - sigma) <= 1e-14 * abs(sigma), u
             assert abs(weier_zeta(u, inv) - zeta) <= 5e-14 * abs(zeta), u
+
+    @pytest.mark.parametrize("u", [1e-310, 5e-324j])
+    def test_zeta_past_the_float_range_raises(self, u):
+        # sigma(u) ~ u is subnormal and zeta ~ 1/u overflows: it was inf+nanj
+        with pytest.raises(AccuracyError, match="zeta"):
+            weier_zeta(u, LEMNISCATIC)
 
     @pytest.mark.parametrize("inv", [LEMNISCATIC, EQUIANHARMONIC])
     @pytest.mark.parametrize("modulus", [1.95, 1.985, 1.9885, 1.99, 1.998, 1.9989999999, 1.9999])
