@@ -86,7 +86,7 @@ def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     each term from the one before by its coefficient ratio.  Its term sizes
     depend on a, b and c, so it owns its stop rule: two consecutive terms below
     _REL_TOL of the magnitude summed from 1; _MAX_TERMS terms without it is an
-    AccuracyError."""
+    AccuracyError, and so is a term whose size passes the float range."""
     t1 = a * b / c
     t2 = t1 * (a + 1.0) * (b + 1.0) / ((c + 1.0) * 2.0)
     q = t2 * (a + 2.0) * (b + 2.0) / ((c + 2.0) * 3.0)
@@ -94,14 +94,17 @@ def _f21_series(a: complex, b: complex, c: complex, z: complex) -> complex:
     s = 0j
     mag = 1.0
     small_run = 0
-    for n in range(3, _MAX_TERMS + 3):
-        s += q
-        size = abs(q)
-        mag += size
-        small_run = small_run + 1 if size <= _REL_TOL * mag else 0
-        if small_run == 2:
-            return ensure_finite(1.0 + (t1 + t2 * z) * z + s, "2F1 series")
-        q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+    try:
+        for n in range(3, _MAX_TERMS + 3):
+            s += q
+            size = abs(q)
+            mag += size
+            small_run = small_run + 1 if size <= _REL_TOL * mag else 0
+            if small_run == 2:
+                return ensure_finite(1.0 + (t1 + t2 * z) * z + s, "2F1 series")
+            q *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+    except OverflowError:  # abs() of a term with finite parts past the float range
+        raise AccuracyError(f"2F1 series term overflows at the series argument {z!r}") from None
     raise AccuracyError("2F1 series did not converge within max_terms")
 
 
@@ -252,7 +255,9 @@ class IncompleteIntegralSpec(_value_type("IncompleteIntegralSpec", "alpha beta n
 
 
 def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
-    """Closed hypergeometric form of the incomplete integral."""
+    """Closed hypergeometric form of the incomplete integral.  A value below
+    sys.float_info.min is an AccuracyError, as its subnormal has lost digits;
+    from_zero at z = 0 keeps its exact 0."""
     a, b, n, z, base = spec
     k = n if base == "from_zero" else -n
     try:
@@ -260,10 +265,14 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     except (OverflowError, ZeroDivisionError):  # complex ** int past the float range
         raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}") from None
     if base == "from_zero":
-        return (cmath.exp(1j * math.pi * b) / a) * principal_power(z, a) \
+        value = (cmath.exp(1j * math.pi * b) / a) * principal_power(z, a) \
             * _f21(b, a / n, a / n + 1.0, arg)
-    return principal_power(z, a - n * b) / (a - n * b) \
-        * _f21(b, b - a / n, b - a / n + 1.0, arg)
+    else:
+        value = principal_power(z, a - n * b) / (a - n * b) \
+            * _f21(b, b - a / n, b - a / n + 1.0, arg)
+    if abs(value) < sys.float_info.min and z != 0:
+        raise AccuracyError(f"the incomplete integral underflows at {spec!r}")
+    return value
 
 
 # A vertex closer to a branch point w^n = 1 than _branch_gap(beta, tol) is
@@ -341,6 +350,10 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     a path that meets it, the default straight one included, is refused, also
     at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8),
     and so is a vertex within _branch_gap(beta, tol) of one.
+
+    Its accuracy is absolute, about tol, so a value far below tol, a
+    subnormal one included, is returned as the quadrature gives it; only
+    incomplete_integral_2f1 refuses a value that underflows.
     """
     a, b, n = spec.alpha, spec.beta, spec.n
     if spec.base == "from_zero":

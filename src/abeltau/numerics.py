@@ -248,6 +248,12 @@ def holomorphic_derivatives(
 # reaches as close to an endpoint at 0 as doubles allow.
 _TS_T_MAX = 6
 _TS_FLOOR = 2.0**-60  # a term this far below the contributions so far ends a sweep
+# The predicted exit of contour_quadrature accepts I_k when the next difference,
+# predicted as d_k^2/d_(k-1), is at most _TS_AHEAD tol.  Over 1 500 random oracle
+# specs at tol 1e-10 the worst error against the closed form was 5.0e-14
+# relative with the factor 1e-2, as with agreement alone, but 5.5e-14 with 1e-1
+# and 1.1e-12 with 1; 1e-2 took 19% fewer samples than agreement alone, 1e-3 13%.
+_TS_AHEAD = 1e-2
 
 
 @functools.cache
@@ -285,15 +291,27 @@ def contour_quadrature(
     Tanh-sinh (double-exponential) quadrature on every segment (Takahasi &
     Mori, Publ. RIMS 9, 1974): the nodes crowd double-exponentially into the
     segment's ends, so algebraic endpoint singularities need no special
-    care.  The step h is halved, reusing the coarser levels' samples, until
-    two successive estimates agree within tol; levels 0 and 1 are never
-    compared, so a chance agreement of the coarsest two cannot stop it.  A
-    node that rounds onto an endpoint is skipped, as f may be infinite there;
-    a singular endpoint is best placed at 0, where doubles resolve the
-    distance to it.  If the estimates disagree by more than tol when the
-    next level would pass the evaluation budget, or when they agree only to
-    rounding level, the best estimate is surfaced inside an AccuracyError; its
-    error bound is the larger distance to the two estimates before it.
+    care.  The step h is halved, reusing the coarser levels' samples, and
+    with I_k the estimate of level k and d_k = |I_k - I_(k-1)| the loop
+    stops at the first of:
+      - agreement: d_k <= tol, from level 2 on;
+      - prediction: from level 3 on, the differences fall at least
+        quadratically, d_k d_(k-2) <= d_(k-1)^2, as they do once tanh-sinh
+        doubles its correct digits per level (Bailey, Jeyabalan & Li,
+        Experimental Math. 14, 2005), and the next difference they predict,
+        d_k^2/d_(k-1), is at most _TS_AHEAD tol.  I_k is then accepted on
+        that predicted error, not on d_k, which may exceed tol;
+      - rounding: d_k <= 4e-16 |I_k|.
+    d_1 serves only as a rate, so a chance agreement of the coarsest two
+    levels cannot stop it.  The prediction assumes f analytic inside each
+    segment: a small interior singularity that the fast levels hide can stop
+    it early.  A node that rounds onto an endpoint is skipped, as f may be
+    infinite there; a singular endpoint is best placed at 0, where doubles
+    resolve the distance to it.  If the estimates disagree by more than tol
+    when the next level would pass the evaluation budget, or when they agree
+    only to rounding level, the best estimate is surfaced inside an
+    AccuracyError; its error bound is the larger distance to the two
+    estimates before it.
 
     f takes each node as a float on a segment of the real axis, one whose
     vertices both have imaginary part +0.0, and as a complex number elsewhere.
@@ -313,6 +331,7 @@ def contour_quadrature(
     total = sum(mids)
     mass = sum(map(abs, mids))  # scale of the contributions so far, for the floor
     value = older = error = bound = math.inf
+    before = last = math.inf  # d_(k-2) and d_(k-1), d_j = |I_j - I_(j-1)|
     for level in itertools.count():
         gaps, weights = _ts_level(level)
         if evals + 2 * len(gaps) * len(segments) > _MAX_QUAD_EVALS:
@@ -336,9 +355,14 @@ def contour_quadrature(
             total += acc * half
             mass += abs(acc * half)
         estimate = total * 2.0**-level  # total holds the sum over the level's grid
+        step = abs(estimate - value)  # d_k; inf at level 0
         if level >= 2:
-            error = abs(estimate - value)
+            error = step
             bound = max(error, abs(estimate - older))  # reported if it gives up
+            if (level >= 3 and step * before <= last * last
+                    and step * step <= _TS_AHEAD * tol * last):
+                error = step * step / last  # the next difference, predicted
+        before, last = last, step
         older, value = value, estimate
         if error <= tol or error <= 4e-16 * abs(estimate):
             break

@@ -221,15 +221,44 @@ class TestContourQuadrature:
         assert abs(quad - ref) < 1e-10
 
     def test_accuracy_error_carries_estimate(self):
-        # an interior singularity: the nodes cluster at the ends, not at 1/3
-        f = lambda u: abs(u - 1.0 / 3.0) ** -0.5
+        # an interior singularity: the nodes cluster at the ends, not at 1/3.
+        # The differences rise and fall by turns, so the predicted exit never
+        # fires and the budget ends the loop after the samples agreement alone
+        # takes; at tol 1e-3 an exit on a predicted 100 tol stopped at level
+        # 4, 0.26 off
+        evals = [0]
+
+        def f(u):
+            evals[0] += 1
+            return abs(u - 1.0 / 3.0) ** -0.5
+
         exact = 2.0 * math.sqrt(1.0 / 3.0) + 2.0 * math.sqrt(2.0 / 3.0)
-        with pytest.raises(AccuracyError) as err:
-            contour_quadrature(f, [0.0, 1.0], 1e-12)
-        assert cmath.isfinite(err.value.estimate)
-        assert abs(err.value.estimate - exact) < 1e-2
-        assert err.value.error_bound > 1e-12
-        assert err.value.error_bound >= abs(err.value.estimate - exact)
+        for tol in (1e-12, 1e-3):
+            evals[0] = 0
+            with pytest.raises(AccuracyError) as err:
+                contour_quadrature(f, [0.0, 1.0], tol)
+            assert evals[0] == 204_422
+            assert cmath.isfinite(err.value.estimate)
+            assert abs(err.value.estimate - exact) < 1e-2
+            assert err.value.error_bound > tol
+            assert err.value.error_bound >= abs(err.value.estimate - exact)
+
+    def test_a_slowing_fall_is_not_extrapolated(self):
+        # a Runge bump, whose differences fall double-exponentially, plus a
+        # small square-root kink at the midpoint, a node of every level, whose
+        # differences fall only algebraically: where the kink takes over, the
+        # predicted next difference is below tol/100 while the fall slows, and
+        # stopping there was 5.6 tol off
+        evals = [0]
+
+        def f(u):
+            evals[0] += 1
+            return 1.0 / (1.0 + 16.0 * (2.0 * u - 1.0) ** 2) + 1e-7 * math.sqrt(abs(u - 0.5))
+
+        exact = math.atan(4.0) / 4.0 + 1e-7 * 2.0 * 0.5**1.5 / 1.5
+        v = contour_quadrature(f, [0.0, 1.0], 1e-11)
+        assert abs(v - exact) <= 1e-11
+        assert evals[0] == 3275  # as many as agreement alone takes
 
     @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0.0)])
     def test_non_finite_sample_is_an_accuracy_error(self, bad):
