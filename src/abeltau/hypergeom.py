@@ -254,10 +254,23 @@ class IncompleteIntegralSpec(_value_type("IncompleteIntegralSpec", "alpha beta n
         return self
 
 
+def _branch_factor(beta: complex) -> complex:
+    """e^(i pi beta), the from-zero branch factor, with Re(beta) taken mod 2
+    (exactly, so a huge Re(beta) keeps its phase); past the float range, from
+    Im(beta) < -226 on, an AccuracyError."""
+    try:
+        factor = cmath.exp(complex(-math.pi * beta.imag, math.pi * math.fmod(beta.real, 2.0)))
+    except OverflowError:
+        factor = math.inf
+    if cmath.isinf(factor):  # exp(inf), from Im(beta) = -5.7e307 on, does not raise
+        raise AccuracyError(f"e^(i pi beta) overflows at beta = {beta!r}")
+    return factor
+
+
 def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
-    """Closed hypergeometric form of the incomplete integral.  A value below
-    sys.float_info.min is an AccuracyError, as its subnormal has lost digits;
-    from_zero at z = 0 keeps its exact 0."""
+    """Closed hypergeometric form of the incomplete integral.  A value past
+    the float range, or below sys.float_info.min, whose subnormal has lost
+    digits, is an AccuracyError; from_zero at z = 0 keeps its exact 0."""
     a, b, n, z, base = spec
     k = n if base == "from_zero" else -n
     try:
@@ -265,14 +278,14 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     except (OverflowError, ZeroDivisionError):  # complex ** int past the float range
         raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}") from None
     if base == "from_zero":
-        value = (cmath.exp(1j * math.pi * b) / a) * principal_power(z, a) \
+        value = (_branch_factor(b) / a) * principal_power(z, a) \
             * _f21(b, a / n, a / n + 1.0, arg)
     else:
         value = principal_power(z, a - n * b) / (a - n * b) \
             * _f21(b, b - a / n, b - a / n + 1.0, arg)
     if abs(value) < sys.float_info.min and z != 0:
         raise AccuracyError(f"the incomplete integral underflows at {spec!r}")
-    return value
+    return ensure_finite(value, "incomplete integral")
 
 
 # A vertex closer to a branch point w^n = 1 than _branch_gap(beta, tol) is
@@ -326,6 +339,23 @@ def _meets_cut(vertices, n: int) -> bool:
 
 
 _UNIT_SEGMENT = Polyline((0.0, 1.0))  # the first segment, in w
+# A from_infinity z with |z| below this, where |z|^2 underflows, is refused.
+# Its far end 1/z puts the bulk of the integrand at a w that no tanh-sinh node
+# of the first segment comes near: at z = 1e-200i (alpha 1/4, beta 1/2, n = 1)
+# the levels agreed on 1.4e-11 for -5.24+5.24i.  Far ends from about 1e52 on
+# can fail the same way.
+_TINY_Z = 2.0**-511
+
+
+def _reciprocal(z: complex) -> complex:
+    """1/z as conj(z)/|z|^2 by components, as complex division drops the sign
+    of a zero Im(z).  z is scaled by a power of 2 first, so that |z|^2 cannot
+    overflow; wherever the unscaled |z|^2 is a normal float the value is the
+    unscaled one to the bit."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    x, y = math.ldexp(z.real, -k), math.ldexp(z.imag, -k)
+    m = abs(complex(x, y)) ** 2
+    return complex(math.ldexp(x / m, -k), math.ldexp(-y / m, -k))
 
 
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
@@ -337,12 +367,17 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     z; from_infinity substitutes u -> 1/v and integrates v^(n beta - alpha - 1)
     (1-v^n)^(-beta) from 0 to 1/z (with an overall minus sign).  Both
     integrate c u^e (1-u^n)^(-beta) from the base point 0 itself: on the first
-    segment [0, v1], u = v1 w^(1/g) with g = 1 + Re(e) turns u^e du into the
+    segment [0, v1], u = v1 w^(1/g) with g = Re(e + 1) turns u^e du into the
     bounded (v1^(e+1)/g) w^(i Im(e)/g) dw on w in [0, 1], so the tanh-sinh
-    quadrature stays accurate as Re(e) nears -1.  Each node takes one exp of
-    a sum of principal logs, which is the product of the principal powers.  A
-    node w of the first segment forms 1 - u^n as 1 - v1^n exp((n/g) log w),
-    with v1^n computed once per call and log w, exp in real arithmetic.
+    quadrature stays accurate as Re(e) nears -1.  e + 1 is alpha or
+    n beta - alpha itself: 1 + Re(e) would cancel Re(alpha) as it nears 0.
+    Each node is a product of principal powers, Python's complex ** (one of
+    a nonzero base takes the principal log).  A node w of the first segment
+    costs (1 - v1^n w^(n/g))^(-beta), with v1^n computed once per call and
+    w^(n/g) a real power, times w^(i Im(e)/g) only where Im(e) != 0; a node u
+    of a later segment costs u^e (1 - u^n)^(-beta).  A base 0 goes to
+    principal_power, for its value 0 or its DomainError, and a power past
+    the float range, in modulus or in phase, is an AccuracyError.
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
@@ -357,16 +392,16 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     """
     a, b, n = spec.alpha, spec.beta, spec.n
     if spec.base == "from_zero":
-        exponent = a - 1.0
+        lead = a  # e + 1, for the base-point exponent e
         target = spec.z
-        coeff = cmath.exp(1j * math.pi * b)
+        coeff = _branch_factor(b)
     else:
-        exponent = n * b - a - 1.0
-        m = abs(spec.z) ** 2  # by components: 1.0 / z drops the sign of a zero Im(z)
-        if m < sys.float_info.min:  # subnormal or zero: 1/z would lose its bits or divide by 0
-            raise DomainNotSupported(f"|z|^2 underflows at z = {spec.z!r}; 1/z is not computed")
-        target = complex(spec.z.real / m, -spec.z.imag / m)
+        lead = n * b - a
+        if abs(spec.z) < _TINY_Z:
+            raise DomainNotSupported(f"|z|^2 underflows at z = {spec.z!r}; 1/z is not served")
+        target = _reciprocal(spec.z)
         coeff = -1.0
+    exponent = lead - 1.0
 
     vertices = path.vertices if path is not None else (0.0 + 0.0j, target)
     if vertices[0] != 0:
@@ -377,34 +412,38 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     if _near_branch_point(vertices, n, gap):
         raise DomainNotSupported(f"a vertex of the oracle path {vertices!r} lies within "
                                  f"{gap:.3g} of a branch point w^{n} = 1")
+    minus_b = -b
 
     def integrand(u: complex) -> complex:
         d = 1.0 - u**n
         if u == 0 or d == 0:  # a principal power of 0: the value 0, or a DomainError
-            return principal_power(u, exponent) * principal_power(d, -b)
-        return cmath.exp(exponent * cmath.log(u) - b * cmath.log(d))
+            return principal_power(u, exponent) * principal_power(d, minus_b)
+        return u**exponent * d**minus_b
 
     v1 = vertices[1]
-    g = 1.0 + exponent.real
-    scale = principal_power(v1, exponent + 1.0) / g
-    spin = 1j * exponent.imag / g
+    g = lead.real
+    scale = principal_power(v1, lead) / g
+    spin = complex(0.0, lead.imag / g)
     power = n / g  # u^n = v1^n w^(n/g)
 
-    def mapped(w: complex) -> complex:
-        log_w = math.log(w.real)  # w runs over the real segment (0, 1]
+    def mapped(w: float) -> complex:  # w runs over the real segment (0, 1)
+        d = 1.0 - v1n * w**power
         try:
-            return scale * cmath.exp(spin * log_w
-                                     - b * cmath.log(1.0 - v1n * math.exp(power * log_w)))
-        except ValueError:  # Log(0) at u^n = 1: the value 0, or a DomainError
-            return scale * principal_power(0j, -b)
+            d **= minus_b
+        except ZeroDivisionError:  # 0 ** -b at u^n = 1, or a phase past the float range
+            d = principal_power(d, minus_b)
+        return scale * d * w**spin if spin else scale * d
 
     try:
         v1n = v1**n
         value = contour_quadrature(mapped, _UNIT_SEGMENT, tol)
         if len(vertices) > 2:
             value += contour_quadrature(integrand, vertices[1:], tol)
-    except OverflowError:  # from v1**n, or from cmath.exp or u**n at a node
+    except OverflowError:  # from v1**n, or from a power at a node
         raise AccuracyError(f"the oracle integrand overflows on the path of {spec!r}") from None
+    except ZeroDivisionError:  # a power of a nonzero base whose phase is past the float range
+        raise AccuracyError(f"the phase of the oracle integrand is past the float range "
+                            f"on the path of {spec!r}") from None
     return coeff * value
 
 

@@ -168,9 +168,10 @@ def principal_power(z: complex, a: complex) -> complex:
     """z**a = exp(a Log z) with the principal logarithm, Im(Log) in (-pi, pi].
 
     z = 0 is allowed only for Re(a) > 0 (the limit value 0), and a result
-    past the float range is an AccuracyError.  A jet z takes the branch of
-    its value c0, so its derivatives are those of that branch: with
-    f = c0**a, they are f, a f/c0, a(a-1) f/c0^2 and a(a-1)(a-2) f/c0^3.
+    whose modulus or phase is past the float range is an AccuracyError.  A
+    jet z takes the branch of its value c0, so its derivatives are those of
+    that branch: with f = c0**a, they are f, a f/c0, a(a-1) f/c0^2 and
+    a(a-1)(a-2) f/c0^3.
     """
     try:  # no isinstance test on the scalar path, the common one
         z = complex(z)
@@ -184,6 +185,9 @@ def principal_power(z: complex, a: complex) -> complex:
             f = cmath.exp(a * cmath.log(x))
         except OverflowError:
             raise AccuracyError(f"principal_power: {x!r}**{a!r} overflows") from None
+        except ValueError:  # exp of an infinite phase
+            raise AccuracyError(f"principal_power: the phase of {x!r}**{a!r} "
+                                "is past the float range") from None
         f1 = a * f / x
         f2 = (a - 1.0) * f1 / x
         return z.compose(f, f1, f2, (a - 2.0) * f2 / x)
@@ -198,6 +202,9 @@ def principal_power(z: complex, a: complex) -> complex:
         return ensure_finite(cmath.exp(a * cmath.log(z)), "principal_power result")
     except OverflowError:
         raise AccuracyError(f"non-finite principal_power result: {z!r}**{a!r} overflows") from None
+    except ValueError:  # exp of an infinite phase
+        raise AccuracyError(f"principal_power: the phase of {z!r}**{a!r} "
+                            "is past the float range") from None
 
 
 @functools.cache

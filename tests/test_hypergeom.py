@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abeltau import hypergeom, registry
+from abeltau import hypergeom, numerics, registry
 from abeltau.errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from abeltau.hypergeom import (
     HypergeometricParams,
@@ -697,7 +697,7 @@ class TestIncompleteIntegrals:
     @pytest.mark.parametrize("z", [1e-200, complex(1e-200, -0.0)])
     @pytest.mark.parametrize("evaluate", [incomplete_integral_2f1, oracle_incomplete_integral])
     def test_tiny_from_infinity_argument_is_refused(self, evaluate, z):
-        # z^-2 overflows and |z|^2, the oracle's divisor for 1/z, underflows
+        # z^-2 overflows and |z|^2 underflows
         with pytest.raises(DomainNotSupported):
             evaluate(IncompleteIntegralSpec(0.5, 0.5, 2, z, "from_infinity"))
 
@@ -709,6 +709,98 @@ class TestIncompleteIntegrals:
         spec = IncompleteIntegralSpec(alpha, 0.5, n, complex(-2.0, imag), "from_infinity")
         ref = incomplete_integral_2f1(spec)
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("alpha, z", [
+        (1e-10, 1e200 + 1j), (0.5, 1e200 + 1j), (0.5, complex(-1e200, 0.0)),
+        (0.5, complex(-1e200, -0.0)), (0.5, 2e307 - 1e307j)])
+    def test_oracle_inverts_a_z_whose_square_overflows(self, alpha, z):
+        # |z|^2 leaves the float range from |z| = 1.34e154 on, where forming
+        # 1/z as conj(z)/|z|^2 raised a bare OverflowError.  The closed form
+        # refuses these z, so the reference is the 30-digit one; mpmath has no
+        # -0.0, and for real alpha and beta the value at conj(z) is the conjugate
+        spec = IncompleteIntegralSpec(alpha, 0.5, 2, z, "from_infinity")
+        ref = _incomplete_integral_mp(spec._replace(z=complex(z.real, abs(z.imag))))
+        if math.copysign(1.0, z.imag) < 0:
+            ref = ref.conjugate()
+        assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("spec", [
+        IncompleteIntegralSpec(1e-4, 0.5, 1, 0.5, "from_zero"),
+        IncompleteIntegralSpec(1e-7, 0.5, 1, 0.5, "from_zero"),
+        IncompleteIntegralSpec(0.5 - 1e-7, 0.5, 1, 2.0, "from_infinity"),
+    ])
+    def test_oracle_accurate_as_the_real_part_of_e_plus_1_nears_0(self, spec):
+        # g = Re(e + 1) was formed as 1 + Re(e), which cancels it: at alpha = 1e-4
+        # the value was 1.1e-9 off, at 1e-7 5.3e-3 (the from-infinity row 5.6e-3).
+        # Now the error is about tol, or eps |value| where that is larger
+        ref = _incomplete_integral_mp(spec)
+        assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-10 + 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", [1e-10, 3.9e-42])
+    def test_oracle_refuses_a_base_point_exponent_too_near_minus_one(self, alpha):
+        # w^(n/g) turns into a step at w = 1 that the quadrature cannot resolve;
+        # at 3.9e-42, 1 + Re(e) rounded to 0 and the oracle divided by it
+        spec = IncompleteIntegralSpec(alpha, 0.5, 1, 0.5, "from_zero")
+        with pytest.raises(AccuracyError):
+            oracle_incomplete_integral(spec)
+
+    @pytest.mark.parametrize("evaluate", [incomplete_integral_2f1, oracle_incomplete_integral])
+    def test_a_branch_factor_past_the_float_range_is_an_accuracy_error(self, evaluate):
+        # e^(i pi beta) overflows from Im(beta) < -226 on: a bare OverflowError
+        spec = IncompleteIntegralSpec(0.5, 0.5 - 300j, 1, 0.5, "from_zero")
+        with pytest.raises(AccuracyError, match="e\\^\\(i pi beta\\) overflows"):
+            evaluate(spec)
+
+    def test_a_phase_past_the_float_range_is_not_a_zero_base(self):
+        # (1 - v)^(-beta) = (1 - v)^(1/2 - 1e308 i) near v = 0.95: complex **
+        # reports its infinite phase with the ZeroDivisionError of a zero
+        # base, whose principal power would be 0
+        spec = IncompleteIntegralSpec(-1 + 1e308j, -0.5 + 1e308j, 1, 1 / 0.95, "from_infinity")
+        with pytest.raises(AccuracyError, match="phase"):
+            oracle_incomplete_integral(spec)
+
+    def test_a_closed_form_past_the_float_range_is_an_accuracy_error(self):
+        # e^(i pi beta) is 1e253 here, and the product with the 2F1 came out inf - inf i
+        spec = IncompleteIntegralSpec(0.5312203712896473,
+                                      -3.2186981497647005e-244 - 185.74796025095668j, 3,
+                                      -1.5212943081885075, "from_zero")
+        with pytest.raises(AccuracyError, match="non-finite"):
+            incomplete_integral_2f1(spec)
+
+    def test_extreme_specs_give_a_finite_value_or_an_abeltau_error(self, monkeypatch):
+        # parts from 1e-320 to 1e308, zeros, and n up to 40, so that powers,
+        # phases and 1/z leave the float range: before the oracle took g from
+        # e + 1 itself and every such case was caught, these 500 specs gave 129
+        # other exceptions and 2 non-finite values.  Where Re(e + 1) is tiny
+        # the quadrature runs to its budget; a smaller one only gives up sooner
+        monkeypatch.setattr(numerics, "_MAX_QUAD_EVALS", 20_000)
+        rng = random.Random(20261020)
+
+        def part():
+            r = rng.random()
+            if r < 0.15:
+                return 0.0
+            size = rng.uniform(0.0, 3.0) if r < 0.5 else 10.0 ** rng.uniform(-320.0, 308.0)
+            return rng.choice((-1.0, 1.0)) * size
+
+        def number():
+            return complex(part(), part() if rng.random() < 0.6 else 0.0)
+
+        served = 0
+        while served < 500:
+            try:
+                spec = IncompleteIntegralSpec(number(), number(),
+                                              rng.choice((1, 2, 3, 4, rng.randint(5, 40))),
+                                              number(), rng.choice(("from_zero", "from_infinity")))
+            except DomainError:
+                continue
+            served += 1
+            for evaluate in (incomplete_integral_2f1, oracle_incomplete_integral):
+                try:
+                    value = evaluate(spec)
+                except AbeltauError:
+                    continue
+                assert cmath.isfinite(value), (evaluate.__name__, spec)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 4), from_zero=st.booleans(), beta=st.floats(0.1, 0.9),
@@ -725,16 +817,19 @@ class TestIncompleteIntegrals:
         ref = incomplete_integral_2f1(spec)
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-9 * (1.0 + abs(ref))
 
-    def test_fused_integrands_match_the_principal_power_products(self, monkeypatch):
-        # each integrand takes one exp of a sum of principal logs; the
-        # reference multiplies the principal powers as written in the docstring
+    def test_integrands_match_the_principal_power_products_at_complex_parameters(
+            self, monkeypatch):
+        # each integrand multiplies a few Python powers; the reference takes
+        # every principal power as written in the docstring.  Complex alpha
+        # and beta give the first leg its spin w^(i Im(e)/g) and a complex -beta
         captured = []
         monkeypatch.setattr(hypergeom, "contour_quadrature",
                             lambda f, path, tol: captured.append(f) or 0j)
         rng = random.Random(20240611)
         worst = 0.0
         for _ in range(200):
-            n, beta, e = rng.randint(1, 4), rng.uniform(0.1, 0.9), rng.uniform(-0.8, -0.1)
+            n, e = rng.randint(1, 4), rng.uniform(-0.8, -0.1) + 1j * rng.uniform(-1.0, 1.0)
+            beta = complex(rng.uniform(0.1, 0.9), rng.uniform(-1.0, 1.0))
             z = rng.uniform(0.3, 0.9) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
             if rng.random() < 0.5:
                 spec = IncompleteIntegralSpec(1.0 + e, beta, n, z, "from_zero")
@@ -745,17 +840,17 @@ class TestIncompleteIntegrals:
             captured.clear()
             oracle_incomplete_integral(spec, Polyline([0.0, v1, z]))
             mapped, integrand = captured
-            # the exponent as the oracle forms it, so that only the fusion differs
-            x = spec.alpha - 1.0 if spec.base == "from_zero" else n * spec.beta - spec.alpha - 1.0
-            g = 1.0 + x.real
-            scale, spin = principal_power(v1, x + 1.0) / g, 1j * x.imag / g
+            # e + 1 as the oracle forms it, so that only the products differ
+            lead = spec.alpha if spec.base == "from_zero" else n * spec.beta - spec.alpha
+            g = lead.real
+            scale, spin = principal_power(v1, lead) / g, 1j * lead.imag / g
             for _ in range(5):
                 w = rng.choice((rng.random(), 10.0 ** rng.uniform(-300.0, 0.0)))
                 u = v1 * principal_power(w, 1.0 / g)
                 ref = scale * principal_power(w, spin) * principal_power(1.0 - u**n, -spec.beta)
-                worst = max(worst, abs(mapped(complex(w)) - ref) / abs(ref))
+                worst = max(worst, abs(mapped(w) - ref) / abs(ref))
                 u = v1 + rng.random() * (z - v1)
-                ref = principal_power(u, x) * principal_power(1.0 - u**n, -spec.beta)
+                ref = principal_power(u, lead - 1.0) * principal_power(1.0 - u**n, -spec.beta)
                 worst = max(worst, abs(integrand(u) - ref) / abs(ref))
         assert worst <= 1e-15, worst
 

@@ -55,6 +55,12 @@ class TestPrincipalPower:
         with pytest.raises(AccuracyError, match="principal_power"):
             principal_power(z, a)
 
+    @pytest.mark.parametrize("make", [complex, lambda z: _Jet(z, 1.0)])
+    def test_an_infinite_phase_is_an_accuracy_error(self, make):
+        # a Log z = 6.9e310 i: exp of an infinite phase was a bare ValueError
+        with pytest.raises(AccuracyError, match="phase"):
+            principal_power(make(1e300), 1e308j)
+
     @pytest.mark.parametrize("z, a", [(10.0, 400.0), (1e300, 2.0), (1e-300, -2.0)])
     def test_jet_overflow_is_an_accuracy_error(self, z, a):
         # the jet's exp of its value overflows as the scalar path does
