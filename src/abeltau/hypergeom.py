@@ -190,31 +190,49 @@ def _f21_table(b):
                   (m + 1) * (m + 2) * (m + 3) * t[m + 3]) for m in range(count))
 
 
-def _f21_half(b, z, w):
-    """2F1(1/2, b; b+1 | z) from w = _f21_w(z), one w for every b at the same
-    z: 2F1(1, 2b; b+1 | w) by Horner's rule over _f21_table(b), as many rows as
-    _f21_edges ask for at |w|, for a real b in (0, 1]; for any other b by
-    _f21_series, numbers only; by gauss_2f1 where w is None."""
-    if w is None:
-        return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
+def _f21_rows(table, w):
+    """(x, rows): w's value x, and the rows of an _f21_table, or of a table of
+    rows scaled alike, that a Horner sum at w takes, last first: as many as
+    _f21_edges ask for at |x|, for a number or for a jet w."""
     jet = isinstance(w, _Jet)
-    if not (b.imag == 0 and 0.0 < b.real <= 1.0):
-        if jet:
-            raise DomainNotSupported(f"2F1 jet with b = {b!r}: only a real b in (0, 1] is served")
-        return _f21_series(1.0, 2.0 * b, b + 1.0, w)
     edges = _f21_edges()[jet]
     x = w.c[0] if jet else w
     n = bisect_left(edges, abs(x)) + 1
     if n > len(edges):
-        raise AccuracyError(f"2F1 series: b = {b!r} needs over {n - 1} terms at |w| = {abs(x):.3g}")
+        raise AccuracyError(f"2F1 series: needs over {n - 1} terms at |w| = {abs(x):.3g}")
+    return x, table[n - 1::-1]
+
+
+def _f21_horner(table, w):
+    """sum_n c_n0 w^n over the rows (c_n0, c_n1, c_n2, c_n3) of table that
+    _f21_rows takes at w, by Horner's rule: the value for a number w, and for
+    a jet w the jet composed from the four sums."""
+    x, rows = _f21_rows(table, w)
     s0 = s1 = s2 = s3 = 0j
-    for c0, c1, c2, c3 in _f21_table(b)[n - 1::-1]:
-        s0 = s0 * x + c0
-        if jet:
+    if isinstance(w, _Jet):
+        for c0, c1, c2, c3 in rows:
+            s0 = s0 * x + c0
             s1 = s1 * x + c1
             s2 = s2 * x + c2
             s3 = s3 * x + c3
-    return w.compose(s0, s1, s2, s3) if jet else ensure_finite(s0, "2F1 series")
+        return w.compose(s0, s1, s2, s3)
+    for c0, _, _, _ in rows:
+        s0 = s0 * x + c0
+    return ensure_finite(s0, "2F1 series")
+
+
+def _f21_half(b, z, w):
+    """2F1(1/2, b; b+1 | z) from w = _f21_w(z), one w for every b at the same
+    z: 2F1(1, 2b; b+1 | w) by _f21_horner over _f21_table(b) for a real b in
+    (0, 1]; for any other b by _f21_series, numbers only; by gauss_2f1 where
+    w is None."""
+    if w is None:
+        return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
+    if not (b.imag == 0 and 0.0 < b.real <= 1.0):
+        if isinstance(w, _Jet):
+            raise DomainNotSupported(f"2F1 jet with b = {b!r}: only a real b in (0, 1] is served")
+        return _f21_series(1.0, 2.0 * b, b + 1.0, w)
+    return _f21_horner(_f21_table(b), w)
 
 
 def _f21(a, b, c, z):
@@ -267,16 +285,29 @@ def _branch_factor(beta: complex) -> complex:
     return factor
 
 
+def _reciprocal(z: complex) -> complex:
+    """1/z as conj(z)/|z|^2 by components, as complex division drops the sign
+    of a zero Im(z).  z is scaled by a power of 2 first, so that |z|^2 cannot
+    overflow; wherever the unscaled |z|^2 is a normal float the value is the
+    unscaled one to the bit."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    x, y = math.ldexp(z.real, -k), math.ldexp(z.imag, -k)
+    m = abs(complex(x, y)) ** 2
+    return complex(math.ldexp(x / m, -k), math.ldexp(-y / m, -k))
+
+
 def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     """Closed hypergeometric form of the incomplete integral.  A value past
     the float range, or below sys.float_info.min, whose subnormal has lost
     digits, is an AccuracyError; from_zero at z = 0 keeps its exact 0."""
     a, b, n, z, base = spec
     k = n if base == "from_zero" else -n
-    try:
-        arg = z**k
-    except (OverflowError, ZeroDivisionError):  # complex ** int past the float range
-        raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}") from None
+    try:  # z^-n as (1/z)^n: z^n first would overflow from |z| = 1.34e154 on (n = 2)
+        arg = z**n if base == "from_zero" else _reciprocal(z) ** n
+    except (OverflowError, ZeroDivisionError):  # past the float range, raised
+        arg = math.inf
+    if not cmath.isfinite(arg):  # past the float range, as inf or nan
+        raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}")
     if base == "from_zero":
         value = (_branch_factor(b) / a) * principal_power(z, a) \
             * _f21(b, a / n, a / n + 1.0, arg)
@@ -339,23 +370,19 @@ def _meets_cut(vertices, n: int) -> bool:
 
 
 _UNIT_SEGMENT = Polyline((0.0, 1.0))  # the first segment, in w
-# A from_infinity z with |z| below this, where |z|^2 underflows, is refused.
-# Its far end 1/z puts the bulk of the integrand at a w that no tanh-sinh node
-# of the first segment comes near: at z = 1e-200i (alpha 1/4, beta 1/2, n = 1)
-# the levels agreed on 1.4e-11 for -5.24+5.24i.  Far ends from about 1e52 on
-# can fail the same way.
-_TINY_Z = 2.0**-511
-
-
-def _reciprocal(z: complex) -> complex:
-    """1/z as conj(z)/|z|^2 by components, as complex division drops the sign
-    of a zero Im(z).  z is scaled by a power of 2 first, so that |z|^2 cannot
-    overflow; wherever the unscaled |z|^2 is a normal float the value is the
-    unscaled one to the bit."""
-    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
-    x, y = math.ldexp(z.real, -k), math.ldexp(z.imag, -k)
-    m = abs(complex(x, y)) ** 2
-    return complex(math.ldexp(x / m, -k), math.ldexp(-y / m, -k))
+# A first segment [0, v1] whose far end reaches past _FAR_REACH is refused.
+# Past |v1| = 1, its integrand in w is about 1 up to its bulk at
+# w = |v1|^(-g), and from there falls like w^(-n Re(beta)/g), by
+# e^reach, reach = (n Re(beta) - g) ln|v1|, to the end w = 1.  Where reach is
+# large the bulk is a narrow spike far inside the segment, between the nodes
+# of the coarse tanh-sinh levels, and the levels agree on the tail alone.  In
+# a seeded sweep of 3 800 specs (both bases, n = 1..4, g in [0.08, 1.8],
+# Re(beta) in [0.24, 1.56], |v1| up to 1e160, tol 1e-6 to 1e-12, against a
+# 30-digit closed form), all 600 values served with reach <= 53.05 were within
+# 0.04 tol (1 + |ref|), and all 911 with reach >= 53.5 were 39% to 94% off;
+# g ln|v1| alone does not tell them apart (wrong from 4.2, right up to 589).
+# The bound keeps e^13 below the first wrong value, and refused 9 right ones.
+_FAR_REACH = 40.0
 
 
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
@@ -384,7 +411,9 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     of (1 - .^n)^(-beta) is continuous, i.e. avoid the cut {w : w^n in [1, inf)}:
     a path that meets it, the default straight one included, is refused, also
     at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8),
-    and so is a vertex within _branch_gap(beta, tol) of one.
+    and so is a vertex within _branch_gap(beta, tol) of one.  A first vertex
+    v1 so far out that the integrand falls by more than e^_FAR_REACH from its
+    bulk to v1 is refused too.
 
     Its accuracy is absolute, about tol, so a value far below tol, a
     subnormal one included, is returned as the quadrature gives it; only
@@ -397,9 +426,10 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         coeff = _branch_factor(b)
     else:
         lead = n * b - a
-        if abs(spec.z) < _TINY_Z:
-            raise DomainNotSupported(f"|z|^2 underflows at z = {spec.z!r}; 1/z is not served")
-        target = _reciprocal(spec.z)
+        try:
+            target = _reciprocal(spec.z)
+        except OverflowError:  # a subnormal z
+            raise DomainNotSupported(f"1/z overflows at z = {spec.z!r}") from None
         coeff = -1.0
     exponent = lead - 1.0
 
@@ -408,6 +438,11 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         raise DomainError("oracle path must start at the integral's base point 0")
     if _meets_cut(vertices, n):
         raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
+    v1 = vertices[1]
+    g = lead.real
+    if abs(v1) > 1.0 and (n * b.real - g) * math.log(abs(v1)) > _FAR_REACH:
+        raise DomainNotSupported(f"the first segment's far end {v1!r} puts the integrand's bulk "
+                                 f"at w = {abs(v1) ** -g:.3g}, out of the quadrature's reach")
     gap = _branch_gap(b, tol)
     if _near_branch_point(vertices, n, gap):
         raise DomainNotSupported(f"a vertex of the oracle path {vertices!r} lies within "
@@ -420,8 +455,6 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
             return principal_power(u, exponent) * principal_power(d, minus_b)
         return u**exponent * d**minus_b
 
-    v1 = vertices[1]
-    g = lead.real
     scale = principal_power(v1, lead) / g
     spin = complex(0.0, lead.imag / g)
     power = n / g  # u^n = v1^n w^(n/g)

@@ -204,6 +204,22 @@ def hauptmodul_hyperelliptic(tau) -> complex:
     return _q_series(t, _THETA2) / _q_series(t, _THETA3)
 
 
+def _theta_root(t, t2, r):
+    """s = sqrt(2) theta2(t)/theta2(t/2), the root of r = theta2/theta3 that
+    sqrt_theta_ratio names, from the checked tau t and t2 = theta2(t).  For a
+    number t it is that quotient, and r is not read.  For a jet t, r is r's
+    jet: the quotient is taken at the number t0 alone,
+    s0 = sqrt(2) t2(t0)/theta2(t0/2), which fixes the branch and checks
+    Im(t0)/2, and s's jet is r's by the chain rule of the square root at s0:
+    1/(2 s0), -1/(4 s0^3), 3/(8 s0^5).  That sums no jet of theta2(t/2), the
+    longest of the three series."""
+    if not isinstance(t, _Jet):
+        return math.sqrt(2.0) * t2 / theta2(0.5 * t)
+    s0 = math.sqrt(2.0) * t2.c[0] / theta2(0.5 * t.c[0])
+    s2 = s0 * s0
+    return r.compose(s0, 0.5 / s0, -0.25 / (s2 * s0), 0.375 / (s2 * s2 * s0))
+
+
 def sqrt_theta_ratio(tau) -> complex:
     """Single-valued square root of theta_2/theta_3:
 
@@ -212,7 +228,9 @@ def sqrt_theta_ratio(tau) -> complex:
     The right side is a ratio of holomorphic series, so it is continuous in
     tau; it is the branch used everywhere a square root of the theta quotient
     is needed.  theta_2(tau/2) checks its own argument, so Im(tau)/2 must
-    reach MIN_IM_TAU.
+    reach MIN_IM_TAU.  A jet's derivatives are those of sqrt(theta_2/theta_3)
+    on that branch (_theta_root).
     """
     t = _tau_value(tau)
-    return math.sqrt(2.0) * _q_series(t, _THETA2) / theta2(0.5 * t)
+    t2 = _q_series(t, _THETA2)
+    return _theta_root(t, t2, t2 / _q_series(t, _THETA3) if isinstance(t, _Jet) else None)

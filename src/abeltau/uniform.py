@@ -5,6 +5,16 @@ curve w^2 = z^5 - z.
 Branch policy: every square root of a theta quotient goes through
 sqrt_theta_ratio (a ratio of holomorphic series, hence tau-continuous); all
 remaining roots are principal, with the +- cover sign an explicit parameter.
+On a jet in tau, that root s takes its branch from the number
+s0 = sqrt(2) theta2(tau0)/theta2(tau0/2) and its derivatives from the jet of
+r = theta2/theta3 by the chain rule of the square root.
+
+The four genus-2 integrals U(m, tau), m = 0..3, share r, s and one 2F1
+argument.  Several m at one tau are summed in one Horner pass over a table
+whose row n joins the four b's coefficients; a single m sums its own
+columns of that table, with the same arithmetic per accumulator, so the
+two give each U(m, tau) the same bits, and an underflow refuses only the m
+it belongs to when that m is asked for alone.
 """
 
 from __future__ import annotations
@@ -12,19 +22,20 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable
+from functools import lru_cache
 
 from .errors import AccuracyError, CriticalPointError, DomainError, DomainNotSupported, PoleError
-from .hypergeom import _f21, _f21_half, _f21_w
+from .hypergeom import _f21, _f21_half, _f21_horner, _f21_rows, _f21_table, _f21_w
 from .modular import (
     hauptmodul_equianharmonic,
-    theta2,
     _THETA2,
     _THETA3,
     _TINY,
     _q_series,
     _tau_value,
+    _theta_root,
 )
-from .numerics import _Jet, _value_type
+from .numerics import _Jet, _value_type, ensure_finite
 from .weier import EllipticInvariants, _wp_inverse, u0_constant, wp
 
 __all__ = [
@@ -200,29 +211,87 @@ def _hyperelliptic_thetas(tau):
     """(r, s) = (theta2/theta3, sqrt(2) theta2(tau)/theta2(tau/2)) for a number
     or a jet tau: z = r and its root s, as sqrt_theta_ratio takes it, are the
     two quotients that U(m, tau) is made of, for every m at once.  tau is
-    checked once; theta2(tau/2) checks its own argument."""
+    checked once; theta2(tau/2) checks its own argument, and for a jet is
+    summed as a number alone (modular._theta_root)."""
     t = _tau_value(tau)
     t2 = _q_series(t, _THETA2)
-    return t2 / _q_series(t, _THETA3), math.sqrt(2.0) * t2 / theta2(0.5 * t)
+    r = t2 / _q_series(t, _THETA3)
+    return r, _theta_root(t, t2, r)
+
+
+@lru_cache(maxsize=1)
+def _u_tables():
+    """(columns, rows) of the 2F1 of U(m, tau), built on first use from
+    hypergeom._f21_table(b), b = m/4 + 1/8: columns[m] is b's table times
+    2i/(2m+1), the constant of U folded in, and rows[n] joins the four
+    columns' row n, 16 numbers.  A single m sums its own columns with
+    hypergeom._f21_horner; several m sum rows in one Horner pass."""
+    columns = tuple(tuple(tuple(2j / (2 * m + 1) * c for c in row)
+                          for row in _f21_table(0.25 * m + 0.125)) for m in range(4))
+    return columns, tuple(sum(row, ()) for row in zip(*columns))
+
+
+def _u_f21(ms, lam, w) -> dict:
+    """{m: (2i/(2m+1)) 2F1(1/2, m/4 + 1/8; m/4 + 9/8 | lam)} for the
+    increasing ms, from w = hypergeom._f21_w(lam).  Past the w disk a number
+    goes to gauss_2f1 once per m.  Each accumulator does the arithmetic of
+    hypergeom._f21_horner on its column, so a shared pass gives each m the
+    bits it gets alone."""
+    if w is None:
+        return {m: 2j / (2 * m + 1) * _f21_half(0.25 * m + 0.125, lam, None) for m in ms}
+    columns, table = _u_tables()
+    if len(ms) == 1:
+        return {ms[0]: _f21_horner(columns[ms[0]], w)}
+    x, rows = _f21_rows(table, w)
+    if not isinstance(w, _Jet):
+        p = q = u = v = 0j
+        for p0, _, _, _, q0, _, _, _, u0, _, _, _, v0, _, _, _ in rows:
+            p = p * x + p0
+            q = q * x + q0
+            u = u * x + u0
+            v = v * x + v0
+        return {m: ensure_finite(f, "2F1 series") for m, f in enumerate((p, q, u, v))}
+    # one jet per m: accumulators p*, q*, u*, v* for m = 0, 1, 2, 3
+    p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = u0 = u1 = u2 = u3 = v0 = v1 = v2 = v3 = 0j
+    for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in rows:
+        p0 = p0 * x + a0
+        p1 = p1 * x + a1
+        p2 = p2 * x + a2
+        p3 = p3 * x + a3
+        q0 = q0 * x + b0
+        q1 = q1 * x + b1
+        q2 = q2 * x + b2
+        q3 = q3 * x + b3
+        u0 = u0 * x + c0
+        u1 = u1 * x + c1
+        u2 = u2 * x + c2
+        u3 = u3 * x + c3
+        v0 = v0 * x + d0
+        v1 = v1 * x + d1
+        v2 = v2 * x + d2
+        v3 = v3 * x + d3
+    return {0: w.compose(p0, p1, p2, p3), 1: w.compose(q0, q1, q2, q3),
+            2: w.compose(u0, u1, u2, u3), 3: w.compose(v0, v1, v2, v3)}
 
 
 def _u_hyperelliptic(ms, thetas) -> dict:
     """{m: U(m, tau)} for each m of the increasing ms, from the
     _hyperelliptic_thetas (r, s) of tau.  The prefactor
     2 sqrt(2) i theta2^(m+1)/(theta3^m theta2(tau/2)) = 2i s r^m is a chain of
-    products, p_(m+1) = p_m r, and every m sums its 2F1 at lam = r^4 from the
-    one w = hypergeom._f21_w(lam), so every m refuses the same tau.  A U below the normal float
-    range is an AccuracyError, not a silent zero."""
+    products, p_(m+1) = p_m r, its 2i/(2m+1) folded into _u_f21, and every m
+    sums its 2F1 at lam = r^4 from the one w = hypergeom._f21_w(lam), so
+    every m refuses the same tau.  A U below the normal float range is an
+    AccuracyError, not a silent zero."""
     r, s = thetas
     lam = r**4
-    w = _f21_w(lam)
-    pref = 2j * s
+    fs = _u_f21(ms, lam, _f21_w(lam))
+    pref = s
     us = {}
     for m in range(ms[-1] + 1):
         if m:
             pref = pref * r
         if m in ms:
-            u = pref * _f21_half(0.25 * m + 0.125, lam, w) / (2 * m + 1)
+            u = pref * fs[m]
             if abs(u.c[0] if isinstance(u, _Jet) else u) < _TINY:
                 raise AccuracyError(f"U({m}, tau) underflows")
             us[m] = u

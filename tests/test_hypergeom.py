@@ -681,12 +681,14 @@ class TestIncompleteIntegrals:
 
     def test_oracle_overflow_is_an_accuracy_error(self):
         # (1 - u)^-300 leaves the float range where the middle leg passes u = 0.95,
-        # while every vertex keeps the refusal distance, 0.96 at beta = 300
+        # while every vertex keeps the refusal distance, 0.96 at beta = 300; the
+        # first vertex lies in the unit disk, where no far end is refused
         spec = IncompleteIntegralSpec(1.0, 300.0, 1, -0.5, "from_zero")
         with pytest.raises(AccuracyError):
-            oracle_incomplete_integral(spec, Polyline([0.0, 0.95 + 2j, 0.95 - 2j, -0.5]))
-        # the far end v1 = 1/z = 1e80 e^(-i pi/4): v1^4 leaves the float range
-        far = IncompleteIntegralSpec(0.5, 0.5, 4, 1e-80 * cmath.exp(0.25j * math.pi),
+            oracle_incomplete_integral(spec, Polyline([0.0, 0.95j, 0.95 + 2j, 0.95 - 2j, -0.5]))
+        # the far end v1 = 1/z = 1e80 e^(-i pi/4): v1^4 leaves the float range,
+        # and at alpha = 0.1 the integrand falls by only e^18 from its bulk to v1
+        far = IncompleteIntegralSpec(0.1, 0.5, 4, 1e-80 * cmath.exp(0.25j * math.pi),
                                      "from_infinity")
         with pytest.raises(AccuracyError, match="overflows on the path"):
             oracle_incomplete_integral(far)
@@ -697,7 +699,7 @@ class TestIncompleteIntegrals:
     @pytest.mark.parametrize("z", [1e-200, complex(1e-200, -0.0)])
     @pytest.mark.parametrize("evaluate", [incomplete_integral_2f1, oracle_incomplete_integral])
     def test_tiny_from_infinity_argument_is_refused(self, evaluate, z):
-        # z^-2 overflows and |z|^2 underflows
+        # (1/z)^2 overflows, and 1/z is a far end out of the oracle's reach
         with pytest.raises(DomainNotSupported):
             evaluate(IncompleteIntegralSpec(0.5, 0.5, 2, z, "from_infinity"))
 
@@ -715,14 +717,71 @@ class TestIncompleteIntegrals:
         (0.5, complex(-1e200, -0.0)), (0.5, 2e307 - 1e307j)])
     def test_oracle_inverts_a_z_whose_square_overflows(self, alpha, z):
         # |z|^2 leaves the float range from |z| = 1.34e154 on, where forming
-        # 1/z as conj(z)/|z|^2 raised a bare OverflowError.  The closed form
-        # refuses these z, so the reference is the 30-digit one; mpmath has no
-        # -0.0, and for real alpha and beta the value at conj(z) is the conjugate
+        # 1/z as conj(z)/|z|^2 raised a bare OverflowError.  The reference is
+        # the 30-digit closed form; mpmath has no -0.0, and for real alpha and
+        # beta the value at conj(z) is the conjugate
         spec = IncompleteIntegralSpec(alpha, 0.5, 2, z, "from_infinity")
         ref = _incomplete_integral_mp(spec._replace(z=complex(z.real, abs(z.imag))))
         if math.copysign(1.0, z.imag) < 0:
             ref = ref.conjugate()
         assert abs(oracle_incomplete_integral(spec) - ref) <= 1e-12 * abs(ref)
+
+    def test_closed_form_serves_a_far_from_infinity_z(self):
+        # z^-2 formed as 1/z^2 gave nan from |z| = 1.34e154 on, and the 2F1
+        # refused "(nan+nanj)"; (1/z)^2 underflows to an argument of 0 instead
+        spec = IncompleteIntegralSpec(0.5, 0.5, 2, 1e200 + 1j, "from_infinity")
+        ref = _incomplete_integral_mp(spec)
+        assert abs(incomplete_integral_2f1(spec) - ref) <= 1e-13 * abs(ref)
+
+    def test_closed_form_far_from_infinity_sweep(self):
+        # |z| in [1e150, 1e300]: served to 1e-13, or refused for what it is.
+        # z^(a - n b) multiplies the rounding of a - n b, eps (|a| + n |b|), by
+        # |Log z| <= 691, which no method on these float parameters avoids
+        rng = random.Random(20261020)
+        served = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            beta = complex(rng.uniform(0.1, 1.5), rng.choice((0.0, rng.uniform(-0.3, 0.3))))
+            alpha = n * beta - complex(rng.uniform(0.02, 1.0), rng.uniform(-0.2, 0.2))
+            z = cmath.rect(10.0 ** rng.uniform(150.0, 300.0), rng.uniform(-math.pi, math.pi))
+            spec = IncompleteIntegralSpec(alpha, beta, n, z, "from_infinity")
+            try:
+                got = incomplete_integral_2f1(spec)
+            except AbeltauError as exc:
+                assert "nan" not in str(exc), (spec, exc)
+                continue
+            ref = _incomplete_integral_mp(spec)
+            rounding = sys.float_info.epsilon * abs(cmath.log(z)) * (abs(alpha) + n * abs(beta))
+            assert abs(got - ref) <= (1e-13 + 2.0 * rounding) * abs(ref), (spec, got, ref)
+            served += 1
+        assert served >= 150, served
+
+    def test_oracle_serves_a_far_end_right_or_refuses_it(self):
+        # past |v1| = 1 the first segment's integrand falls from its bulk at
+        # w = |v1|^(-g) to its end; a spike far inside the segment fell between
+        # the nodes of the coarse tanh-sinh levels, which agreed on the tail:
+        # the first spec gave -1.2e-11+9.6e-11i for -5.2441+5.2441i
+        rng = random.Random(20261021)
+        specs = [IncompleteIntegralSpec(0.25, 0.5, 1, 8.78e117 + 4.79e117j, "from_zero")]
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            g, beta = rng.uniform(0.08, 1.8), rng.uniform(0.24, 1.56)
+            turn = 2.0 * math.pi / n  # keep the path off the cut
+            far = cmath.rect(10.0 ** rng.uniform(5.0, 160.0),
+                             rng.choice((1, -1)) * rng.uniform(0.15, turn - 0.15))
+            specs.append(IncompleteIntegralSpec(g, beta, n, far, "from_zero") if rng.random() < 0.5
+                         else IncompleteIntegralSpec(n * beta - g, beta, n, 1.0 / far,
+                                                     "from_infinity"))
+        served = 0
+        for spec in specs:
+            try:
+                got = oracle_incomplete_integral(spec)
+            except AbeltauError:
+                continue
+            ref = _incomplete_integral_mp(spec)
+            assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref)), (spec, got, ref)
+            served += 1
+        assert served >= 10, served
 
     @pytest.mark.parametrize("spec", [
         IncompleteIntegralSpec(1e-4, 0.5, 1, 0.5, "from_zero"),

@@ -215,6 +215,35 @@ class TestTauRepresentations:
             schwarz_residual(eq5_equation(LEMNISCATIC), u_lemniscatic, 2j)
 
 
+# A seeded sample of the tau rectangle [-0.5, 0.5] x [0.6, 2].
+JET_TAUS = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
+                 for rng in [random.Random(20261020)] for _ in range(20))
+
+
+def _quotients_mp(t):
+    """[s, U(0, t), ..., U(3, t)] at mpmath's precision, from the theta and
+    2F1 forms, s = sqrt(2) theta2(t)/theta2(t/2)."""
+    q = mpmath.exp(1j * mpmath.pi * t)
+    th2, th3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
+    s = mpmath.sqrt(2) * th2 / mpmath.jtheta(2, 0, mpmath.exp(0.5j * mpmath.pi * t))
+    r = th2 / th3
+    return [s] + [2j * s * r**m / (2 * m + 1) * mpmath.hyp2f1(0.5, b, b + 1, r**4)
+                  for m in range(4) for b in [mpmath.mpf(2 * m + 1) / 8]]
+
+
+def _quotient_derivatives(tau):
+    """The value and first three derivatives at tau of each of _quotients_mp:
+    central differences with step 1e-18 at 90 digits, which leave more than
+    30."""
+    with mpmath.workdps(90):
+        h = mpmath.mpf(10) ** -18
+        f = {k: _quotients_mp(mpmath.mpc(tau) + k * h) for k in (-2, -1, 0, 1, 2)}
+        return [[complex(f[0][i]), complex((f[1][i] - f[-1][i]) / (2 * h)),
+                 complex((f[1][i] - 2 * f[0][i] + f[-1][i]) / h**2),
+                 complex((f[2][i] - 2 * f[1][i] + 2 * f[-1][i] - f[-2][i]) / (2 * h**3))]
+                for i in range(5)]
+
+
 class TestHyperellipticFamily:
     def test_decay_ordering(self):
         for m in range(4):
@@ -265,6 +294,34 @@ class TestHyperellipticFamily:
                 assert abs(value - ref) <= 1e-13 * abs(ref), (f, tau, value)
                 served += 1
         assert served >= (2 if tau.imag < 1000 else 0)
+
+    def test_an_underflow_refuses_only_its_own_m(self):
+        # U(m, tau) shrinks like |r|^m, r = theta2/theta3 ~ 2 exp(i pi tau/4):
+        # at 800i U(0) = 1.03e-136i is served and every other m underflows, at
+        # 300i only U(3) does
+        for tau, refused in ((800j, {1, 2, 3}), (300j, {3})):
+            with mpmath.workdps(30):
+                refs = [complex(u) for u in _quotients_mp(mpmath.mpc(tau))[1:]]
+            for m, ref in enumerate(refs):
+                if m in refused:
+                    with pytest.raises(AccuracyError, match=rf"U\({m}, tau\) underflows"):
+                        u_hyperelliptic(m, tau)
+                    continue
+                assert abs(u_hyperelliptic(m, tau) - ref) <= 1e-13 * abs(ref), (tau, m)
+
+    @pytest.mark.parametrize("tau", JET_TAUS)
+    def test_jets_to_third_order(self, tau):
+        # s = sqrt_theta_ratio, whose jet is r's by the chain rule of the
+        # square root, and each U(m, .), alone and from the shared pass
+        refs = _quotient_derivatives(tau)
+        every = _u_hyperelliptic((0, 1, 2, 3), _hyperelliptic_thetas(_Jet(tau, 1.0)))
+        jets = [("s", sqrt_theta_ratio(_Jet(tau, 1.0)), refs[0])]
+        for m in range(4):
+            jets += [(m, u_hyperelliptic(m, _Jet(tau, 1.0)), refs[m + 1]),
+                     (m, every[m], refs[m + 1])]
+        for name, jet, ref in jets:
+            for k, (got, want) in enumerate(zip(jet.derivatives(), ref)):
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, k, got, want)
 
     def test_derivative_identity_spot(self):
         tau = 1.5j
