@@ -112,11 +112,9 @@ def _as_small_int(v: complex) -> int:
     return int(v.real)
 
 
-# Built once per process; parsing leaves the parsers unchanged.  Returns the
-# top-level parser and the subparser of each command, so that main can hand
-# a command's arguments straight to its own parser.
+# Built once per process; parsing leaves the parser unchanged.
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abeltau",
         description="evaluate special functions and verify the identity suite",
@@ -145,7 +143,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_grid.add_argument("--region", required=True, metavar="re0,re1,im0,im1")
     p_grid.add_argument("--steps", type=int, required=True)
     add_run_flags(p_grid)
-    return parser, {"eval": p_eval, "verify": p_verify, "grid": p_grid}
+    return parser
 
 
 def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple]]:
@@ -316,13 +314,13 @@ def _fold_dashed_values(argv: list[str]) -> list[str]:
 
 def _sweep_args(argv: list[str]) -> argparse.Namespace | None:
     """The arguments of `grid ID --region=R --steps N`, the form of a sweep
-    once _fold_dashed_values has joined --region to its value, read as the
-    grid parser reads them; None for any other command line, which argparse
-    reads.  argparse's general machinery took a third of the time of a
-    4-point schwarz-chi sweep."""
+    once _fold_dashed_values has joined --region to its value, read as
+    argparse reads them; None for any other command line and for the region
+    "--", which argparse drops: argparse reads those.  Its general machinery
+    took a third of the time of a 4-point schwarz-chi sweep."""
     if (len(argv) == 5 and argv[0] == "grid" and not argv[1].startswith("-")
-            and argv[2].startswith("--region=") and argv[3] == "--steps"
-            and argv[4].isdecimal()):
+            and argv[2].startswith("--region=") and argv[2] != "--region=--"
+            and argv[3] == "--steps" and argv[4].isdecimal()):
         return argparse.Namespace(id=argv[1], region=argv[2][len("--region="):],
                                   steps=int(argv[4]), tol=None, report=None, config=None,
                                   command="grid")
@@ -330,19 +328,11 @@ def _sweep_args(argv: list[str]) -> argparse.Namespace | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser, commands = _build_parser()
     argv = _fold_dashed_values(list(sys.argv[1:] if argv is None else argv))
     args = _sweep_args(argv)
     if args is None:
         try:
-            if argv and argv[0] in commands:
-                # what the top-level parse would do, without scanning argv twice
-                args, extra = commands[argv[0]].parse_known_args(argv[1:])
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-                args.command = argv[0]
-            else:
-                args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
             return int(exc.code or 0)
     try:

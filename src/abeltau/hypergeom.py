@@ -116,7 +116,11 @@ def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
     """
     a, b, c = params
     z = complex(z)
-    if abs(z) <= _SERIES_DISK:
+    try:
+        size = abs(z)
+    except OverflowError:  # finite parts, a modulus past the float range: z/(z-1) is near 1
+        size = math.inf
+    if size <= _SERIES_DISK:
         return _f21_series(a, b, c, z)
     w = z / (z - 1.0) if z != 1 else math.inf  # z = 1, the pole of z/(z-1), is refused
     if abs(w) <= _SERIES_DISK:
@@ -436,7 +440,11 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     vertices = path.vertices if path is not None else (0.0 + 0.0j, target)
     if vertices[0] != 0:
         raise DomainError("oracle path must start at the integral's base point 0")
-    if _meets_cut(vertices, n):
+    try:
+        meets = _meets_cut(vertices, n)
+    except OverflowError:  # a vertex with finite parts and a modulus past the float range
+        raise DomainNotSupported(f"the oracle path {vertices!r} passes the float range") from None
+    if meets:
         raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
     v1 = vertices[1]
     g = lead.real
@@ -472,7 +480,7 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         value = contour_quadrature(mapped, _UNIT_SEGMENT, tol)
         if len(vertices) > 2:
             value += contour_quadrature(integrand, vertices[1:], tol)
-    except OverflowError:  # from v1**n, or from a power at a node
+    except OverflowError:  # from v1**n; contour_quadrature reports a power at a node
         raise AccuracyError(f"the oracle integrand overflows on the path of {spec!r}") from None
     except ZeroDivisionError:  # a power of a nonzero base whose phase is past the float range
         raise AccuracyError(f"the phase of the oracle integrand is past the float range "

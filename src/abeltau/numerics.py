@@ -318,7 +318,8 @@ def contour_quadrature(
     when the next level would pass the evaluation budget, or when they agree
     only to rounding level, the best estimate is surfaced inside an
     AccuracyError; its error bound is the larger distance to the two
-    estimates before it.
+    estimates before it.  An OverflowError, raised by f or by a modulus past
+    the float range, is an AccuracyError too.
 
     f takes each node as a float on a segment of the real axis, one whose
     vertices both have imaginary part +0.0, and as a complex number elsewhere.
@@ -333,46 +334,49 @@ def contour_quadrature(
             a, b = a.real, b.real
         segments.append((a, b, 0.5 * (b - a)))
     evals = len(segments)
-    mids = [0.5 * math.pi * half * ensure_finite(f(a + half), "integrand sample")
-            for a, b, half in segments]
-    total = sum(mids)
-    mass = sum(map(abs, mids))  # scale of the contributions so far, for the floor
-    value = older = error = bound = math.inf
-    before = last = math.inf  # d_(k-2) and d_(k-1), d_j = |I_j - I_(j-1)|
-    for level in itertools.count():
-        gaps, weights = _ts_level(level)
-        if evals + 2 * len(gaps) * len(segments) > _MAX_QUAD_EVALS:
-            break
-        for a, b, half in segments:
-            floor = _TS_FLOOR * mass / abs(half)
-            acc = 0.0 + 0.0j
-            for end, step in ((a, half), (b, -half)):
-                for c, w in zip(gaps, weights):  # outward, towards end
-                    z = end + step * c
-                    if z == end:
-                        break  # and so would every node beyond
-                    sample = f(z)
-                    if not cmath.isfinite(sample):  # ensure_finite, without a call per node
-                        raise AccuracyError(f"non-finite integrand sample: {complex(sample)!r}")
-                    term = w * sample
-                    acc += term
-                    evals += 1
-                    if abs(term) <= floor:
-                        break  # the terms beyond decay double-exponentially
-            total += acc * half
-            mass += abs(acc * half)
-        estimate = total * 2.0**-level  # total holds the sum over the level's grid
-        step = abs(estimate - value)  # d_k; inf at level 0
-        if level >= 2:
-            error = step
-            bound = max(error, abs(estimate - older))  # reported if it gives up
-            if (level >= 3 and step * before <= last * last
-                    and step * step <= _TS_AHEAD * tol * last):
-                error = step * step / last  # the next difference, predicted
-        before, last = last, step
-        older, value = value, estimate
-        if error <= tol or error <= 4e-16 * abs(estimate):
-            break
+    try:
+        mids = [0.5 * math.pi * half * ensure_finite(f(a + half), "integrand sample")
+                for a, b, half in segments]
+        total = sum(mids)
+        mass = sum(map(abs, mids))  # scale of the contributions so far, for the floor
+        value = older = error = bound = math.inf
+        before = last = math.inf  # d_(k-2) and d_(k-1), d_j = |I_j - I_(j-1)|
+        for level in itertools.count():
+            gaps, weights = _ts_level(level)
+            if evals + 2 * len(gaps) * len(segments) > _MAX_QUAD_EVALS:
+                break
+            for a, b, half in segments:
+                floor = _TS_FLOOR * mass / abs(half)
+                acc = 0.0 + 0.0j
+                for end, step in ((a, half), (b, -half)):
+                    for c, w in zip(gaps, weights):  # outward, towards end
+                        z = end + step * c
+                        if z == end:
+                            break  # and so would every node beyond
+                        sample = f(z)
+                        if not cmath.isfinite(sample):  # ensure_finite, without a call per node
+                            raise AccuracyError(f"non-finite integrand sample: {complex(sample)!r}")
+                        term = w * sample
+                        acc += term
+                        evals += 1
+                        if abs(term) <= floor:
+                            break  # the terms beyond decay double-exponentially
+                total += acc * half
+                mass += abs(acc * half)
+            estimate = total * 2.0**-level  # total holds the sum over the level's grid
+            step = abs(estimate - value)  # d_k; inf at level 0
+            if level >= 2:
+                error = step
+                bound = max(error, abs(estimate - older))  # reported if it gives up
+                if (level >= 3 and step * before <= last * last
+                        and step * step <= _TS_AHEAD * tol * last):
+                    error = step * step / last  # the next difference, predicted
+            before, last = last, step
+            older, value = value, estimate
+            if error <= tol or error <= 4e-16 * abs(estimate):
+                break
+    except OverflowError:  # from f, or a modulus past the float range of finite parts
+        raise AccuracyError("the integrand or its integral passes the float range") from None
     if not error <= tol:
         raise AccuracyError(
             f"quadrature failed to reach tol={tol:g} (error bound {bound:.3g})",

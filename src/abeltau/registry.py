@@ -11,6 +11,7 @@ record passes, fails, or is skipped where a uniformizer's 2F1 is refused.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 import sys
@@ -122,18 +123,18 @@ class RunRecord(_value_type("RunRecord", "identity point residual tolerance stat
         """The record as one line of the json-lines stream: byte for byte what
         json.dumps writes for the object with keys identity, point ([re, im]),
         residual (a float or None), tolerance (a float), status and metadata
-        (complex values as [re, im]), without the generic encoder."""
+        (complex values as [re, im]).  The fixed fields are formatted by hand;
+        a non-empty metadata goes to the C encoder of the json module."""
         p = self.point
         return (f'{{"identity": {encode_basestring_ascii(self.identity)}, '
                 f'"point": [{_json_float(p.real)}, {_json_float(p.imag)}], '
                 f'"residual": {_json_float(self.residual)}, '
                 f'"tolerance": {_json_float(self.tolerance)}, '
                 f'"status": {encode_basestring_ascii(self.status)}, '
-                f'"metadata": {_json_object(self.metadata)}}}')
+                f'"metadata": {_METADATA_JSON.encode(self.metadata) if self.metadata else "{}"}}}')
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_float(x: float | None) -> str:
@@ -143,31 +144,14 @@ def _json_float(x: float | None) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _json_object(d: Mapping) -> str:
-    """What json.dumps writes for a mapping with string keys."""
-    if not d:  # the metadata of most checks
-        return "{}"
-    return "{" + ", ".join([f"{encode_basestring_ascii(k)}: {_json_value(v)}"
-                            for k, v in d.items()]) + "}"
-
-
-def _json_value(v) -> str:
-    """What json.dumps writes for v, a complex number written as [re, im]."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, float):
-        return _json_float(v)
+def _complex_pair(v) -> list[float]:
+    """A complex metadata value as [re, im]; any other value json cannot write is a TypeError."""
     if isinstance(v, complex):
-        return f"[{_json_float(v.real)}, {_json_float(v.imag)}]"
-    if v is None or isinstance(v, bool):
-        return _JSON_CONSTANTS[v]
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(map(_json_value, v)) + "]"
-    if isinstance(v, dict):
-        return _json_object(v)
+        return [v.real, v.imag]
     raise TypeError(f"metadata value {v!r} of type {type(v).__name__} has no JSON form")
+
+
+_METADATA_JSON = json.JSONEncoder(default=_complex_pair)
 
 
 class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check samples tau_grid",

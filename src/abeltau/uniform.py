@@ -10,11 +10,12 @@ s0 = sqrt(2) theta2(tau0)/theta2(tau0/2) and its derivatives from the jet of
 r = theta2/theta3 by the chain rule of the square root.
 
 The four genus-2 integrals U(m, tau), m = 0..3, share r, s and one 2F1
-argument.  Several m at one tau are summed in one Horner pass over a table
-whose row n joins the four b's coefficients; a single m sums its own
-columns of that table, with the same arithmetic per accumulator, so the
-two give each U(m, tau) the same bits, and an underflow refuses only the m
-it belongs to when that m is asked for alone.
+argument.  Several m of a jet at one tau are summed in one Horner pass over
+a table whose row n joins the four b's coefficients; a number, and a single
+m of a jet, sums each m over its own columns of that table, with the same
+arithmetic per accumulator, so each U(m, tau) gets the same bits either
+way, and an underflow refuses only the m it belongs to when that m is asked
+for alone.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .modular import (
     _tau_value,
     _theta_root,
 )
-from .numerics import _Jet, _value_type, ensure_finite
+from .numerics import _Jet, _value_type
 from .weier import EllipticInvariants, _wp_inverse, u0_constant, wp
 
 __all__ = [
@@ -224,8 +225,9 @@ def _u_tables():
     """(columns, rows) of the 2F1 of U(m, tau), built on first use from
     hypergeom._f21_table(b), b = m/4 + 1/8: columns[m] is b's table times
     2i/(2m+1), the constant of U folded in, and rows[n] joins the four
-    columns' row n, 16 numbers.  A single m sums its own columns with
-    hypergeom._f21_horner; several m sum rows in one Horner pass."""
+    columns' row n, 16 numbers.  Each m of a number, and a single m of a jet,
+    sums its own columns with hypergeom._f21_horner; several m of a jet sum
+    rows in one Horner pass."""
     columns = tuple(tuple(tuple(2j / (2 * m + 1) * c for c in row)
                           for row in _f21_table(0.25 * m + 0.125)) for m in range(4))
     return columns, tuple(sum(row, ()) for row in zip(*columns))
@@ -234,23 +236,15 @@ def _u_tables():
 def _u_f21(ms, lam, w) -> dict:
     """{m: (2i/(2m+1)) 2F1(1/2, m/4 + 1/8; m/4 + 9/8 | lam)} for the
     increasing ms, from w = hypergeom._f21_w(lam).  Past the w disk a number
-    goes to gauss_2f1 once per m.  Each accumulator does the arithmetic of
-    hypergeom._f21_horner on its column, so a shared pass gives each m the
-    bits it gets alone."""
+    goes to gauss_2f1 once per m.  In the shared pass of a jet, each
+    accumulator does the arithmetic of hypergeom._f21_horner on its column,
+    so it gives each m the bits it gets alone."""
     if w is None:
         return {m: 2j / (2 * m + 1) * _f21_half(0.25 * m + 0.125, lam, None) for m in ms}
     columns, table = _u_tables()
-    if len(ms) == 1:
-        return {ms[0]: _f21_horner(columns[ms[0]], w)}
+    if len(ms) == 1 or not isinstance(w, _Jet):
+        return {m: _f21_horner(columns[m], w) for m in ms}
     x, rows = _f21_rows(table, w)
-    if not isinstance(w, _Jet):
-        p = q = u = v = 0j
-        for p0, _, _, _, q0, _, _, _, u0, _, _, _, v0, _, _, _ in rows:
-            p = p * x + p0
-            q = q * x + q0
-            u = u * x + u0
-            v = v * x + v0
-        return {m: ensure_finite(f, "2F1 series") for m, f in enumerate((p, q, u, v))}
     # one jet per m: accumulators p*, q*, u*, v* for m = 0, 1, 2, 3
     p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = u0 = u1 = u2 = u3 = v0 = v1 = v2 = v3 = 0j
     for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in rows:

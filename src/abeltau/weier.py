@@ -274,9 +274,13 @@ def _sigma_frame(u: complex, inv: EllipticInvariants):
         r = 1.0 / max((abs(g2) / _SIGMA_BOX) ** 0.25, (abs(g3) / _SIGMA_BOX) ** (1.0 / 6.0))
         g2, g3 = g2 * r**4, g3 * r**6
     u = complex(u)
-    if abs(u) > SIGMA_RADIUS * r:
+    try:
+        size = abs(u)
+    except OverflowError:  # finite parts, a modulus past the float range
+        size = math.inf
+    if size > SIGMA_RADIUS * r:
         raise DomainNotSupported(
-            f"|u| = {abs(u):g} outside the validated sigma disk (radius {SIGMA_RADIUS * r:g})"
+            f"|u| = {size:g} outside the validated sigma disk (radius {SIGMA_RADIUS * r:g})"
         )
     return u / r, g2, g3, r
 
@@ -345,7 +349,11 @@ def integral_third_kind(z: complex, p: ThirdKindParam, inv) -> complex:
     inv = _invariants(inv)
     alpha = p.alpha_point
     u = _wp_inverse_for(inv)(z)
-    if abs(u - alpha) < 1e-12 * (1.0 + abs(alpha)):
+    try:
+        on_pole = abs(u - alpha) < 1e-12 * (1.0 + abs(alpha))
+    except OverflowError:  # an alpha past the float range in modulus, which sigma refuses
+        on_pole = False
+    if on_pole:
         raise PoleError(f"z = {z!r} sits on the third-kind logarithmic singularity")
     s_shift = weier_sigma(u - alpha, inv)
     s_plain = weier_sigma(u, inv)

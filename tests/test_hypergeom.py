@@ -29,6 +29,7 @@ from abeltau.hypergeom import (
 )
 from abeltau.numerics import Polyline, _Jet, contour_quadrature, principal_power
 from abeltau.registry import REGISTRY, RunConfig, run_identity
+from abeltau.weier import ThirdKindParam, integral_third_kind, weier_sigma, weier_zeta
 
 
 def f21(a, b, c, z):
@@ -826,12 +827,35 @@ class TestIncompleteIntegrals:
         with pytest.raises(AccuracyError, match="non-finite"):
             incomplete_integral_2f1(spec)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda z: f21(0.5, 0.5, 1.5, z), DomainNotSupported),
+        (lambda z: weier_sigma(z, (4.0, 0.0)), DomainNotSupported),
+        (lambda z: weier_zeta(z, (4.0, 0.0)), DomainNotSupported),
+        (lambda z: integral_third_kind(2.0, ThirdKindParam(z), (4.0, 0.0)), DomainNotSupported),
+        (lambda z: incomplete_integral_2f1(IncompleteIntegralSpec(0.5, 0.5, 1, z, "from_zero")),
+         DomainNotSupported),
+        (lambda z: oracle_incomplete_integral(IncompleteIntegralSpec(0.5, 0.5, 1, z, "from_zero")),
+         DomainNotSupported),
+        (lambda z: contour_quadrature(lambda u: u, [0.0, z]), AccuracyError),
+        (lambda z: contour_quadrature(lambda u: 1.0, [0.0, z]), AccuracyError),
+    ], ids=["gauss_2f1", "weier_sigma", "weier_zeta", "integral_third_kind",
+            "incomplete_integral_2f1", "oracle_incomplete_integral", "quadrature of u",
+            "quadrature of 1"])
+    def test_a_modulus_past_the_float_range_is_refused(self, call, error):
+        # both parts finite, the modulus past the float range: abs(z) raised a
+        # bare OverflowError
+        for z in (1.5e308 + 1.5e308j, -1.5e308 + 1.5e308j, 1.3e308 - 1.7e308j,
+                  -1.7e308 - 1.3e308j):
+            with pytest.raises(error):
+                call(z)
+
     def test_extreme_specs_give_a_finite_value_or_an_abeltau_error(self, monkeypatch):
         # parts from 1e-320 to 1e308, zeros, and n up to 40, so that powers,
         # phases and 1/z leave the float range: before the oracle took g from
         # e + 1 itself and every such case was caught, these 500 specs gave 129
         # other exceptions and 2 non-finite values.  Where Re(e + 1) is tiny
-        # the quadrature runs to its budget; a smaller one only gives up sooner
+        # the quadrature runs to its budget; a smaller one only gives up sooner.
+        # One z in ten has both parts near 1e308, a modulus past the float range
         monkeypatch.setattr(numerics, "_MAX_QUAD_EVALS", 20_000)
         rng = random.Random(20261020)
 
@@ -845,12 +869,18 @@ class TestIncompleteIntegrals:
         def number():
             return complex(part(), part() if rng.random() < 0.6 else 0.0)
 
+        def endpoint():
+            if rng.random() < 0.1:
+                return complex(*(rng.choice((-1.0, 1.0)) * rng.uniform(1e308, 1.7e308)
+                                 for _ in range(2)))
+            return number()
+
         served = 0
         while served < 500:
             try:
-                spec = IncompleteIntegralSpec(number(), number(),
-                                              rng.choice((1, 2, 3, 4, rng.randint(5, 40))),
-                                              number(), rng.choice(("from_zero", "from_infinity")))
+                spec = IncompleteIntegralSpec(
+                    number(), number(), rng.choice((1, 2, 3, 4, rng.randint(5, 40))),
+                    endpoint(), rng.choice(("from_zero", "from_infinity")))
             except DomainError:
                 continue
             served += 1
