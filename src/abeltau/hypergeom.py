@@ -373,20 +373,19 @@ def _meets_cut(vertices, n: int) -> bool:
     return False
 
 
-_UNIT_SEGMENT = Polyline((0.0, 1.0))  # the first segment, in w
-# A first segment [0, v1] whose far end reaches past _FAR_REACH is refused.
-# Past |v1| = 1, its integrand in w is about 1 up to its bulk at
-# w = |v1|^(-g), and from there falls like w^(-n Re(beta)/g), by
-# e^reach, reach = (n Re(beta) - g) ln|v1|, to the end w = 1.  Where reach is
-# large the bulk is a narrow spike far inside the segment, between the nodes
-# of the coarse tanh-sinh levels, and the levels agree on the tail alone.  In
-# a seeded sweep of 3 800 specs (both bases, n = 1..4, g in [0.08, 1.8],
-# Re(beta) in [0.24, 1.56], |v1| up to 1e160, tol 1e-6 to 1e-12, against a
-# 30-digit closed form), all 600 values served with reach <= 53.05 were within
-# 0.04 tol (1 + |ref|), and all 911 with reach >= 53.5 were 39% to 94% off;
-# g ln|v1| alone does not tell them apart (wrong from 4.2, right up to 589).
-# The bound keeps e^13 below the first wrong value, and refused 9 right ones.
-_FAR_REACH = 40.0
+_UNIT_SEGMENT = Polyline((0.0, 1.0))  # the first leg, in t
+# A far end v1 whose reach, (n Re(beta) - Re(e + 1)) ln|v1|, passes _FAR_REACH
+# is refused.  Past |u| = 1 the integrand, per unit of ln|u|, falls like
+# e^(-reach) from the unit circle to v1, so the leg out to v1 holds its bulk on
+# a stretch of the tanh-sinh variable about 1/reach wide, which coarse levels
+# step over, agreeing on the tail alone.  In a seeded sweep of 3 800 specs
+# (both bases, n = 1..4, Re(e + 1) in [0.08, 1.8], Re(beta) in [0.24, 1.56],
+# |v1| up to 1e160, tol 1e-6 to 1e-12, against a 30-digit closed form) every
+# value served with reach <= 40.6 was within 0.011 tol (1 + |ref|), and every
+# one from 44.5 on was 1.9e4 tol off or more; 3 000 specs with reach in
+# [30, 50] put the first wrong value at 42.2.  The bound stays e^8 below it,
+# and refused 26 right values of the 3 800.
+_FAR_REACH = 34.0
 
 
 def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
@@ -397,27 +396,34 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     from_zero integrates u^(alpha-1) e^(i pi beta) (1-u^n)^(-beta) from 0 to
     z; from_infinity substitutes u -> 1/v and integrates v^(n beta - alpha - 1)
     (1-v^n)^(-beta) from 0 to 1/z (with an overall minus sign).  Both
-    integrate c u^e (1-u^n)^(-beta) from the base point 0 itself: on the first
-    segment [0, v1], u = v1 w^(1/g) with g = Re(e + 1) turns u^e du into the
-    bounded (v1^(e+1)/g) w^(i Im(e)/g) dw on w in [0, 1], so the tanh-sinh
-    quadrature stays accurate as Re(e) nears -1.  e + 1 is alpha or
-    n beta - alpha itself: 1 + Re(e) would cancel Re(alpha) as it nears 0.
-    Each node is a product of principal powers, Python's complex ** (one of
-    a nonzero base takes the principal log).  A node w of the first segment
-    costs (1 - v1^n w^(n/g))^(-beta), with v1^n computed once per call and
-    w^(n/g) a real power, times w^(i Im(e)/g) only where Im(e) != 0; a node u
-    of a later segment costs u^e (1 - u^n)^(-beta).  A base 0 goes to
-    principal_power, for its value 0 or its DomainError, and a power past
-    the float range, in modulus or in phase, is an AccuracyError.
+    integrate c u^e (1-u^n)^(-beta) from the base point 0 itself, with its
+    singular part u^e subtracted (Davis & Rabinowitz, Methods of Numerical
+    Integration, 1984, 2.12.7): with rho = v1 if the first vertex v1 has
+    |v1| <= 1, else v1/|v1|, and u = rho t for a real t, the ray to v1 is
+
+        rho^(e+1) (1/(e+1) + int_0^1 t^e ((1 - rho^n t^n)^(-beta) - 1) dt
+                   + int_1^|v1| t^e (1 - rho^n t^n)^(-beta) dt).
+
+    The first integrand is about beta rho^n t^(e+n) near 0, bounded however
+    near Re(e) is to -1; the split at |u| = 1 keeps the subtracted u^e from
+    outgrowing the value, and a real t keeps the principal powers and the
+    sign of a zero Im(v1) exact.  e + 1 is alpha or n beta - alpha itself:
+    1 + Re(e) would cancel Re(alpha) as it nears 0.  rho^(e+1)/(e+1) is also
+    the leading term of the closed form under check; the quadrature checks
+    everything past it.  A node is a product of principal powers, Python's
+    ** (one of a nonzero base takes the principal log):
+    t^e (1 - rho^n t^n)^(-beta), rho^n computed once per call, or
+    u^e (1 - u^n)^(-beta) on a later segment.  A base 0 goes to
+    principal_power, for its value 0 or its DomainError, and a power past the
+    float range, in modulus or in phase, is an AccuracyError.
 
     The path is in the integration variable (u for from_zero, v = 1/u for
     from_infinity), must start at 0, and must stay where the principal branch
     of (1 - .^n)^(-beta) is continuous, i.e. avoid the cut {w : w^n in [1, inf)}:
     a path that meets it, the default straight one included, is refused, also
     at a branch point w^n = 1 (ending at u = 1 gave i B(1/4, 1/2)/2 to 1.6e-8),
-    and so is a vertex within _branch_gap(beta, tol) of one.  A first vertex
-    v1 so far out that the integrand falls by more than e^_FAR_REACH from its
-    bulk to v1 is refused too.
+    and so is a vertex, rho among them, within _branch_gap(beta, tol) of one.
+    A first vertex v1 whose reach passes _FAR_REACH is refused too.
 
     Its accuracy is absolute, about tol, so a value far below tol, a
     subnormal one included, is returned as the quadrature gives it; only
@@ -435,7 +441,7 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
         except OverflowError:  # a subnormal z
             raise DomainNotSupported(f"1/z overflows at z = {spec.z!r}") from None
         coeff = -1.0
-    exponent = lead - 1.0
+    exponent = lead - 1.0 if lead.imag else lead.real - 1.0  # a float power costs less
 
     vertices = path.vertices if path is not None else (0.0 + 0.0j, target)
     if vertices[0] != 0:
@@ -447,15 +453,16 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
     if meets:
         raise DomainNotSupported(f"the oracle path {vertices!r} meets the cut w^{n} in [1, inf)")
     v1 = vertices[1]
-    g = lead.real
-    if abs(v1) > 1.0 and (n * b.real - g) * math.log(abs(v1)) > _FAR_REACH:
-        raise DomainNotSupported(f"the first segment's far end {v1!r} puts the integrand's bulk "
-                                 f"at w = {abs(v1) ** -g:.3g}, out of the quadrature's reach")
+    size = abs(v1)
+    if size > 1.0 and (n * b.real - lead.real) * math.log(size) > _FAR_REACH:
+        raise DomainNotSupported(f"the far end {v1!r} is out of the quadrature's reach")
+    # by components, as complex division drops the sign of a zero Im(v1)
+    rho = complex(v1.real / size, v1.imag / size) if size > 1.0 else v1
     gap = _branch_gap(b, tol)
-    if _near_branch_point(vertices, n, gap):
+    if _near_branch_point((rho, *vertices), n, gap):
         raise DomainNotSupported(f"a vertex of the oracle path {vertices!r} lies within "
                                  f"{gap:.3g} of a branch point w^{n} = 1")
-    minus_b = -b
+    minus_b, rho_n = -b, rho**n
 
     def integrand(u: complex) -> complex:
         d = 1.0 - u**n
@@ -463,29 +470,20 @@ def oracle_incomplete_integral(spec: IncompleteIntegralSpec,
             return principal_power(u, exponent) * principal_power(d, minus_b)
         return u**exponent * d**minus_b
 
-    scale = principal_power(v1, lead) / g
-    spin = complex(0.0, lead.imag / g)
-    power = n / g  # u^n = v1^n w^(n/g)
-
-    def mapped(w: float) -> complex:  # w runs over the real segment (0, 1)
-        d = 1.0 - v1n * w**power
-        try:
-            d **= minus_b
-        except ZeroDivisionError:  # 0 ** -b at u^n = 1, or a phase past the float range
-            d = principal_power(d, minus_b)
-        return scale * d * w**spin if spin else scale * d
+    def radial(t: float) -> complex:  # u = rho t; on (0, 1) less t^e, integrated in closed form
+        p = t**exponent
+        d = (1.0 - rho_n * t**n) ** minus_b
+        return p * (d - 1.0) if t < 1.0 else p * d
 
     try:
-        v1n = v1**n
-        value = contour_quadrature(mapped, _UNIT_SEGMENT, tol)
+        ray = _UNIT_SEGMENT if rho == v1 else Polyline((0.0, 1.0, size))
+        value = principal_power(rho, lead) * (1.0 / lead + contour_quadrature(radial, ray, tol))
         if len(vertices) > 2:
             value += contour_quadrature(integrand, vertices[1:], tol)
-    except OverflowError:  # from v1**n; contour_quadrature reports a power at a node
-        raise AccuracyError(f"the oracle integrand overflows on the path of {spec!r}") from None
     except ZeroDivisionError:  # a power of a nonzero base whose phase is past the float range
         raise AccuracyError(f"the phase of the oracle integrand is past the float range "
                             f"on the path of {spec!r}") from None
-    return coeff * value
+    return ensure_finite(coeff * value, "oracle value")
 
 
 # Lanczos approximation, g = 7, 9 coefficients: ~15 correct digits on the
