@@ -349,10 +349,10 @@ def _branch_gap(beta: complex, tol: float) -> float:
 
 
 def _near_branch_point(vertices, n: int, gap: float) -> bool:
-    """Whether a vertex lies within gap of a branch point w^n = 1."""
+    """Whether a vertex lies within gap of a branch point w^n = 1; those lie on |w| = 1."""
     turn = 2.0 * math.pi / n
     return any(abs(v - cmath.exp(1j * turn * round(cmath.phase(v) / turn))) < gap
-               for v in vertices)
+               for v in set(vertices) if abs(abs(v) - 1.0) < gap)
 
 
 def _meets_cut(vertices, n: int) -> bool:

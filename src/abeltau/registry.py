@@ -436,6 +436,9 @@ def _check_iii_oracle(row):
 # registry
 
 _ONE_ROW = (None,)
+# One tolerance for the relative residuals of the six tau-derivative identities: 35x the worst,
+# 2.8e-13, of a seeded sweep of the benchmark rectangles and of schwarz-z up to Im tau = 1.2.
+_TAU_TOL = 1e-11
 
 REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
     IdentityEntry("jacobi-quartic", "theta2^4 + theta4^4 = theta3^4", 1e-12,
@@ -447,20 +450,20 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
     IdentityEntry("sqrt-ratio", "sqrt_theta_ratio(tau)^2 = theta2/theta3", 1e-12,
                   _check_sqrt_ratio, (0.5j, 0.3 + 0.9j, -0.2 + 2.2j, 1.5j, 0.8j),
                   tau_grid=True),
-    IdentityEntry("schwarz-chi", "[chi,tau] = -(1/2)(chi^2+1)^2/(chi^3-chi)^2", 1e-8,
+    IdentityEntry("schwarz-chi", "[chi,tau] = -(1/2)(chi^2+1)^2/(chi^3-chi)^2", _TAU_TOL,
                   _schwarz_point_check(LEMNISCATIC_CHI_EQUATION, hauptmodul_lemniscatic),
                   (1.2j, 1.1j, 1.3j, 0.1 + 1.2j, -0.1 + 1.25j), tau_grid=True),
-    IdentityEntry("schwarz-z", "[z,tau] = -(1/2) z(z^3+8)/(z^3-1)^2", 1e-8,
+    IdentityEntry("schwarz-z", "[z,tau] = -(1/2) z(z^3+8)/(z^3-1)^2", _TAU_TOL,
                   _schwarz_point_check(EQUIANHARMONIC_Z_EQUATION, hauptmodul_equianharmonic),
                   (0.5j, 0.55j, 0.6j, 0.05 + 0.55j, -0.05 + 0.6j), tau_grid=True),
-    IdentityEntry("schwarz-u-lemn", "[u,tau] = -2 P(2u; 4,0) for the lemniscatic u(tau)", 1e-7,
-                  _schwarz_point_check(_Q_LEMN, u_lemniscatic),
+    IdentityEntry("schwarz-u-lemn", "[u,tau] = -2 P(2u; 4,0) for the lemniscatic u(tau)",
+                  _TAU_TOL, _schwarz_point_check(_Q_LEMN, u_lemniscatic),
                   (1 + 0.8j, 1 + 0.9j, -1 + 0.85j, 1 + 0.75j, 0.98 + 0.8j), tau_grid=True),
-    IdentityEntry("schwarz-u-equi-root", "[u,tau] = -2 P(2u; 0,4), root form", 1e-7,
+    IdentityEntry("schwarz-u-equi-root", "[u,tau] = -2 P(2u; 0,4), root form", _TAU_TOL,
                   _schwarz_point_check(_Q_EQUI, u_equianharmonic_root),
                   (0.55j, 0.6j, 0.65j, 0.75j, 0.85j), tau_grid=True),
-    IdentityEntry("schwarz-u-equi-rootfree", "[u,tau] = -2 P(2u; 0,4), root-free form", 1e-7,
-                  _schwarz_point_check(_Q_EQUI, u_equianharmonic_rootfree),
+    IdentityEntry("schwarz-u-equi-rootfree", "[u,tau] = -2 P(2u; 0,4), root-free form",
+                  _TAU_TOL, _schwarz_point_check(_Q_EQUI, u_equianharmonic_rootfree),
                   (0.5 + 0.6j, 0.5 + 0.65j, 0.5 + 0.7j, 0.5 + 0.75j, 0.5 + 0.8j),
                   tau_grid=True),
     IdentityEntry("wp-diffeq", "P'^2 = 4P^3 - g2 P - g3 at random points", 5e-13,
@@ -493,7 +496,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   1e-10, _check_cover_branch_point, ((0.0, 0.0, 1), (0.0, 0.0, -1))),
     IdentityEntry("du-reduction", "du/dx quadrature matches the R_F inverse of P", 4e-14,
                   _check_du_reduction, _ARCS),
-    IdentityEntry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", 1e-6,
+    IdentityEntry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", _TAU_TOL,
                   _check_u_derivative, (1.2j, 1.35j, 1.5j, 1.8j), tau_grid=True),
     IdentityEntry("U-quadrature", "U(0, tau) equals the direct path integral", 1e-8,
                   _check_u_quadrature, ((1.5j, 0),)),

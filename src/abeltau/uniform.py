@@ -156,12 +156,13 @@ class CoverConstants(_value_type(
         return EllipticInvariants(g2, g3)
 
 
-def _bracket(jet: _Jet, tau0: complex) -> tuple[complex, complex]:
-    """(f(tau0), [f, tau] at tau0) from the Taylor jet of f at tau0."""
+def _bracket(jet: _Jet, tau0: complex) -> tuple[complex, complex, float]:
+    """(f, [f, tau], |f'''/f'^3| + 1.5|f''^2/f'^4|) at tau0, from the Taylor jet of f there."""
     d0, d1, d2, d3 = jet.derivatives()
     if abs(d1) < 1e-10:
         raise CriticalPointError(f"f'({tau0!r}) ~ 0; bracket undefined at a critical point")
-    return d0, d3 / d1**3 - 1.5 * d2 * d2 / d1**4
+    a, b = d3 / d1**3, 1.5 * d2 * d2 / d1**4
+    return d0, a - b, abs(a) + abs(b)
 
 
 def bracket_schwarzian(f: Callable[[complex], complex], tau0: complex) -> complex:
@@ -308,13 +309,14 @@ def u_hyperelliptic(m: int, tau) -> complex:
 def schwarz_residual(q: Callable[[complex], complex],
                      candidate: Callable[[complex], complex],
                      tau) -> float:
-    """|[candidate, tau] - q(candidate(tau))|, the value and the bracket from
-    one evaluation of candidate on a jet in tau, so a uniformizer refuses a
-    point outside its region before any bracket is formed.
-    """
+    """|[f, tau] - Q(f)| / (|f'''/f'^3| + 1.5|f''^2/f'^4| + |Q(f)|), f = candidate, Q = q:
+    relative to the terms that cancel, so rounding-sized near a pole of Q too.  f
+    is evaluated once, on a jet in tau, so a uniformizer refuses a point outside
+    its region before any bracket is formed."""
     t = _tau_value(tau)
-    value, bracket = _bracket(candidate(_Jet(t, 1.0)), t)
-    return abs(bracket - q(value))
+    value, bracket, size = _bracket(candidate(_Jet(t, 1.0)), t)
+    rhs = q(value)
+    return abs(bracket - rhs) / (size + abs(rhs) or 1.0)
 
 
 def covering_map(p: CurvePoint, c: CoverConstants) -> tuple[complex, complex]:

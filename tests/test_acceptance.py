@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from abeltau.registry import REGISTRY, RunConfig, run_identity
+from abeltau.registry import _TAU_TOL, REGISTRY, RunConfig, run_identity
 
 CFG = RunConfig()
 
@@ -53,17 +53,17 @@ def test_criterion_11_u0_elliptic_integral_form():
 def test_criterion_03_hauptmodul_schwarz_residuals():
     # the equianharmonic formula-variant question resolved in favor of the
     # printed Hauptmodul, so schwarz-z asserts rather than reports
-    records = _run_criterion(3, "Hauptmodul Schwarz residuals < 1e-8",
+    records = _run_criterion(3, "Hauptmodul scaled Schwarz residuals < 1e-11",
                              ["schwarz-chi", "schwarz-z"], 5.0)
-    assert all(r.tolerance == 1e-8 for r in records)
+    assert all(r.tolerance == _TAU_TOL for r in records)
     assert len(records) == 10
 
 
 def test_criterion_04_torus_form_residuals():
-    records = _run_criterion(4, "[u,tau] = -2 P(2u) residuals < 1e-7",
+    records = _run_criterion(4, "[u,tau] = -2 P(2u) scaled residuals < 1e-11",
                              ["schwarz-u-lemn", "schwarz-u-equi-root",
                               "schwarz-u-equi-rootfree"], 10.0)
-    assert all(r.tolerance == 1e-7 for r in records)
+    assert all(r.tolerance == _TAU_TOL for r in records)
     assert len(records) == 15  # three 5-point grids
 
 
@@ -96,11 +96,12 @@ def test_criterion_07_covering_algebra():
 
 
 def test_criterion_08_base_integral_family():
-    records = _run_criterion(8, "dU/dtau identity < 1e-6 and U quadrature < 1e-8",
+    records = _run_criterion(8, "dU/dtau relative residual < 1e-11 and U quadrature < 1e-8",
                              ["U-derivative", "U-quadrature"], 10.0)
     deriv = [r for r in records if r.identity == "U-derivative"]
     assert len(deriv) == 4
     for r in deriv:
+        assert r.tolerance == _TAU_TOL
         assert {"m0", "m1", "m2", "m3"} <= set(r.metadata)
 
 

@@ -1057,6 +1057,26 @@ class TestIncompleteIntegrals:
             served += 1
         assert served >= 8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_the_refusal_distance_is_a_disk_about_each_branch_point(self, n):
+        # the branch points lie on |w| = 1: a vertex 0.9 gap from one is
+        # refused from every side, and one with ||v| - 1| = 1.1 gap is served
+        beta, tol = 1.5, 1e-10
+        gap = hypergeom._branch_gap(beta, tol)
+        assert gap > 10.0 * hypergeom._BRANCH_GAP
+        for k in range(n):
+            w = cmath.exp(2j * math.pi * k / n)
+            for side in (1.0, -1.0, 1j, -1j):
+                assert hypergeom._near_branch_point((0j, w * (1.0 + 0.9 * gap * side)), n, gap)
+            for size in (1.0 - 1.1 * gap, 1.0 + 1.1 * gap):
+                assert not hypergeom._near_branch_point((0j, size * w), n, gap)
+            spec = IncompleteIntegralSpec(0.5, beta, n, (1.0 - 0.9 * gap) * w, "from_zero")
+            with pytest.raises(DomainNotSupported, match="lies within"):
+                oracle_incomplete_integral(spec, tol=tol)
+            spec = spec._replace(z=(1.0 - 1.1 * gap) * w)
+            assert abs(oracle_incomplete_integral(spec, tol=tol)
+                       - _incomplete_integral_mp(spec)) <= tol, spec
+
     def test_a_far_end_just_off_a_branch_direction(self):
         # |v1| > 1 within 1e-4/n of the direction of a branch point: the
         # straight path passes it at about that distance, and the old single

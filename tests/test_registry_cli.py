@@ -15,10 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abeltau
-from abeltau import cli
+from abeltau import cli, registry
 from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
-from abeltau.modular import hauptmodul_hyperelliptic, sqrt_theta_ratio
+from abeltau.modular import (
+    hauptmodul_equianharmonic,
+    hauptmodul_hyperelliptic,
+    hauptmodul_lemniscatic,
+    sqrt_theta_ratio,
+)
 from abeltau.numerics import _Jet
 from abeltau.registry import (
     REGISTRY,
@@ -27,7 +32,15 @@ from abeltau.registry import (
     RunRecord,
     run_identity,
 )
-from abeltau.uniform import u_hyperelliptic
+from abeltau.uniform import (
+    EQUIANHARMONIC_Z_EQUATION,
+    LEMNISCATIC_CHI_EQUATION,
+    eq5_equation,
+    schwarz_residual,
+    u_hyperelliptic,
+    u_lemniscatic,
+)
+from abeltau.weier import LEMNISCATIC
 
 
 def _fresh_run(argv):
@@ -159,6 +172,53 @@ class TestRegistry:
                 assert rec.status in ("pass", "fail", "skipped"), (name, rec)
                 # the entry's tolerance judges every one of its records
                 assert rec.tolerance == REGISTRY[name].tolerance, (name, rec)
+
+
+TAU_DERIVATIVE_IDENTITIES = ("schwarz-chi", "schwarz-z", "schwarz-u-lemn", "schwarz-u-equi-root",
+                             "schwarz-u-equi-rootfree", "U-derivative")
+
+
+class TestTauDerivativeIdentities:
+    """The six identities in tau derivatives report relative residuals, judged
+    by one tolerance that a wrong equation or candidate fails by 1e4 or more."""
+
+    def test_one_tolerance(self):
+        assert {REGISTRY[name].tolerance for name in TAU_DERIVATIVE_IDENTITIES} == {1e-11}
+
+    @staticmethod
+    def _fails_by_1e4(monkeypatch, name, check):
+        # every sample of the entry, judged by its tolerance, under check
+        entry = REGISTRY[name]
+        monkeypatch.setitem(REGISTRY, name, entry._replace(check=check))
+        records = run_identity(name, RunConfig())
+        assert len(records) == len(entry.samples)
+        for rec in records:
+            assert rec.status == "fail" and rec.residual >= 1e4 * entry.tolerance, rec
+
+    @pytest.mark.parametrize("name, q, candidate", [
+        ("schwarz-chi", EQUIANHARMONIC_Z_EQUATION, hauptmodul_lemniscatic),
+        ("schwarz-z", LEMNISCATIC_CHI_EQUATION, hauptmodul_equianharmonic)])
+    def test_the_other_hauptmodul_equation_fails(self, monkeypatch, name, q, candidate):
+        self._fails_by_1e4(monkeypatch, name,
+                           lambda tau: (tau, schwarz_residual(q, candidate, tau), {}))
+
+    def test_a_perturbed_u_fails(self, monkeypatch):
+        q = eq5_equation(LEMNISCATIC)
+        perturbed = lambda t: u_lemniscatic(t) + 1e-6 * t**3
+        self._fails_by_1e4(monkeypatch, "schwarz-u-lemn",
+                           lambda tau: (tau, schwarz_residual(q, perturbed, tau), {}))
+
+    def test_a_perturbed_U_fails(self, monkeypatch):
+        # U(m, tau) + 1e-6 tau^2 for every m, in the check's own pass over all m
+        real_u, real_check = registry._u_hyperelliptic, REGISTRY["U-derivative"].check
+
+        def check(tau):
+            shift = 1e-6 * _Jet(complex(tau), 1.0) ** 2
+            monkeypatch.setattr(registry, "_u_hyperelliptic", lambda ms, thetas: {
+                m: u + shift for m, u in real_u(ms, thetas).items()})
+            return real_check(tau)
+
+        self._fails_by_1e4(monkeypatch, "U-derivative", check)
 
 
 class TestRunRecord:
@@ -597,7 +657,15 @@ class TestGrid:
         records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         evaluated = [r for r in records if r["status"] == "pass"]
         assert len(records) == 25 and len(evaluated) >= 20
-        assert all(r["residual"] < 1e-8 for r in evaluated)
+        assert all(r["residual"] <= 1e-11 for r in evaluated)
+
+    def test_schwarz_z_sweep_up_to_im_tau_1_2(self, capsys):
+        # z(tau) nears the pole z = 1 of Q up the imaginary axis: at Im tau =
+        # 1.2 |Q| ~ 2.2e4, and an absolute residual of 2e-8 to 4e-8, rounding
+        # there, failed 7 of these points against a tolerance of 1e-8
+        assert main(["grid", "schwarz-z", "--region=-0.2,0.2,0.4,1.2", "--steps", "13"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 169 and all(r["status"] == "pass" for r in records)
 
     def test_out_of_domain_region_all_skipped(self, capsys):
         assert main(["grid", "schwarz-u-lemn", "--region", "-0.1,0.1,1.9,2.1",
@@ -616,7 +684,7 @@ class TestGrid:
         for rec in records:
             meta = rec["metadata"]
             assert list(meta) == ["branch", "m0", "m1", "m2", "m3"]
-            assert rec["residual"] == max(meta[f"m{m}"] for m in range(4)) < 1e-6
+            assert rec["residual"] == max(meta[f"m{m}"] for m in range(4)) <= 1e-11
 
     def test_large_im_tau_gives_records(self, capsys):
         # at 250i z^3 z' underflows; this printed a ZeroDivisionError traceback
