@@ -29,12 +29,12 @@ from .errors import AccuracyError, CriticalPointError, DomainError, DomainNotSup
 from .hypergeom import _f21, _f21_half, _f21_horner, _f21_rows, _f21_table, _f21_w
 from .modular import (
     hauptmodul_equianharmonic,
-    _THETA2,
-    _THETA3,
+    _I2,
+    _I3,
     _TINY,
-    _q_series,
+    _modular,
     _tau_value,
-    _theta_root,
+    _theta_quotients,
 )
 from .numerics import _Jet, _value_type
 from .weier import EllipticInvariants, _wp_inverse, u0_constant, wp
@@ -182,12 +182,12 @@ def u_lemniscatic(tau) -> complex:
     Equals wp_inverse_lemniscatic(hauptmodul_lemniscatic(tau)) up to the sign
     of its root where both are defined.
     """
-    t = _tau_value(tau)
-    ratio = _q_series(t, _THETA3) / _q_series(t, _THETA2)
+    t2, t3 = _modular(_tau_value(tau), (_I2, _I3))
+    ratio = t3 / t2
     try:
         x = ratio**4
     except OverflowError:  # far outside the disk of _f21, which would refuse it
-        raise DomainNotSupported(f"2F1 argument (theta3/theta2)^4 overflows at tau = {t!r}") \
+        raise DomainNotSupported(f"2F1 argument (theta3/theta2)^4 overflows at tau = {tau!r}") \
             from None
     return ratio * _f21(0.5, 0.25, 1.25, x)
 
@@ -213,12 +213,9 @@ def _hyperelliptic_thetas(tau):
     """(r, s) = (theta2/theta3, sqrt(2) theta2(tau)/theta2(tau/2)) for a number
     or a jet tau: z = r and its root s, as sqrt_theta_ratio takes it, are the
     two quotients that U(m, tau) is made of, for every m at once.  tau is
-    checked once; theta2(tau/2) checks its own argument, and for a jet is
-    summed as a number alone (modular._theta_root)."""
-    t = _tau_value(tau)
-    t2 = _q_series(t, _THETA2)
-    r = t2 / _q_series(t, _THETA3)
-    return r, _theta_root(t, t2, r)
+    checked once; theta2(tau/2) is served down to Im(tau)/2 = MIN_IM_TAU/2,
+    and for a jet is summed as a number alone (modular._theta_quotients)."""
+    return _theta_quotients(_tau_value(tau))
 
 
 @lru_cache(maxsize=1)

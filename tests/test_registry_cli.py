@@ -667,6 +667,25 @@ class TestGrid:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(records) == 169 and all(r["status"] == "pass" for r in records)
 
+    @pytest.mark.parametrize("name", ["jacobi-quartic", "eta-shift", "sqrt-ratio"])
+    def test_the_cusp_band_passes(self, capsys, name):
+        # the tau-grid benchmark's fixed band, down to Im tau = 1e-2 at the
+        # cusps: before the modular reduction 28 of these 192 records failed
+        assert main(["grid", name, "--region=-1,1,0.01,0.3", "--steps", "8"]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert len(records) == 64 and all(r["status"] == "pass" for r in records)
+        assert captured.err.startswith("summary: 64 passed, 0 failed,")
+
+    @pytest.mark.parametrize("tau", [1 + 0.01j, 1j])
+    def test_jacobi_quartic_sees_a_perturbed_theta4(self, monkeypatch, tau):
+        # the residual's scale |theta2^4| + |theta4^4| does not vanish at the
+        # cusp 1, where theta3^4 does, and theta4 there is as large as theta2
+        real = registry.theta4
+        monkeypatch.setattr(registry, "theta4", lambda t: real(t) * (1.0 + 1e-9))
+        (rec,) = _run_at("jacobi-quartic", tau)
+        assert rec.status == "fail" and rec.residual >= 1e3 * rec.tolerance, rec
+
     def test_out_of_domain_region_all_skipped(self, capsys):
         assert main(["grid", "schwarz-u-lemn", "--region", "-0.1,0.1,1.9,2.1",
                      "--steps", "3"]) == 0
