@@ -303,7 +303,10 @@ def _theta_quotients(t):
         return r, math.sqrt(2.0) * t2 / _modular(0.5 * t, (_I2,))[0]
     s0 = math.sqrt(2.0) * t2.c[0] / _modular(0.5 * t.c[0], (_I2,))[0]
     s2 = s0 * s0
-    return r, r.compose(s0, 0.5 / s0, -0.25 / (s2 * s0), 0.375 / (s2 * s2 * s0))
+    s5 = s2 * s2 * s0
+    if abs(s5) < _TINY:  # from Im(t) = 362 on, where 1/s0^5 overflows
+        raise AccuracyError(f"sqrt_theta_ratio: the jet's derivatives overflow at tau = {t!r}")
+    return r, r.compose(s0, 0.5 / s0, -0.25 / (s2 * s0), 0.375 / s5)
 
 
 def sqrt_theta_ratio(tau) -> complex:

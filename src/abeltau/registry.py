@@ -33,7 +33,6 @@ from .modular import (
     hauptmodul_equianharmonic,
     hauptmodul_hyperelliptic,
     hauptmodul_lemniscatic,
-    sqrt_theta_ratio,
     theta2,
     theta3,
     theta4,
@@ -54,7 +53,7 @@ from .uniform import (
     u_hyperelliptic,
     u_lemniscatic,
     _hyperelliptic_thetas,
-    _u_hyperelliptic,
+    _u_slopes,
 )
 from .weier import (
     EQUIANHARMONIC,
@@ -182,8 +181,9 @@ def _check_eta_shift(tau):
 
 
 def _check_sqrt_ratio(tau):
-    target = hauptmodul_hyperelliptic(tau)
-    return tau, abs(sqrt_theta_ratio(tau) ** 2 - target) / abs(target), {}
+    # r = theta2/theta3 and s = sqrt_theta_ratio from one sum of theta2 and theta3
+    target, root = _hyperelliptic_thetas(tau)
+    return tau, abs(root**2 - target) / abs(target), {}
 
 
 def _schwarz_point_check(q, candidate):
@@ -199,22 +199,22 @@ _Q_EQUI = eq5_equation(EQUIANHARMONIC)
 def _check_u_derivative(tau):
     """dU/dtau = z^m z'(tau) / sqrt(z^5 - z) with z = theta2/theta3 and the
     root branch fixed by sqrt_theta_ratio, s = sqrt(2) theta2(tau)/theta2(tau/2):
-    1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every U(m, .), z and s come from one
-    set of theta jets in tau, and every U(m, .) from one 2F1 argument; tau
-    where the 2F1 of U refuses a jet is skipped, and a right side that
-    underflows fails."""
+    1/sqrt(z^5-z) = i/(s sqrt(1-z^4)).  Every dU(m, .)/dtau, z and s come from
+    one set of theta jets in tau, and every dU(m, .)/dtau from one pass over
+    the value and slope of each m's 2F1 (uniform._u_slopes); tau where the 2F1
+    of U refuses a jet is skipped, and a right side that underflows fails."""
     thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
-    us = _u_hyperelliptic((0, 1, 2, 3), thetas)
+    slopes = _u_slopes(thetas)
     r, s = thetas
     z, z_prime = r.derivatives()[:2]
     root = s.derivatives()[0] * cmath.sqrt(1.0 - z**4)
     per_m = {}
-    for m, u in us.items():
+    for m, (_, u_prime) in enumerate(slopes):
         rhs = 1j * z**m * (z_prime / root)  # z^m z' alone underflows far up the half-plane
         size = abs(rhs)
         if size < sys.float_info.min:
             raise AccuracyError(f"z^{m} z'/sqrt(z^5 - z) underflows at tau = {tau!r}")
-        per_m[f"m{m}"] = abs(u.derivatives()[1] - rhs) / size
+        per_m[f"m{m}"] = abs(u_prime - rhs) / size
     return tau, max(per_m.values()), {"branch": "sqrt_theta_ratio", **per_m}
 
 

@@ -10,12 +10,12 @@ s0 = sqrt(2) theta2(tau0)/theta2(tau0/2) and its derivatives from the jet of
 r = theta2/theta3 by the chain rule of the square root.
 
 The four genus-2 integrals U(m, tau), m = 0..3, share r, s and one 2F1
-argument.  Several m of a jet at one tau are summed in one Horner pass over
-a table whose row n joins the four b's coefficients; a number, and a single
-m of a jet, sums each m over its own columns of that table, with the same
-arithmetic per accumulator, so each U(m, tau) gets the same bits either
-way, and an underflow refuses only the m it belongs to when that m is asked
-for alone.
+argument.  u_hyperelliptic sums one m over its own columns of a table of the
+four b's coefficients, so an underflow refuses only the m it belongs to.
+The U-derivative check reads dU/dtau alone: _u_slopes sums the value and
+the w-slope of every m's 2F1 in one Horner pass over the value and slope
+columns of that table, and forms each U and dU/dtau by the product rule,
+the orders 0 and 1 of u_hyperelliptic's jet, bit for bit.
 """
 
 from __future__ import annotations
@@ -222,71 +222,47 @@ def _hyperelliptic_thetas(tau):
 def _u_tables():
     """(columns, rows) of the 2F1 of U(m, tau), built on first use from
     hypergeom._f21_table(b), b = m/4 + 1/8: columns[m] is b's table times
-    2i/(2m+1), the constant of U folded in, and rows[n] joins the four
-    columns' row n, 16 numbers.  Each m of a number, and a single m of a jet,
-    sums its own columns with hypergeom._f21_horner; several m of a jet sum
-    rows in one Horner pass."""
+    2i/(2m+1), the constant of U folded in, and rows[n] joins the value and
+    slope coefficients (c_n0, c_n1) of the four columns' row n, 8 numbers.
+    u_hyperelliptic sums its m's column with hypergeom._f21_horner, and
+    _u_slopes sums rows in one Horner pass."""
     columns = tuple(tuple(tuple(2j / (2 * m + 1) * c for c in row)
                           for row in _f21_table(0.25 * m + 0.125)) for m in range(4))
-    return columns, tuple(sum(row, ()) for row in zip(*columns))
+    return columns, tuple(sum((row[:2] for row in rows), ()) for rows in zip(*columns))
 
 
-def _u_f21(ms, lam, w) -> dict:
-    """{m: (2i/(2m+1)) 2F1(1/2, m/4 + 1/8; m/4 + 9/8 | lam)} for the
-    increasing ms, from w = hypergeom._f21_w(lam).  Past the w disk a number
-    goes to gauss_2f1 once per m.  In the shared pass of a jet, each
-    accumulator does the arithmetic of hypergeom._f21_horner on its column,
-    so it gives each m the bits it gets alone."""
-    if w is None:
-        return {m: 2j / (2 * m + 1) * _f21_half(0.25 * m + 0.125, lam, None) for m in ms}
-    columns, table = _u_tables()
-    if len(ms) == 1 or not isinstance(w, _Jet):
-        return {m: _f21_horner(columns[m], w) for m in ms}
-    x, rows = _f21_rows(table, w)
-    # one jet per m: accumulators p*, q*, u*, v* for m = 0, 1, 2, 3
-    p0 = p1 = p2 = p3 = q0 = q1 = q2 = q3 = u0 = u1 = u2 = u3 = v0 = v1 = v2 = v3 = 0j
-    for a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 in rows:
-        p0 = p0 * x + a0
-        p1 = p1 * x + a1
-        p2 = p2 * x + a2
-        p3 = p3 * x + a3
-        q0 = q0 * x + b0
-        q1 = q1 * x + b1
-        q2 = q2 * x + b2
-        q3 = q3 * x + b3
-        u0 = u0 * x + c0
-        u1 = u1 * x + c1
-        u2 = u2 * x + c2
-        u3 = u3 * x + c3
-        v0 = v0 * x + d0
-        v1 = v1 * x + d1
-        v2 = v2 * x + d2
-        v3 = v3 * x + d3
-    return {0: w.compose(p0, p1, p2, p3), 1: w.compose(q0, q1, q2, q3),
-            2: w.compose(u0, u1, u2, u3), 3: w.compose(v0, v1, v2, v3)}
-
-
-def _u_hyperelliptic(ms, thetas) -> dict:
-    """{m: U(m, tau)} for each m of the increasing ms, from the
-    _hyperelliptic_thetas (r, s) of tau.  The prefactor
-    2 sqrt(2) i theta2^(m+1)/(theta3^m theta2(tau/2)) = 2i s r^m is a chain of
-    products, p_(m+1) = p_m r, its 2i/(2m+1) folded into _u_f21, and every m
-    sums its 2F1 at lam = r^4 from the one w = hypergeom._f21_w(lam), so
-    every m refuses the same tau.  A U below the normal float range is an
-    AccuracyError, not a silent zero."""
+def _u_slopes(thetas) -> list:
+    """[(U(m, tau), dU(m, tau)/dtau) for m = 0..3] from the _hyperelliptic_thetas
+    jets (r, s) of a jet tau: the c0 and c1 of u_hyperelliptic(m, tau), bit for
+    bit.  One Horner pass sums each m's 2F1 value F and w-slope F_w, then
+    U = p F and U' = p (F_w w') + p' F with p = s r^m; each product is formed
+    as _Jet forms its orders 0 and 1, which its orders 2 and 3 never feed.  A
+    jet past the w disk is refused, and a U below the normal float range is an
+    AccuracyError."""
     r, s = thetas
-    lam = r**4
-    fs = _u_f21(ms, lam, _f21_w(lam))
-    pref = s
-    us = {}
-    for m in range(ms[-1] + 1):
+    w = _f21_w(r**4)
+    x, rows = _f21_rows(_u_tables()[1], w)
+    # value and slope accumulators f*, g* for m = 0, 1, 2, 3
+    f0 = g0 = f1 = g1 = f2 = g2 = f3 = g3 = 0j
+    for a0, b0, a1, b1, a2, b2, a3, b3 in rows:
+        f0 = f0 * x + a0
+        g0 = g0 * x + b0
+        f1 = f1 * x + a1
+        g1 = g1 * x + b1
+        f2 = f2 * x + a2
+        g2 = g2 * x + b2
+        f3 = f3 * x + a3
+        g3 = g3 * x + b3
+    w1 = w.c[1]
+    (r0, r1), (p, dp) = r.c[:2], s.c[:2]
+    us = []
+    for m, (f, g) in enumerate(((f0, g0), (f1, g1), (f2, g2), (f3, g3))):
         if m:
-            pref = pref * r
-        if m in ms:
-            u = pref * fs[m]
-            if abs(u.c[0] if isinstance(u, _Jet) else u) < _TINY:
-                raise AccuracyError(f"U({m}, tau) underflows")
-            us[m] = u
+            p, dp = p * r0, p * r1 + dp * r0
+        u = p * f
+        if abs(u) < _TINY:
+            raise AccuracyError(f"U({m}, tau) underflows")
+        us.append((u, p * (g * w1) + dp * f))
     return us
 
 
@@ -296,11 +272,29 @@ def u_hyperelliptic(m: int, tau) -> complex:
         U(m, tau) = (2 sqrt(2) i/(2m+1)) theta2^(m+1) / (theta3^m theta2(tau/2))
                     * 2F1(1/2, m/4 + 1/8; m/4 + 9/8 | theta2^4/theta3^4)
 
-    m = 0, 1 are the holomorphic pair, m = 2, 3 the meromorphic ones.
+    m = 0, 1 are the holomorphic pair, m = 2, 3 the meromorphic ones.  From
+    the _hyperelliptic_thetas (r, s) of tau, the prefactor is 2i s r^m, a chain
+    of products, its 2i/(2m+1) folded into _u_tables, and the 2F1 is summed
+    at lam = r^4 from w = hypergeom._f21_w(lam), so every m refuses the same
+    tau.  A U below the normal float range is an AccuracyError, not a silent
+    zero.
     """
     if not isinstance(m, int) or not (0 <= m <= 3):
         raise DomainError(f"m must be an integer in 0..3, got {m!r}")
-    return _u_hyperelliptic((m,), _hyperelliptic_thetas(tau))[m]
+    r, s = _hyperelliptic_thetas(tau)
+    lam = r**4
+    w = _f21_w(lam)
+    if w is None:
+        f = 2j / (2 * m + 1) * _f21_half(0.25 * m + 0.125, lam, None)
+    else:
+        f = _f21_horner(_u_tables()[0][m], w)
+    u = s
+    for _ in range(m):
+        u = u * r
+    u = u * f
+    if abs(u.c[0] if isinstance(u, _Jet) else u) < _TINY:
+        raise AccuracyError(f"U({m}, tau) underflows")
+    return u
 
 
 def schwarz_residual(q: Callable[[complex], complex],

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import abeltau
-from abeltau import cli, registry
+from abeltau import cli, modular, registry
 from abeltau.cli import format_complex, main, parse_complex
 from abeltau.errors import AccuracyError, DomainError, DomainNotSupported
 from abeltau.modular import (
@@ -136,23 +137,44 @@ class TestRegistry:
         assert "|w| > 0.45" in rec.metadata["reason"]
         assert inside.status == "pass"
 
-    @pytest.mark.parametrize("tau", [1.2j, 1.5j, 0.05 + 1.7j, 250j])
-    def test_u_derivative_as_from_the_public_functions(self, tau):
-        # one set of theta jets serves all of U(m, .), z and sqrt_theta_ratio;
-        # the residuals are those of the public functions, bit for bit
-        jet = _Jet(tau, 1.0)
-        z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
-        root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
-        (rec,) = _run_at("U-derivative", tau)
-        for m in range(4):
-            rhs = 1j * z**m * (z_prime / root)
-            lhs = u_hyperelliptic(m, jet).derivatives()[1]
-            assert rec.metadata[f"m{m}"] == abs(lhs - rhs) / abs(rhs)
+    # seeded tau of the benchmark rectangle, far up the half-plane, and of
+    # the skip edge, where |w| passes 0.45 between 0.4i and 0.5i
+    U_DERIVATIVE_TAUS = {
+        name: (*fixed, *(complex(rng.uniform(*re), rng.uniform(*im)) for _ in range(n)))
+        for rng in [random.Random(20261022)]
+        for name, fixed, re, im, n in (
+            ("rectangle", (1.2j, 1.5j, 0.05 + 1.7j), (-0.1, 0.1), (1.2, 1.8), 20),
+            ("far-up", (250j,), (-0.5, 0.5), (3.0, 250.0), 20),
+            ("skip-edge", (), (-0.1, 0.1), (0.38, 0.52), 40))}
 
-    @pytest.mark.parametrize("tau", [30j, 120j, 250j, 1000j, 3000j, 0.3 + 1e5j])
+    @pytest.mark.parametrize("region", sorted(U_DERIVATIVE_TAUS))
+    def test_u_derivative_as_from_the_public_functions(self, region):
+        # one set of theta jets serves all of dU(m, .)/dtau, z and
+        # sqrt_theta_ratio; the residuals are those of the public functions,
+        # bit for bit, and a tau is skipped where every u_hyperelliptic refuses
+        seen = set()
+        for tau in self.U_DERIVATIVE_TAUS[region]:
+            jet = _Jet(tau, 1.0)
+            (rec,) = _run_at("U-derivative", tau)
+            try:
+                slopes = [u_hyperelliptic(m, jet).derivatives()[1] for m in range(4)]
+            except DomainNotSupported:
+                seen.add("skipped")
+                assert rec.status == "skipped", rec
+                continue
+            seen.add("served")
+            z, z_prime = hauptmodul_hyperelliptic(jet).derivatives()[:2]
+            root = sqrt_theta_ratio(tau) * cmath.sqrt(1.0 - z**4)
+            for m, lhs in enumerate(slopes):
+                rhs = 1j * z**m * (z_prime / root)
+                assert rec.metadata[f"m{m}"] == abs(lhs - rhs) / abs(rhs), (tau, m)
+        assert seen == ({"served", "skipped"} if region == "skip-edge" else {"served"}), seen
+
+    @pytest.mark.parametrize("tau", [30j, 120j, 250j, 400j, 0.3 + 600j, 1000j, 3000j, 0.3 + 1e5j])
     def test_large_im_tau_gives_records(self, tau):
-        # theta2, eta and z^m z' underflow up there; dividing by them raised
-        # ZeroDivisionError, and (theta3/theta2)^4 an OverflowError
+        # theta2, eta, z^m z' and sqrt_theta_ratio^5 underflow up there;
+        # dividing by them raised ZeroDivisionError, and (theta3/theta2)^4 an
+        # OverflowError
         for name, entry in REGISTRY.items():
             if entry.tau_grid:
                 (rec,) = _run_at(name, tau)
@@ -209,13 +231,12 @@ class TestTauDerivativeIdentities:
                            lambda tau: (tau, schwarz_residual(q, perturbed, tau), {}))
 
     def test_a_perturbed_U_fails(self, monkeypatch):
-        # U(m, tau) + 1e-6 tau^2 for every m, in the check's own pass over all m
-        real_u, real_check = registry._u_hyperelliptic, REGISTRY["U-derivative"].check
+        # U(m, tau) + 1e-6 tau^2 for every m, in the check's own slope pass
+        real_slopes, real_check = registry._u_slopes, REGISTRY["U-derivative"].check
 
         def check(tau):
-            shift = 1e-6 * _Jet(complex(tau), 1.0) ** 2
-            monkeypatch.setattr(registry, "_u_hyperelliptic", lambda ms, thetas: {
-                m: u + shift for m, u in real_u(ms, thetas).items()})
+            monkeypatch.setattr(registry, "_u_slopes", lambda thetas: [
+                (u + 1e-6 * tau**2, u_prime + 2e-6 * tau) for u, u_prime in real_slopes(thetas)])
             return real_check(tau)
 
         self._fails_by_1e4(monkeypatch, "U-derivative", check)
@@ -685,6 +706,19 @@ class TestGrid:
         monkeypatch.setattr(registry, "theta4", lambda t: real(t) * (1.0 + 1e-9))
         (rec,) = _run_at("jacobi-quartic", tau)
         assert rec.status == "fail" and rec.residual >= 1e3 * rec.tolerance, rec
+
+    def test_schwarz_z_sees_a_perturbed_eta_series(self, monkeypatch):
+        # tau and tau + 1 reduce to the same point unless Re tau = 1/2 mod 1,
+        # so eta-shift sees an error in eta's q-series at 0.5+0.8i alone;
+        # schwarz-z, through eta(9 tau)/eta(tau), sees it at every sample
+        tables, i = modular._TABLES, modular._IETA
+        head, (a, lam, w), *rest = tables[i]
+        eta = (head, (a * (1.0 + 1e-6), lam, w), *rest)
+        monkeypatch.setattr(modular, "_TABLES", (*tables[:i], eta, *tables[i + 1:]))
+        records = run_identity("schwarz-z", RunConfig())
+        assert len(records) == 5 and all(r.status == "fail" for r in records), records
+        shift = run_identity("eta-shift", RunConfig())
+        assert [r.point for r in shift if r.status == "fail"] == [0.5 + 0.8j], shift
 
     def test_out_of_domain_region_all_skipped(self, capsys):
         assert main(["grid", "schwarz-u-lemn", "--region", "-0.1,0.1,1.9,2.1",

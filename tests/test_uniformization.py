@@ -41,7 +41,7 @@ from abeltau.uniform import (
     u_hyperelliptic,
     u_lemniscatic,
     _hyperelliptic_thetas,
-    _u_hyperelliptic,
+    _u_slopes,
 )
 from abeltau.weier import (
     EQUIANHARMONIC,
@@ -314,15 +314,15 @@ class TestHyperellipticFamily:
     @pytest.mark.parametrize("tau", JET_TAUS)
     def test_jets_to_third_order(self, tau):
         # s = sqrt_theta_ratio, whose jet is r's by the chain rule of the
-        # square root, and each U(m, .), alone and from the shared pass
+        # square root, and each U(m, .); the slope pass to first order
         refs = _quotient_derivatives(tau)
-        every = _u_hyperelliptic((0, 1, 2, 3), _hyperelliptic_thetas(_Jet(tau, 1.0)))
-        jets = [("s", sqrt_theta_ratio(_Jet(tau, 1.0)), refs[0])]
+        slopes = _u_slopes(_hyperelliptic_thetas(_Jet(tau, 1.0)))
+        derivatives = [("s", sqrt_theta_ratio(_Jet(tau, 1.0)).derivatives(), refs[0])]
         for m in range(4):
-            jets += [(m, u_hyperelliptic(m, _Jet(tau, 1.0)), refs[m + 1]),
-                     (m, every[m], refs[m + 1])]
-        for name, jet, ref in jets:
-            for k, (got, want) in enumerate(zip(jet.derivatives(), ref)):
+            derivatives += [(m, u_hyperelliptic(m, _Jet(tau, 1.0)).derivatives(), refs[m + 1]),
+                            (m, slopes[m], refs[m + 1][:2])]
+        for name, got_all, ref in derivatives:
+            for k, (got, want) in enumerate(zip(got_all, ref)):
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, k, got, want)
 
     def test_derivative_identity_spot(self):
@@ -423,26 +423,24 @@ class TestRegions:
         assert new_numbers >= 20 and new_jets >= 20, (new_numbers, new_jets)
 
     def test_all_m_at_once_is_each_m_alone(self):
-        # one chain of prefactors and one 2F1 argument serve every m: each U
-        # and each jet is u_hyperelliptic(m, .) bit for bit, and all m refuse
-        # the same tau
+        # one chain of prefactors and one pass over the 2F1 value and slope of
+        # every m: each (U, dU/dtau) is the c0 and first derivative of
+        # u_hyperelliptic(m, jet) bit for bit, and all m refuse the same tau
         served = 0
         for tau in REGION_TAUS:
-            for x in (tau, _Jet(tau, 1.0)):
-                try:
-                    every = _u_hyperelliptic((0, 1, 2, 3), _hyperelliptic_thetas(x))
-                except DomainNotSupported:
-                    for m in range(4):
-                        with pytest.raises(DomainNotSupported):
-                            u_hyperelliptic(m, x)
-                    continue
+            jet = _Jet(tau, 1.0)
+            try:
+                slopes = _u_slopes(_hyperelliptic_thetas(jet))
+            except DomainNotSupported:
                 for m in range(4):
-                    one, other = u_hyperelliptic(m, x), every[m]
-                    if isinstance(x, _Jet):
-                        one, other = one.c, other.c
-                    assert one == other, (tau, m)
-                served += 1
-        assert served >= 2500, served
+                    with pytest.raises(DomainNotSupported):
+                        u_hyperelliptic(m, jet)
+                continue
+            for m in range(4):
+                u = u_hyperelliptic(m, jet)
+                assert slopes[m] == (u.c[0], u.derivatives()[1]), (tau, m)
+            served += 1
+        assert served >= 1250, served
 
     def test_equianharmonic_forms_differ_by_a_sign_and_a_period(self):
         # where both forms serve tau, u_root = +-u_rootfree + a period: the
