@@ -14,10 +14,12 @@ F(a, b; a+b+1/2 | 4w(1-w)) = F(2a, 2b; a+b+1/2 | w) (DLMF 15.8(iii)) gives
 
     2F1(1/2, b; b+1 | z) = 2F1(1, 2b; b+1 | w),   w = (1 - sqrt(1-z))/2,
 
-principal root.  The private _f21 sums that series in w for |w| <= 0.45: the
-series disk |z| <= 0.95 (|w| <= 0.39), and on the real axis z in
-[-2.61, 0.99].  For a real b in (0, 1] it runs Horner's rule over a cached
-coefficient table per b; any other b is summed term by term, numbers only.
+principal root.  The private _f21_half(b, z), the one place that picks the
+route, sums that series in w for |w| <= 0.45: the series disk |z| <= 0.95
+(|w| <= 0.39), and on the real axis z in [-2.61, 0.99].  For a real b in
+(0, 1] it runs Horner's rule over a cached coefficient table per b; any
+other b is summed term by term, numbers only; past the disk gauss_2f1 takes
+a number, and a jet is refused.
 
 Branch convention (fixed so formula and oracle agree for real z in (0,1)):
 the from-zero integrand is read as  u^(a-1) e^(i pi b) (1 - u^n)^(-b)  with
@@ -131,13 +133,12 @@ def gauss_2f1(params: HypergeometricParams, z: complex) -> complex:
 
 
 def _f21_w(z):
-    """The one place that decides where the 2F1(1/2, b; b+1 | z) of the
-    uniformizers and P inverses is summed, for every b at once: as the
-    quadratic form of the module docstring, 2F1(1, 2b; b+1 | w), wherever
-    |w| <= 0.45.  There it returns w = z/(2(1 + s)), free of cancellation,
-    s = sqrt(1 - z), for a number z, and the jet of w for a jet z from
-    w' = 1/(4s), w'' = 1/(8s^3), w''' = 3/(16s^5).  Past it a number gets None,
-    for gauss_2f1, and a jet is refused."""
+    """The disk of _f21_half, the same for every b: its 2F1(1/2, b; b+1 | z)
+    is summed as the quadratic form of the module docstring, 2F1(1, 2b; b+1 | w),
+    wherever |w| <= 0.45.  There it returns w = z/(2(1 + s)), free of
+    cancellation, s = sqrt(1 - z), for a number z, and the jet of w for a jet
+    z from w' = 1/(4s), w'' = 1/(8s^3), w''' = 3/(16s^5).  Past it a number
+    gets None, for gauss_2f1, and a jet is refused."""
     jet = isinstance(z, _Jet)
     x = z.c[0] if jet else z
     s = cmath.sqrt(1.0 - x)
@@ -148,7 +149,7 @@ def _f21_w(z):
             w = z.compose(w, r, 0.5 * r / s2, 0.75 * r / (s2 * s2))
         return w
     if jet:
-        raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK} or not (1/2, b; b+1)")
+        raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK}")
     return None
 
 
@@ -196,15 +197,12 @@ def _f21_table(b):
 
 def _f21_rows(table, w):
     """(x, rows): w's value x, and the rows of an _f21_table, or of a table of
-    rows scaled alike, that a Horner sum at w takes, last first: as many as
-    _f21_edges ask for at |x|, for a number or for a jet w."""
+    rows built alike, that a Horner sum at w takes, last first: as many as
+    _f21_edges ask for at |x|, for a number or for a jet w of _f21_w's disk,
+    which both edge lists reach."""
     jet = isinstance(w, _Jet)
-    edges = _f21_edges()[jet]
     x = w.c[0] if jet else w
-    n = bisect_left(edges, abs(x)) + 1
-    if n > len(edges):
-        raise AccuracyError(f"2F1 series: needs over {n - 1} terms at |w| = {abs(x):.3g}")
-    return x, table[n - 1::-1]
+    return x, table[bisect_left(_f21_edges()[jet], abs(x))::-1]
 
 
 def _f21_horner(table, w):
@@ -225,29 +223,19 @@ def _f21_horner(table, w):
     return ensure_finite(s0, "2F1 series")
 
 
-def _f21_half(b, z, w):
-    """2F1(1/2, b; b+1 | z) from w = _f21_w(z), one w for every b at the same
-    z: 2F1(1, 2b; b+1 | w) by _f21_horner over _f21_table(b) for a real b in
-    (0, 1]; for any other b by _f21_series, numbers only; by gauss_2f1 where
-    w is None."""
+def _f21_half(b, z):
+    """2F1(1/2, b; b+1 | z) for a number z, or its jet for a jet z: the one
+    place that picks its route.  Where w = _f21_w(z) is in the disk it is
+    2F1(1, 2b; b+1 | w), by _f21_horner over _f21_table(b) for a real b in
+    (0, 1], the seven b of the uniformizers among them, and by _f21_series
+    for any other b, numbers only; past the disk a number goes to gauss_2f1,
+    and _f21_w refuses a jet."""
+    w = _f21_w(z)
     if w is None:
         return gauss_2f1(HypergeometricParams(0.5, b, b + 1.0), z)
-    if not (b.imag == 0 and 0.0 < b.real <= 1.0):
-        if isinstance(w, _Jet):
-            raise DomainNotSupported(f"2F1 jet with b = {b!r}: only a real b in (0, 1] is served")
-        return _f21_series(1.0, 2.0 * b, b + 1.0, w)
-    return _f21_horner(_f21_table(b), w)
-
-
-def _f21(a, b, c, z):
-    """2F1(a, b; c | z) for a number z, or its jet for a jet z: with a = 1/2
-    and c = b + 1 where _f21_w(z) decides, else by gauss_2f1 for a number,
-    and any other jet is refused."""
-    if a == 0.5 and c == b + 1.0:
-        return _f21_half(b, z, _f21_w(z))
-    if isinstance(z, _Jet):
-        raise DomainNotSupported(f"2F1 jet at {z!r}: |w| > {_W_DISK} or not (1/2, b; b+1)")
-    return gauss_2f1(HypergeometricParams(a, b, c), z)
+    if b.imag == 0 and 0.0 < b.real <= 1.0:
+        return _f21_horner(_f21_table(b), w)
+    return _f21_series(1.0, 2.0 * b, b + 1.0, w)
 
 
 class IncompleteIntegralSpec(_value_type("IncompleteIntegralSpec", "alpha beta n z base")):
@@ -313,11 +301,11 @@ def incomplete_integral_2f1(spec: IncompleteIntegralSpec) -> complex:
     if not cmath.isfinite(arg):  # past the float range, as inf or nan
         raise DomainNotSupported(f"2F1 argument z^{k} overflows at z = {z!r}")
     if base == "from_zero":
-        value = (_branch_factor(b) / a) * principal_power(z, a) \
-            * _f21(b, a / n, a / n + 1.0, arg)
+        p, lead = a / n, (_branch_factor(b) / a) * principal_power(z, a)
     else:
-        value = principal_power(z, a - n * b) / (a - n * b) \
-            * _f21(b, b - a / n, b - a / n + 1.0, arg)
+        p, lead = b - a / n, principal_power(z, a - n * b) / (a - n * b)
+    value = lead * (_f21_half(p, arg) if b == 0.5
+                    else gauss_2f1(HypergeometricParams(b, p, p + 1.0), arg))
     if abs(value) < sys.float_info.min and z != 0:
         raise AccuracyError(f"the incomplete integral underflows at {spec!r}")
     return ensure_finite(value, "incomplete integral")

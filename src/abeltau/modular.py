@@ -289,14 +289,15 @@ def hauptmodul_hyperelliptic(tau) -> complex:
     return t2 / t3
 
 
-def _theta_quotients(t):
-    """(r, s) = (theta2/theta3, sqrt(2) theta2(t)/theta2(t/2)) at the checked
-    tau t, a number or a jet: s is the root of r that sqrt_theta_ratio names.
-    theta2(t/2) is taken at Im(t)/2 >= MIN_IM_TAU/2, unchecked: the reduction
-    serves it there.  For a jet t, the quotient s is taken at the number t0
-    alone, s0 = sqrt(2) theta2(t0)/theta2(t0/2), which fixes the branch, and
-    s's jet is r's by the chain rule of the square root at s0.  That sums no
-    jet of theta2(t/2)."""
+def _theta_quotients(tau):
+    """(r, s) = (theta2/theta3, sqrt(2) theta2(t)/theta2(t/2)) at t, tau checked,
+    a number or a jet: the quotients of every U(m, tau), s the root of r that
+    sqrt_theta_ratio names.  theta2(t/2) is taken at Im(t)/2 >= MIN_IM_TAU/2,
+    unchecked: the reduction serves it there.  For a jet t, the quotient s is
+    taken at the number t0 alone, s0 = sqrt(2) theta2(t0)/theta2(t0/2), which
+    fixes the branch, and s's jet is r's by the chain rule of the square root
+    at s0.  That sums no jet of theta2(t/2)."""
+    t = _tau_value(tau)
     t2, t3 = _modular(t, (_I2, _I3))
     r = t2 / t3
     if not isinstance(t, _Jet):
@@ -321,4 +322,4 @@ def sqrt_theta_ratio(tau) -> complex:
     derivatives are those of sqrt(theta_2/theta_3) on that branch
     (_theta_quotients).
     """
-    return _theta_quotients(_tau_value(tau))[1]
+    return _theta_quotients(tau)[1]

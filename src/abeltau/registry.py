@@ -36,6 +36,7 @@ from .modular import (
     theta2,
     theta3,
     theta4,
+    _theta_quotients,
 )
 from .numerics import _Jet, _value_type, contour_quadrature
 from .uniform import (
@@ -52,7 +53,6 @@ from .uniform import (
     u_equianharmonic_rootfree,
     u_hyperelliptic,
     u_lemniscatic,
-    _hyperelliptic_thetas,
     _u_slopes,
 )
 from .weier import (
@@ -182,7 +182,7 @@ def _check_eta_shift(tau):
 
 def _check_sqrt_ratio(tau):
     # r = theta2/theta3 and s = sqrt_theta_ratio from one sum of theta2 and theta3
-    target, root = _hyperelliptic_thetas(tau)
+    target, root = _theta_quotients(tau)
     return tau, abs(root**2 - target) / abs(target), {}
 
 
@@ -203,7 +203,7 @@ def _check_u_derivative(tau):
     one set of theta jets in tau, and every dU(m, .)/dtau from one pass over
     the value and slope of each m's 2F1 (uniform._u_slopes); tau where the 2F1
     of U refuses a jet is skipped, and a right side that underflows fails."""
-    thetas = _hyperelliptic_thetas(_Jet(complex(tau), 1.0))
+    thetas = _theta_quotients(_Jet(complex(tau), 1.0))
     slopes = _u_slopes(thetas)
     r, s = thetas
     z, z_prime = r.derivatives()[:2]
@@ -383,7 +383,7 @@ def _check_u_quadrature(row):
     tau, m = row
     z = hauptmodul_hyperelliptic(tau)
     value = u_hyperelliptic(m, tau)
-    oracle = oracle_incomplete_integral(IncompleteIntegralSpec(0.5, 0.5, 4, z, "from_zero"),
+    oracle = oracle_incomplete_integral(IncompleteIntegralSpec(m + 0.5, 0.5, 4, z, "from_zero"),
                                         tol=1e-10)
     return tau, abs(value - oracle), {"m": m, "z": z, "value": value}
 
@@ -500,8 +500,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.name: e for e in (
                   _check_du_reduction, _ARCS),
     IdentityEntry("U-derivative", "dU/dtau = z^m z' / sqrt(z^5 - z)", _TAU_TOL,
                   _check_u_derivative, (1.2j, 1.35j, 1.5j, 1.8j), tau_grid=True),
-    IdentityEntry("U-quadrature", "U(0, tau) equals the direct path integral", 1e-8,
-                  _check_u_quadrature, ((1.5j, 0),)),
+    IdentityEntry("U-quadrature", "U(m, tau) equals the direct path integral", 1e-8,
+                  _check_u_quadrature, tuple((1.5j, m) for m in range(4))),
     IdentityEntry("II-oracle", "second-kind increments match quadrature", 1e-8,
                   _check_ii_oracle, _II_SAMPLES),
     IdentityEntry("III-oracle", "third-kind increments match quadrature", 1e-8,

@@ -10,12 +10,12 @@ s0 = sqrt(2) theta2(tau0)/theta2(tau0/2) and its derivatives from the jet of
 r = theta2/theta3 by the chain rule of the square root.
 
 The four genus-2 integrals U(m, tau), m = 0..3, share r, s and one 2F1
-argument.  u_hyperelliptic sums one m over its own columns of a table of the
-four b's coefficients, so an underflow refuses only the m it belongs to.
-The U-derivative check reads dU/dtau alone: _u_slopes sums the value and
-the w-slope of every m's 2F1 in one Horner pass over the value and slope
-columns of that table, and forms each U and dU/dtau by the product rule,
-the orders 0 and 1 of u_hyperelliptic's jet, bit for bit.
+argument.  u_hyperelliptic sums one m's 2F1 by hypergeom._f21_half, so an
+underflow refuses only the m it belongs to.  The U-derivative check reads
+dU/dtau alone: _u_slopes sums the value and the w-slope of every m's 2F1 in
+one Horner pass over the value and slope columns of the four b's tables,
+and forms each U and dU/dtau by the product rule, the orders 0 and 1 of
+u_hyperelliptic's jet, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import AccuracyError, CriticalPointError, DomainError, DomainNotSupported, PoleError
-from .hypergeom import _f21, _f21_half, _f21_horner, _f21_rows, _f21_table, _f21_w
+from .hypergeom import _f21_half, _f21_rows, _f21_table, _f21_w
 from .modular import (
     hauptmodul_equianharmonic,
     _I2,
@@ -56,11 +56,11 @@ __all__ = [
     "k_pm",
 ]
 
-# Each u_* function sums its 2F1 where hypergeom._f21_w puts w in its disk.
-# Past it a jet is refused, and a number goes to gauss_2f1, which sums it by
-# the Pfaff transformation where |x/(x-1)| <= 0.95 and refuses it elsewhere.
-# Either way no value is taken within 0.01 of the cut x in [1, inf) of the
-# 2F1 argument x, so none is taken on either side of it.
+# Each u_* function sums its 2F1 by hypergeom._f21_half, in w where _f21_w
+# puts w in its disk.  Past it a jet is refused, and a number goes to
+# gauss_2f1, which sums it by the Pfaff transformation where |x/(x-1)| <= 0.95
+# and refuses it elsewhere.  Either way no value is taken within 0.01 of the
+# cut x in [1, inf) of the 2F1 argument x, so none is taken on either side.
 
 # The right-hand sides Q of the bracket equations [x, tau] = Q(x).  The
 # rational ones are evaluated in Horner form; each raises PoleError at its
@@ -186,10 +186,10 @@ def u_lemniscatic(tau) -> complex:
     ratio = t3 / t2
     try:
         x = ratio**4
-    except OverflowError:  # far outside the disk of _f21, which would refuse it
+    except OverflowError:  # far outside the disk of _f21_half, which would refuse it
         raise DomainNotSupported(f"2F1 argument (theta3/theta2)^4 overflows at tau = {tau!r}") \
             from None
-    return ratio * _f21(0.5, 0.25, 1.25, x)
+    return ratio * _f21_half(0.25, x)
 
 
 def u_equianharmonic_root(tau) -> complex:
@@ -206,42 +206,30 @@ def u_equianharmonic_rootfree(tau) -> complex:
     are branches of the same P^-1, u_root = +-u_rootfree modulo the period
     lattice, with either sign."""
     z = hauptmodul_equianharmonic(tau)
-    return u0_constant() + 0.5j * z * _f21(0.5, 1.0 / 3.0, 4.0 / 3.0, z**3)
-
-
-def _hyperelliptic_thetas(tau):
-    """(r, s) = (theta2/theta3, sqrt(2) theta2(tau)/theta2(tau/2)) for a number
-    or a jet tau: z = r and its root s, as sqrt_theta_ratio takes it, are the
-    two quotients that U(m, tau) is made of, for every m at once.  tau is
-    checked once; theta2(tau/2) is served down to Im(tau)/2 = MIN_IM_TAU/2,
-    and for a jet is summed as a number alone (modular._theta_quotients)."""
-    return _theta_quotients(_tau_value(tau))
+    return u0_constant() + 0.5j * z * _f21_half(1.0 / 3.0, z**3)
 
 
 @lru_cache(maxsize=1)
-def _u_tables():
-    """(columns, rows) of the 2F1 of U(m, tau), built on first use from
-    hypergeom._f21_table(b), b = m/4 + 1/8: columns[m] is b's table times
-    2i/(2m+1), the constant of U folded in, and rows[n] joins the value and
-    slope coefficients (c_n0, c_n1) of the four columns' row n, 8 numbers.
-    u_hyperelliptic sums its m's column with hypergeom._f21_horner, and
-    _u_slopes sums rows in one Horner pass."""
-    columns = tuple(tuple(tuple(2j / (2 * m + 1) * c for c in row)
-                          for row in _f21_table(0.25 * m + 0.125)) for m in range(4))
-    return columns, tuple(sum((row[:2] for row in rows), ()) for rows in zip(*columns))
+def _u_rows():
+    """The rows of the 2F1 of U(m, tau), built on first use from
+    hypergeom._f21_table(b), b = m/4 + 1/8: rows[n] joins the value and slope
+    coefficients (c_n0, c_n1) of the four tables' row n, 8 numbers, which
+    _u_slopes sums in one Horner pass."""
+    return tuple(sum((row[:2] for row in rows), ())
+                 for rows in zip(*(_f21_table(0.25 * m + 0.125) for m in range(4))))
 
 
 def _u_slopes(thetas) -> list:
-    """[(U(m, tau), dU(m, tau)/dtau) for m = 0..3] from the _hyperelliptic_thetas
+    """[(U(m, tau), dU(m, tau)/dtau) for m = 0..3] from the modular._theta_quotients
     jets (r, s) of a jet tau: the c0 and c1 of u_hyperelliptic(m, tau), bit for
-    bit.  One Horner pass sums each m's 2F1 value F and w-slope F_w, then
-    U = p F and U' = p (F_w w') + p' F with p = s r^m; each product is formed
-    as _Jet forms its orders 0 and 1, which its orders 2 and 3 never feed.  A
-    jet past the w disk is refused, and a U below the normal float range is an
-    AccuracyError."""
+    bit.  One Horner pass sums each m's 2F1 value F and w-slope F_w, then with
+    k = 2i/(2m+1) and p = s r^m, U = p (F k) and U' = p ((F_w w') k) + p' (F k);
+    each product is formed as _Jet forms its orders 0 and 1, which its orders
+    2 and 3 never feed.  A jet past the w disk is refused, and a U below the
+    normal float range is an AccuracyError."""
     r, s = thetas
     w = _f21_w(r**4)
-    x, rows = _f21_rows(_u_tables()[1], w)
+    x, rows = _f21_rows(_u_rows(), w)
     # value and slope accumulators f*, g* for m = 0, 1, 2, 3
     f0 = g0 = f1 = g1 = f2 = g2 = f3 = g3 = 0j
     for a0, b0, a1, b1, a2, b2, a3, b3 in rows:
@@ -259,10 +247,12 @@ def _u_slopes(thetas) -> list:
     for m, (f, g) in enumerate(((f0, g0), (f1, g1), (f2, g2), (f3, g3))):
         if m:
             p, dp = p * r0, p * r1 + dp * r0
+        k = 2j / (2 * m + 1)
+        f, g = f * k, g * w1 * k
         u = p * f
         if abs(u) < _TINY:
             raise AccuracyError(f"U({m}, tau) underflows")
-        us.append((u, p * (g * w1) + dp * f))
+        us.append((u, p * g + dp * f))
     return us
 
 
@@ -273,25 +263,18 @@ def u_hyperelliptic(m: int, tau) -> complex:
                     * 2F1(1/2, m/4 + 1/8; m/4 + 9/8 | theta2^4/theta3^4)
 
     m = 0, 1 are the holomorphic pair, m = 2, 3 the meromorphic ones.  From
-    the _hyperelliptic_thetas (r, s) of tau, the prefactor is 2i s r^m, a chain
-    of products, its 2i/(2m+1) folded into _u_tables, and the 2F1 is summed
-    at lam = r^4 from w = hypergeom._f21_w(lam), so every m refuses the same
-    tau.  A U below the normal float range is an AccuracyError, not a silent
-    zero.
+    the modular._theta_quotients (r, s) of tau, U is the chain of products
+    s r^m times 2i/(2m+1) times the 2F1 at r^4 from hypergeom._f21_half, so
+    every m refuses the same tau.  A U below the normal float range is an
+    AccuracyError, not a silent zero.
     """
     if not isinstance(m, int) or not (0 <= m <= 3):
         raise DomainError(f"m must be an integer in 0..3, got {m!r}")
-    r, s = _hyperelliptic_thetas(tau)
-    lam = r**4
-    w = _f21_w(lam)
-    if w is None:
-        f = 2j / (2 * m + 1) * _f21_half(0.25 * m + 0.125, lam, None)
-    else:
-        f = _f21_horner(_u_tables()[0][m], w)
+    r, s = _theta_quotients(tau)
     u = s
     for _ in range(m):
         u = u * r
-    u = u * f
+    u = u * (_f21_half(0.25 * m + 0.125, r**4) * (2j / (2 * m + 1)))
     if abs(u.c[0] if isinstance(u, _Jet) else u) < _TINY:
         raise AccuracyError(f"U({m}, tau) underflows")
     return u

@@ -15,7 +15,7 @@ import math
 from functools import cache, lru_cache
 
 from .errors import AccuracyError, DomainError, DomainNotSupported, PoleError
-from .hypergeom import _carlson_rf, _f21, euler_beta
+from .hypergeom import _carlson_rf, _f21_half, euler_beta
 from .numerics import _value_type, ensure_finite, holomorphic_derivatives, principal_power
 
 __all__ = [
@@ -202,7 +202,7 @@ def _wp_inverse(x, b: float, k: int):
         y = x**-k
     except (OverflowError, ZeroDivisionError):  # complex ** -k divides by x^k
         raise DomainNotSupported(f"x^-{k} is not finite at x = {x!r}") from None
-    return principal_power(x, -0.5) * _f21(0.5, b, b + 1.0, y)
+    return principal_power(x, -0.5) * _f21_half(b, y)
 
 
 def wp_inverse_lemniscatic(x: complex) -> complex:

@@ -6,7 +6,6 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from functools import lru_cache
 
 import mpmath
 import pytest
@@ -18,7 +17,7 @@ from abeltau.errors import AbeltauError, AccuracyError, DomainError, DomainNotSu
 from abeltau.hypergeom import (
     HypergeometricParams,
     IncompleteIntegralSpec,
-    _f21,
+    _f21_half,
     elliptic_F,
     elliptic_K,
     euler_beta,
@@ -103,18 +102,13 @@ class TestGauss2F1:
             ref = complex(mpmath.hyp2f1(a, b, c, z))
         assert abs(f21(a, b, c, z) - ref) <= 1e-13 * abs(ref)
 
-    def test_max_terms_exhaustion_on_numbers_and_jets(self, monkeypatch):
+    def test_max_terms_exhaustion_of_the_series(self, monkeypatch):
+        # the series in w for a b past 1, and at -3.0 (|w| = 1/2) Pfaff; the
+        # Horner sum takes at most 61 rows (test_real_b_up_to_one_counts_from_w_alone)
         monkeypatch.setattr(hypergeom, "_MAX_TERMS", 3)
-        # the route's tables and edges end at the budget they were built under:
-        # fresh caches, so that none outlives the test
-        for name in ("_f21_table", "_f21_edges"):
-            cached = getattr(hypergeom, name)
-            monkeypatch.setattr(hypergeom, name, lru_cache(cached.cache_info().maxsize)(
-                cached.__wrapped__))
-        # the series in w, and at -3.0 (|w| = 1/2) Pfaff; a jet is summed in w only
-        for z in (0.5, -3.0, _Jet(0.5, 1.0), _Jet(-2.0, 1.0)):
+        for b, z in ((1.5, 0.5), (0.25, -3.0)):
             with pytest.raises(AccuracyError):
-                _f21(0.5, 0.25, 1.25, z)
+                _f21_half(b, z)
 
     @pytest.mark.parametrize("z", [1.0, 1 + 0j, complex(1.0, -0.0)])
     def test_pfaff_pole_at_one_is_refused(self, z):
@@ -140,8 +134,9 @@ def complement_region_z(r, s):
 
 
 class TestComplementRoute:
-    """_f21 with c = b + 1 where z is nearer to 1 than to 0: the half of the
-    disk where the series in z converges slowest."""
+    """2F1(a, b; b+1 | z) where z is nearer to 1 than to 0, the half of the
+    disk where the series in z converges slowest, as incomplete_integral_2f1
+    sums it: by _f21_half for a = 1/2, else by gauss_2f1."""
 
     # 0 <= a, b and c = b + 1: positive, non-increasing coefficients for
     # a <= 1, so no zero in the disk and a well-defined relative error
@@ -153,7 +148,8 @@ class TestComplementRoute:
         assume(abs(z) <= 0.95)  # r = 0.95 can round past the gate's disk
         with mpmath.workdps(40):
             ref = complex(mpmath.hyp2f1(a, b, b + 1.0, z))
-        assert abs(_f21(a, b, b + 1.0, z) - ref) <= 1e-13 * abs(ref)
+        value = _f21_half(b, z) if a == 0.5 else f21(a, b, b + 1.0, z)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 # b real in (0, 3] or complex with Re b in that range and |Im b| <= 1
@@ -168,7 +164,7 @@ ROUTE_Z = st.builds(cmath.rect, st.floats(0.0, 0.449), st.floats(-math.pi, math.
 
 
 class TestQuadraticRoute:
-    """_f21 sums 2F1(1/2, b; b+1 | z) as 2F1(1, 2b; b+1 | w), w = (1 - sqrt(1-z))/2."""
+    """_f21_half sums 2F1(1/2, b; b+1 | z) as 2F1(1, 2b; b+1 | w), w = (1 - sqrt(1-z))/2."""
 
     @settings(max_examples=400, deadline=None)
     @given(b=ROUTE_B, z=ROUTE_Z)
@@ -181,44 +177,47 @@ class TestQuadraticRoute:
     def test_against_mpmath(self, b, z):
         with mpmath.workdps(40):
             ref = complex(mpmath.hyp2f1(0.5, b, b + 1.0, z))
-        assert abs(_f21(0.5, b, b + 1.0, z) - ref) <= 1e-14 * abs(ref)
+        assert abs(_f21_half(b, z) - ref) <= 1e-14 * abs(ref)
 
-    @pytest.mark.parametrize("a, b, c", [
-        (0.5, 1.0 / 6.0, 7.0 / 6.0),  # 1/6 + 1 == 7/6 in floats, 1/2 + 1/6 + 1/2 is not
-        (0.5, 0.875, 1.875),
-        (0.5, 0.25 + 0.5j, 1.25 + 0.5j),
-        (0.5, 1.0 / 6.0, math.nextafter(7.0 / 6.0, 2.0)),  # c one ulp above b + 1
-        (0.5, 0.25, 1.5),
-        (0.0, 1.0, 2.0),
-        (0.75, 0.25 + 0.5j, 1.25 + 0.5j),
+    @pytest.mark.parametrize("beta, b", [
+        (0.5, 1.0 / 6.0),
+        (0.5, 0.875),
+        (0.5 + 0j, 0.25 + 0.5j),
+        (0.5, 1.5),
+        (math.nextafter(0.5, 1.0), 1.0 / 6.0),  # beta one ulp above 1/2
+        (0.0, 1.0),
+        (0.75, 0.25 + 0.5j),
     ])
-    def test_route_runs_exactly_when_a_is_half_and_c_is_b_plus_one(self, monkeypatch,
-                                                                    a, b, c):
-        # the route sums over b's table for a number and a jet, or for a b
-        # that is not real in (0, 1] sums (1, 2b; b+1) in w for a number only;
-        # other parameters go to gauss_2f1's series as (a, b; c), and a jet is refused
-        calls, tables = [], []
-        series, table = hypergeom._f21_series, hypergeom._f21_table
+    def test_route_runs_exactly_when_beta_is_half(self, monkeypatch, beta, b):
+        # the closed form's 2F1(beta, b; b+1 | z^n) goes to _f21_half exactly
+        # where beta = 1/2: over b's table for a real b in (0, 1], for a number
+        # and a jet, else to the series (1, 2b; b+1) in w; any other beta goes
+        # to gauss_2f1 and its series as (beta, b; b+1)
+        calls, tables, public = [], [], []
+        series, table, gauss = hypergeom._f21_series, hypergeom._f21_table, hypergeom.gauss_2f1
         monkeypatch.setattr(hypergeom, "_f21_series",
                             lambda *args: calls.append(args[:3]) or series(*args))
         monkeypatch.setattr(hypergeom, "_f21_table", lambda b: tables.append(b) or table(b))
-        route = a == 0.5 and c == b + 1.0
+        monkeypatch.setattr(hypergeom, "gauss_2f1",
+                            lambda *args: public.append(args[0]) or gauss(*args))
         falling = b.imag == 0 and 0.0 < b.real <= 1.0
-        for z in (0.0, 0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
-            ref = f21(a, b, c, z)
-            calls.clear()
-            tables.clear()
-            value = _f21(a, b, c, z)
-            assert abs(value - ref) <= 1e-14 * abs(value)
-            if not (route and falling):
-                summed = (a, b, c) if not route else (1.0, 2.0 * b, b + 1.0)
-                assert calls == [summed] and tables == [], (z, calls, tables)
-                with pytest.raises(DomainNotSupported):
-                    _f21(a, b, c, _Jet(z, 1.0))
-                continue
-            jet = _f21(a, b, c, _Jet(z, 1.0))
-            assert calls == [] and tables == [b] * 2, (z, calls, tables)
-            assert abs(jet.derivatives()[0] - value) <= 1e-15 * abs(value)
+        for z in (0.8, -0.8, 0.8j, 0.48 - 0.64j, -0.6 + 0.5j, 0.3 + 0.1j):
+            for log in (calls, tables, public):
+                log.clear()
+            value = incomplete_integral_2f1(IncompleteIntegralSpec(b, beta, 1, z, "from_zero"))
+            with mpmath.workdps(30):
+                ref = complex(mpmath.expjpi(beta) / b * mpmath.power(z, b)
+                              * mpmath.hyp2f1(beta, b, b + 1, z))
+            assert abs(value - ref) <= 1e-14 * abs(ref), (z, value, ref)
+            if beta != 0.5:
+                assert public == [HypergeometricParams(beta, b, b + 1.0)], (z, public)
+                assert calls == [(beta, b, b + 1.0)] and tables == [], (z, calls, tables)
+            elif not falling:
+                assert calls == [(1.0, 2.0 * b, b + 1.0)] and tables == public == [], z
+            else:
+                jet = _f21_half(b, _Jet(z, 1.0))
+                assert calls == public == [] and tables == [b] * 2, (z, calls, tables)
+                assert abs(jet.derivatives()[0] - _f21_half(b, z)) <= 1e-15 * abs(value)
 
     @pytest.mark.parametrize("z", [
         -3.0,  # w = -1/2: a number goes on to Pfaff
@@ -232,7 +231,7 @@ class TestQuadraticRoute:
         monkeypatch.setattr(hypergeom, "gauss_2f1",
                             lambda *args: public.append(args) or gauss(*args))
         try:
-            value = _f21(0.5, 0.25, 1.25, z)
+            value = _f21_half(0.25, z)
         except DomainNotSupported:
             value = None
         assert public == [(HypergeometricParams(0.5, 0.25, 1.25), z)]
@@ -241,7 +240,7 @@ class TestQuadraticRoute:
                 ref = complex(mpmath.hyp2f1(0.5, 0.25, 1.25, z))
             assert abs(value - ref) <= 1e-14 * abs(ref)
         with pytest.raises(DomainNotSupported, match=r"\|w\| > 0.45"):
-            _f21(0.5, 0.25, 1.25, _Jet(z, 1.0))
+            _f21_half(0.25, _Jet(z, 1.0))
 
     def test_no_value_near_the_cut(self):
         # z in [1, inf) maps to Re w = 1/2 and gauss_2f1 serves Re z <= 0.95
@@ -251,7 +250,7 @@ class TestQuadraticRoute:
             for y in (0.0, 1e-300, 1e-3, 9e-3):
                 for z in (complex(x, y), complex(x, -y)):
                     with pytest.raises(DomainNotSupported):
-                        _f21(0.5, 1.0 / 6.0, 7.0 / 6.0, z)
+                        _f21_half(1.0 / 6.0, z)
 
 
 # the b of U(m, tau) for m = 0..3, of u_lemniscatic and of the two
@@ -277,8 +276,9 @@ def kernel_rows(b, count):
 
 def kernel(b, w):
     """The value the kernel returns for a number w, and the four derivatives for a jet."""
-    jet = hypergeom._f21_half(b, None, _Jet(w, 1.0))
-    return hypergeom._f21_half(b, None, w), jet.derivatives()
+    table = hypergeom._f21_table(b)
+    jet = hypergeom._f21_horner(table, _Jet(w, 1.0))
+    return hypergeom._f21_horner(table, w), jet.derivatives()
 
 
 class TestHornerKernel:
@@ -305,28 +305,28 @@ class TestHornerKernel:
     @pytest.mark.parametrize("b", UNIFORMIZER_B + (2.2e-313, 0.5, 1.0, 1.0 + 0j))
     def test_real_b_up_to_one_counts_from_w_alone(self, b):
         # their t_n fall from 1, so one list of edges, free of b, serves them
-        # all: at |w| = 0.45 a number takes 47 rows and a jet 61, all of b's table
+        # all: at |w| = 0.45 a number takes 47 rows and a jet 61, all of b's
+        # table, so every w of _f21_w's disk is in reach
         edges = hypergeom._f21_edges()
         assert [bisect_left(e, 0.45) + 1 for e in edges] == [47, 61]
-        assert len(hypergeom._f21_table(b)) == len(edges[1])
+        assert len(hypergeom._f21_table(b)) == len(edges[1]) == 61
 
     @pytest.mark.parametrize("b", [0.0, -0.25, 1.0 + 1e-15, 1.5, 3.0, 0.25 + 0.5j, 0.5 - 1e-9j])
     def test_any_other_b_is_summed_by_the_series(self, monkeypatch, b):
-        # no table: a number w goes to _f21_series as (1, 2b; b+1), and a jet is refused
+        # no table: the w of a number z in the disk goes to _f21_series as (1, 2b; b+1)
         calls = []
         series = hypergeom._f21_series
         monkeypatch.setattr(hypergeom, "_f21_series",
                             lambda *args: calls.append(args) or series(*args))
         monkeypatch.setattr(hypergeom, "_f21_table", lambda b: pytest.fail("a table was built"))
-        for w in (0.0, 0.3, -0.45, 0.2 - 0.4j):
+        for z in (0.0, 0.84, -2.61, 1.28 - 0.96j):  # w = 0, 0.3, -0.45, 0.2 - 0.4j
             calls.clear()
-            value = hypergeom._f21_half(b, None, w)
+            value = _f21_half(b, z)
+            w = hypergeom._f21_w(z)
             assert calls == [(1.0, 2.0 * b, b + 1.0, w)]
             with mpmath.workdps(40):
                 ref = complex(mpmath.hyp2f1(1, 2 * b, b + 1, w))
             assert abs(value - ref) <= 1e-14 * abs(ref), (w, value, ref)
-            with pytest.raises(DomainNotSupported, match="only a real b in"):
-                hypergeom._f21_half(b, None, _Jet(w, 1.0))
 
     @settings(max_examples=300, deadline=None)
     @given(b=KERNEL_B, w=KERNEL_W)
@@ -1122,9 +1122,10 @@ class TestIncompleteIntegrals:
         # change which nodes the rule takes or where it stops.  Agreement of
         # two levels alone took 1564 samples, the exit on a predicted error
         # 1305 with a first leg mapped by u = v1 w^(1/g); with u^e subtracted
-        # it takes 1096
+        # it takes 1096, and U-quadrature's rows for m = 1, 2, 3 add 3 calls
+        # and 126 samples
         counts = _count_samples(monkeypatch, hypergeom, registry)
         cfg = RunConfig()
         for name in REGISTRY:
             run_identity(name, cfg)
-        assert counts == [23, 1096]
+        assert counts == [26, 1222]

@@ -83,6 +83,17 @@ class TestRegistry:
             if entry.tau_grid:
                 assert all(complex(t).imag > 0 for t in entry.samples), entry.name
 
+    def test_u_quadrature_takes_each_m_against_its_own_integral(self, monkeypatch):
+        # U(m, tau) integrates u^(m - 1/2) (u^4 - 1)^(-1/2), so alpha = m + 1/2:
+        # every m passes, and the U of the next m fails against it by 1e4 or more
+        records = run_identity("U-quadrature", RunConfig())
+        assert [r.metadata["m"] for r in records] == [0, 1, 2, 3]
+        assert all(r.status == "pass" for r in records), records
+        monkeypatch.setattr(registry, "u_hyperelliptic",
+                            lambda m, tau: u_hyperelliptic((m + 1) % 4, tau))
+        for rec in run_identity("U-quadrature", RunConfig()):
+            assert rec.status == "fail" and rec.residual >= 1e4 * rec.tolerance, rec
+
     def test_integral_table_has_at_least_twelve_rows(self):
         cfg = RunConfig()
         rows = sum(len(run_identity(n, cfg)) for n in ("eq6-oracle", "eq7-oracle", "eq12-oracle"))

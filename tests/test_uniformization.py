@@ -22,6 +22,7 @@ from abeltau.modular import (
     hauptmodul_lemniscatic,
     sqrt_theta_ratio,
     theta2,
+    _theta_quotients,
 )
 from abeltau.hypergeom import IncompleteIntegralSpec, oracle_incomplete_integral
 from abeltau.numerics import _Jet, holomorphic_derivatives
@@ -40,7 +41,6 @@ from abeltau.uniform import (
     u_equianharmonic_rootfree,
     u_hyperelliptic,
     u_lemniscatic,
-    _hyperelliptic_thetas,
     _u_slopes,
 )
 from abeltau.weier import (
@@ -212,7 +212,7 @@ class TestTauRepresentations:
         assert abs(plus - minus) < 1e-9 * abs(plus)
 
     def test_2f1_gate_in_schwarz_residual(self):
-        # the refusal is that of _f21 on the jet in tau, before any bracket
+        # the refusal is that of _f21_half on the jet in tau, before any bracket
         with pytest.raises(DomainNotSupported, match=r"\|w\| > 0.45"):
             schwarz_residual(eq5_equation(LEMNISCATIC), u_lemniscatic, 2j)
 
@@ -316,7 +316,7 @@ class TestHyperellipticFamily:
         # s = sqrt_theta_ratio, whose jet is r's by the chain rule of the
         # square root, and each U(m, .); the slope pass to first order
         refs = _quotient_derivatives(tau)
-        slopes = _u_slopes(_hyperelliptic_thetas(_Jet(tau, 1.0)))
+        slopes = _u_slopes(_theta_quotients(_Jet(tau, 1.0)))
         derivatives = [("s", sqrt_theta_ratio(_Jet(tau, 1.0)).derivatives(), refs[0])]
         for m in range(4):
             derivatives += [(m, u_hyperelliptic(m, _Jet(tau, 1.0)).derivatives(), refs[m + 1]),
@@ -366,7 +366,7 @@ def _u_derivative(m, tau):
 
 
 class TestRegions:
-    """Each uniformizer serves tau wherever hypergeom._f21 sums its 2F1, and
+    """Each uniformizer serves tau wherever hypergeom._f21_half sums its 2F1, and
     refuses the rest.  Every served number and jet agrees with a check that
     shares no 2F1 with it: P(u) and P'(u) u' against the Hauptmodul and its
     derivative, U against its defining integral and dU/dtau."""
@@ -430,7 +430,7 @@ class TestRegions:
         for tau in REGION_TAUS:
             jet = _Jet(tau, 1.0)
             try:
-                slopes = _u_slopes(_hyperelliptic_thetas(jet))
+                slopes = _u_slopes(_theta_quotients(jet))
             except DomainNotSupported:
                 for m in range(4):
                     with pytest.raises(DomainNotSupported):
