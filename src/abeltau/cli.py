@@ -2,13 +2,12 @@
 suites, and sweep identities over tau-plane grids.
 
 Exit codes (exactly these, always): 0 all pass, 1 verification failure,
-2 usage/config error, 3 domain/accuracy error during eval.
+2 usage error, 3 domain/accuracy error during eval.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -33,7 +32,7 @@ from .modular import (
     theta3,
     theta4,
 )
-from .registry import REGISTRY, RunConfig, RunRecord, run_identity
+from .registry import REGISTRY, RunRecord, run_identity
 from .uniform import (
     u_equianharmonic_root,
     u_equianharmonic_rootfree,
@@ -125,61 +124,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("function")
     p_eval.add_argument("args", nargs="*")
 
-    def add_run_flags(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override for the selected identities")
-        p.add_argument("--report", default=None, metavar="PATH",
-                       help="also write the json-lines stream to PATH")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="flat key-value config file")
-
     p_verify = sub.add_parser("verify", help="run named identities (or all)")
     p_verify.add_argument("ids", nargs="*", default=[])
     p_verify.add_argument("--output", choices=("human", "json"), default="human")
-    add_run_flags(p_verify)
 
     p_grid = sub.add_parser("grid", help="sweep one identity over a tau rectangle")
     p_grid.add_argument("id")
     p_grid.add_argument("--region", required=True, metavar="re0,re1,im0,im1")
     p_grid.add_argument("--steps", type=int, required=True)
-    add_run_flags(p_grid)
     return parser
-
-
-def _read_config_file(path: str) -> tuple[dict[str, float], dict[str, tuple]]:
-    """The tolerances and grids a config file sets."""
-    tolerances, grids = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key.endswith(".tolerance"):
-                tolerances[key[: -len(".tolerance")]] = float(value)
-            elif key.startswith("grid."):
-                grids[key[len("grid."):]] = tuple(
-                    parse_complex(v) for v in value.split(",") if v.strip())
-            else:
-                raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-    return tolerances, grids
-
-
-def _run_options(args, selected_ids: Sequence[str], grids: dict | None = None):
-    """The RunConfig of the command line, whose grids override the config
-    file's, and the report file opened for writing (a null context without
-    --report), so that a path that cannot be written is a config error
-    before any check runs."""
-    tolerances, file_grids = _read_config_file(args.config) if args.config else ({}, {})
-    if args.tol is not None:
-        tolerances.update(dict.fromkeys(selected_ids, args.tol))
-    cfg = RunConfig(tolerances, {**file_grids, **(grids or {})})
-    report = open(args.report, "w", encoding="utf-8") if args.report else contextlib.nullcontext()
-    return cfg, report
 
 
 def _human_line(rec: RunRecord) -> str:
@@ -188,18 +141,14 @@ def _human_line(rec: RunRecord) -> str:
             f"residual={res:>10s} tol={rec.tolerance:.1e} {rec.status.upper()}")
 
 
-def _report(records: list[RunRecord], json_lines: bool, report, summary_to) -> int:
-    """Write the records to stdout (and to the open report file, if any),
-    then the summary line to summary_to; return the exit code."""
-    text = ("".join(f"{r.to_json_line()}\n" for r in records)
-            if json_lines or report is not None else "")
+def _report(records: list[RunRecord], json_lines: bool, summary_to) -> int:
+    """Write the records to stdout, then the summary line to summary_to;
+    return the exit code."""
     if json_lines:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(f"{r.to_json_line()}\n" for r in records))
     else:
         for rec in records:
             print(_human_line(rec))
-    if report is not None:
-        report.write(text)
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for rec in records:
         counts[rec.status] += 1
@@ -243,23 +192,14 @@ def _cmd_verify(args) -> int:
     if unknown:
         print(f"unknown identities: {', '.join(unknown)}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        cfg, report = _run_options(args, ids)
-    except (DomainError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    with report as fh:
-        records = [rec for name in ids for rec in run_identity(name, cfg)]
-        return _report(records, args.output == "json", fh, sys.stdout)
+    records = [rec for name in ids for rec in run_identity(name)]
+    return _report(records, args.output == "json", sys.stdout)
 
 
 def _cmd_grid(args) -> int:
     name = args.id
     if name not in REGISTRY:
         print(f"unknown identity {name!r}", file=sys.stderr)
-        return USAGE_EXIT
-    if not REGISTRY[name].tau_grid:
-        print(f"identity {name!r} has no tau-grid form", file=sys.stderr)
         return USAGE_EXIT
     try:
         parts = [float(v) for v in args.region.split(",")]
@@ -272,13 +212,16 @@ def _cmd_grid(args) -> int:
         fractions = [k / (n - 1) if n > 1 else 0.5 for k in range(n)]
         points = tuple(complex(re0 + (re1 - re0) * fk, im0 + (im1 - im0) * fj)
                        for fj in fractions for fk in fractions)
-        cfg, report = _run_options(args, [name], {name: points})
-    except (DomainError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    try:
+        records = run_identity(name, points)
+    except DomainError as exc:  # a fixed-table identity has no tau grid
+        print(exc, file=sys.stderr)
         return USAGE_EXIT
     # grid sweeps are machine-readable by contract
-    with report as fh:
-        return _report(run_identity(name, cfg), True, fh, sys.stderr)
+    return _report(records, True, sys.stderr)
 
 
 def _is_literal(text: str) -> bool:
@@ -289,8 +232,8 @@ def _is_literal(text: str) -> bool:
     return True
 
 
-# The prefixes argparse takes for --region; "--re" could also be --report.
-_REGION_FLAGS = frozenset("--region"[:n] for n in range(5, 9))
+# The prefixes argparse takes for --region.
+_REGION_FLAGS = frozenset("--region"[:n] for n in range(3, 9))
 
 
 def _fold_dashed_values(argv: list[str]) -> list[str]:
@@ -322,8 +265,7 @@ def _sweep_args(argv: list[str]) -> argparse.Namespace | None:
             and argv[2].startswith("--region=") and argv[2] != "--region=--"
             and argv[3] == "--steps" and argv[4].isdecimal()):
         return argparse.Namespace(id=argv[1], region=argv[2][len("--region="):],
-                                  steps=int(argv[4]), tol=None, report=None, config=None,
-                                  command="grid")
+                                  steps=int(argv[4]), command="grid")
     return None
 
 

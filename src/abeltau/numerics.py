@@ -66,10 +66,6 @@ class Polyline(_value_type("Polyline", "vertices")):
     def segments(self) -> list[tuple[complex, complex]]:
         return list(zip(self.vertices, self.vertices[1:]))
 
-    @property
-    def length(self) -> float:
-        return sum(abs(b - a) for a, b in self.segments())
-
 
 class _Jet:
     """Order-3 Taylor jet f(x0 + h) = c0 + c1 h + c2 h^2 + c3 h^3 + O(h^4)

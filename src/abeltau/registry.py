@@ -4,8 +4,8 @@ at every sample of a tau grid or of a fixed table.
 The registry is the coverage map of the verification suite: `verify`, `grid`
 (a run on a generated tau grid) and the acceptance tests run it.  A check
 takes its sample alone and measures a point, a residual and metadata; the
-run judges the residual against the entry's tolerance or its override.  A
-record passes, fails, or is skipped where a uniformizer's 2F1 is refused.
+run judges the residual against the entry's own tolerance.  A record
+passes, fails, or is skipped where a uniformizer's 2F1 is refused.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import json
 import math
 import random
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii
-from types import MappingProxyType
 
 from .errors import AbeltauError, AccuracyError, DomainError, DomainNotSupported
 from .hypergeom import (
@@ -71,7 +70,6 @@ from .weier import (
 )
 
 __all__ = [
-    "RunConfig",
     "RunRecord",
     "IdentityEntry",
     "REGISTRY",
@@ -80,31 +78,6 @@ __all__ = [
 
 # Spec-pinned decimal of the P-zero constant (13 digits as published).
 U0_IM_DIGITS = 1.402182105325
-
-
-class RunConfig(_value_type("RunConfig", "tolerances grids", defaults=(None,) * 2)):
-    """Options shared by every registry run: tolerance overrides and tau
-    grids by identity name.  An override names a registered identity, a
-    tolerance is positive and finite, and a grid holds at least one point
-    of an identity with a tau grid; both mappings are read-only copies."""
-
-    __slots__ = ()
-
-    def __new__(cls, tolerances: Mapping[str, float] | None = None,
-                grids: Mapping[str, tuple[complex, ...]] | None = None):
-        tolerances, grids = dict(tolerances or {}), dict(grids or {})
-        for key in (*tolerances, *grids):
-            if key not in REGISTRY:
-                raise DomainError(f"override references unknown identity {key!r}")
-        for key, points in grids.items():
-            if not REGISTRY[key].tau_grid:
-                raise DomainError(f"identity {key!r} has no tau grid to override")
-            if not points:  # an empty grid would verify nothing and pass
-                raise DomainError(f"grid override of {key!r} has no points")
-        for v in tolerances.values():
-            if not 0 < v < math.inf:  # an infinite tolerance would pass every record
-                raise DomainError("tolerance overrides must be positive and finite")
-        return super().__new__(cls, MappingProxyType(tolerances), MappingProxyType(grids))
 
 
 class RunRecord(_value_type("RunRecord", "identity point residual tolerance status metadata")):
@@ -157,9 +130,9 @@ class IdentityEntry(_value_type("IdentityEntry", "name summary tolerance check s
                                 defaults=(False,))):
     """An identity as a check run at each of its samples,
     check(sample) -> (point, residual, metadata), judged against the
-    tolerance or its RunConfig override.  The samples of a tau-grid identity
-    are tau points, which RunConfig.grids may replace; those of any other
-    identity are the rows of a fixed table."""
+    tolerance.  The samples of a tau-grid identity are tau points, which a
+    run may replace; those of any other identity are the rows of a fixed
+    table."""
 
     __slots__ = ()
 
@@ -518,11 +491,11 @@ def _sample_point(sample) -> complex:
     return complex(head) if isinstance(head, (int, float, complex)) else 0j
 
 
-def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
+def _run_sample(entry: IdentityEntry, sample) -> RunRecord:
     """One record per sample, under one error policy: an out-of-domain
     sample is skipped, any other package error fails that sample only, and a
     residual that is not a finite nonnegative real fails."""
-    tol = cfg.tolerances.get(entry.name, entry.tolerance)
+    tol = entry.tolerance
     try:
         point, residual, meta = entry.check(sample)
     except DomainNotSupported as exc:
@@ -533,11 +506,15 @@ def _run_sample(entry: IdentityEntry, sample, cfg: RunConfig) -> RunRecord:
                          {"error": f"{type(exc).__name__}: {exc}"})
     residual = float(residual)
     status = "pass" if 0.0 <= residual < math.inf and residual <= tol else "fail"  # NaN fails
-    return RunRecord(entry.name, complex(point), residual, float(tol), status, meta)
+    return RunRecord(entry.name, complex(point), residual, tol, status, meta)
 
 
-def run_identity(name: str, cfg: RunConfig) -> list[RunRecord]:
-    """Evaluate one identity at each of its samples: its (possibly
-    overridden) tau grid or its fixed table."""
+def run_identity(name: str, taus: Sequence[complex] | None = None) -> list[RunRecord]:
+    """Evaluate one identity at each of its samples, or a tau-grid identity
+    at the given taus in their place."""
     entry = REGISTRY[name]
-    return [_run_sample(entry, s, cfg) for s in cfg.grids.get(name, entry.samples)]
+    if taus is not None and not entry.tau_grid:
+        raise DomainError(f"identity {name!r} has no tau-grid form")
+    if taus is not None and not taus:  # an empty grid would verify nothing and pass
+        raise DomainError(f"no tau points given for {name!r}")
+    return [_run_sample(entry, s) for s in (entry.samples if taus is None else taus)]

@@ -10,16 +10,14 @@ import time
 
 import pytest
 
-from abeltau.registry import _TAU_TOL, REGISTRY, RunConfig, run_identity
-
-CFG = RunConfig()
+from abeltau.registry import _TAU_TOL, REGISTRY, run_identity
 
 
 def _run_criterion(number, title, identity_names, budget_seconds):
     t0 = time.perf_counter()
     records = []
     for name in identity_names:
-        records.extend(run_identity(name, CFG))
+        records.extend(run_identity(name))
     elapsed = time.perf_counter() - t0
     failed = [r for r in records if r.status == "fail"]
     skipped = [r for r in records if r.status == "skipped"]
@@ -123,7 +121,7 @@ def test_full_registry_under_desk_budget():
     t0 = time.perf_counter()
     failed = []
     for name in REGISTRY:
-        for rec in run_identity(name, CFG):
+        for rec in run_identity(name):
             if rec.status == "fail":
                 failed.append(rec)
     elapsed = time.perf_counter() - t0

@@ -27,7 +27,7 @@ from abeltau.hypergeom import (
     oracle_incomplete_integral,
 )
 from abeltau.numerics import Polyline, _Jet, contour_quadrature, principal_power
-from abeltau.registry import REGISTRY, RunConfig, run_identity
+from abeltau.registry import REGISTRY, run_identity
 from abeltau.weier import ThirdKindParam, integral_third_kind, weier_sigma, weier_zeta
 
 
@@ -1125,7 +1125,6 @@ class TestIncompleteIntegrals:
         # it takes 1096, and U-quadrature's rows for m = 1, 2, 3 add 3 calls
         # and 126 samples
         counts = _count_samples(monkeypatch, hypergeom, registry)
-        cfg = RunConfig()
         for name in REGISTRY:
-            run_identity(name, cfg)
+            run_identity(name)
         assert counts == [26, 1222]

@@ -174,9 +174,6 @@ class TestPolyline:
             with pytest.raises(DomainError):
                 Polyline([0.0, bad])
 
-    def test_length(self):
-        assert abs(Polyline([0.0, 1.0, 1.0 + 1j]).length - 2.0) < 1e-15
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_quadrature_refuses_a_non_finite_path_before_sampling(self, bad):
         # on such a path a finite integrand would run to the evaluation

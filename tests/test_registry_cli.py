@@ -29,7 +29,6 @@ from abeltau.numerics import _Jet
 from abeltau.registry import (
     REGISTRY,
     IdentityEntry,
-    RunConfig,
     RunRecord,
     run_identity,
 )
@@ -54,9 +53,8 @@ def _fresh_run(argv):
 
 
 def _run_at(name, *taus):
-    """The records of a tau-grid identity at the given points: its run with
-    the points as its grid."""
-    return run_identity(name, RunConfig(grids={name: taus}))
+    """The records of a tau-grid identity at the given points."""
+    return run_identity(name, taus)
 
 
 EXPECTED_IDENTITIES = {
@@ -80,54 +78,33 @@ class TestRegistry:
         assert checks == ["check"]
         for entry in REGISTRY.values():
             assert callable(entry.check) and entry.samples, entry.name
+            # an infinite tolerance would pass every record
+            assert 0 < entry.tolerance < math.inf, entry.name
             if entry.tau_grid:
                 assert all(complex(t).imag > 0 for t in entry.samples), entry.name
 
     def test_u_quadrature_takes_each_m_against_its_own_integral(self, monkeypatch):
         # U(m, tau) integrates u^(m - 1/2) (u^4 - 1)^(-1/2), so alpha = m + 1/2:
         # every m passes, and the U of the next m fails against it by 1e4 or more
-        records = run_identity("U-quadrature", RunConfig())
+        records = run_identity("U-quadrature")
         assert [r.metadata["m"] for r in records] == [0, 1, 2, 3]
         assert all(r.status == "pass" for r in records), records
         monkeypatch.setattr(registry, "u_hyperelliptic",
                             lambda m, tau: u_hyperelliptic((m + 1) % 4, tau))
-        for rec in run_identity("U-quadrature", RunConfig()):
+        for rec in run_identity("U-quadrature"):
             assert rec.status == "fail" and rec.residual >= 1e4 * rec.tolerance, rec
 
     def test_integral_table_has_at_least_twelve_rows(self):
-        cfg = RunConfig()
-        rows = sum(len(run_identity(n, cfg)) for n in ("eq6-oracle", "eq7-oracle", "eq12-oracle"))
+        rows = sum(len(run_identity(n)) for n in ("eq6-oracle", "eq7-oracle", "eq12-oracle"))
         assert rows >= 12
 
-    @pytest.mark.parametrize("kwargs", [
-        {"tolerances": {"no-such-identity": 1e-8}}, {"tolerances": {"jacobi-quartic": -1.0}},
-        {"grids": {"no-such-identity": (1j,)}},
-        {"grids": {"u0-digits": (1j,)}},  # a table has no tau grid
-        {"grids": {"schwarz-chi": ()}},  # an empty grid verifies nothing
+    @pytest.mark.parametrize("name, taus, reason", [
+        ("u0-digits", (1j,), "no tau-grid form"),  # a table has no tau grid
+        ("schwarz-chi", (), "no tau points"),  # an empty grid verifies nothing
     ])
-    def test_config_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            RunConfig(**kwargs)
-        with pytest.raises(DomainError):  # a replaced field is validated too
-            RunConfig()._replace(**kwargs)
-
-    def test_config_cannot_change_after_validation(self):
-        # an infinite tolerance set into a built config passed every record
-        tolerances = {"jacobi-quartic": 1e-8}
-        cfg = RunConfig(tolerances=tolerances)
-        tolerances["jacobi-quartic"] = math.inf
-        assert cfg.tolerances == {"jacobi-quartic": 1e-8}
-        with pytest.raises(TypeError):
-            cfg.tolerances["jacobi-quartic"] = math.inf
-        with pytest.raises(TypeError):
-            cfg.grids["jacobi-quartic"] = ()
-
-    def test_config_holds_only_run_options(self):
-        # the output mode and the report path belong to the command line
-        assert RunConfig._fields == ("tolerances", "grids")
-        for removed in ("output", "m_filter"):
-            with pytest.raises(TypeError):
-                RunConfig(**{removed: 0})
+    def test_taus_only_for_a_tau_grid_identity(self, name, taus, reason):
+        with pytest.raises(DomainError, match=reason):
+            run_identity(name, taus)
 
     def test_every_check_takes_its_sample_alone(self):
         for name, entry in REGISTRY.items():
@@ -137,9 +114,7 @@ class TestRegistry:
             assert isinstance(metadata, dict), name
 
     def test_grid_override_and_skip(self):
-        cfg = RunConfig(grids={"schwarz-u-lemn": (2j,)})
-        recs = run_identity("schwarz-u-lemn", cfg)
-        assert [r.status for r in recs] == ["skipped"]
+        assert [r.status for r in _run_at("schwarz-u-lemn", 2j)] == ["skipped"]
 
     def test_u_derivative_skips_tau_outside_the_2f1_region(self):
         # theta2^4/theta3^4 = 0.994 at tau = 0.4i, where |w| = 0.461 > 0.45
@@ -194,14 +169,13 @@ class TestRegistry:
 
     def test_u0_fk_conventions_passes(self):
         # the elliptic-integral form lands on the rotated P-zero e^(i pi/3) u0
-        (rec,) = run_identity("u0-fk-conventions", RunConfig())
+        (rec,) = run_identity("u0-fk-conventions")
         assert rec.status == "pass" and rec.tolerance == 1e-12
         assert rec.residual <= 1e-12
 
     def test_every_record_passes_fails_or_is_skipped(self):
-        cfg = RunConfig()
         for name in REGISTRY:
-            for rec in run_identity(name, cfg):
+            for rec in run_identity(name):
                 assert rec.status in ("pass", "fail", "skipped"), (name, rec)
                 # the entry's tolerance judges every one of its records
                 assert rec.tolerance == REGISTRY[name].tolerance, (name, rec)
@@ -223,7 +197,7 @@ class TestTauDerivativeIdentities:
         # every sample of the entry, judged by its tolerance, under check
         entry = REGISTRY[name]
         monkeypatch.setitem(REGISTRY, name, entry._replace(check=check))
-        records = run_identity(name, RunConfig())
+        records = run_identity(name)
         assert len(records) == len(entry.samples)
         for rec in records:
             assert rec.status == "fail" and rec.residual >= 1e4 * entry.tolerance, rec
@@ -261,7 +235,7 @@ class TestRunRecord:
         entry = IdentityEntry("stub", "residuals as given", 0.5,
                               lambda r: (0j, r, {}), tuple(residuals))
         monkeypatch.setitem(REGISTRY, entry.name, entry)
-        return [r.status for r in run_identity(entry.name, RunConfig())]
+        return [r.status for r in run_identity(entry.name)]
 
     def test_status_follows_residual_within_tolerance(self, monkeypatch):
         assert self._statuses(monkeypatch, (0.1, 0.5, 1.0)) == ["pass", "pass", "fail"]
@@ -281,7 +255,7 @@ class TestRunRecord:
             return entry.check(spec)
 
         monkeypatch.setitem(REGISTRY, entry.name, entry._replace(check=check))
-        recs = run_identity(entry.name, RunConfig())
+        recs = run_identity(entry.name)
         assert [r.status for r in recs] == ["skipped", "fail", "pass"]
         assert [r.point for r in recs] == [spec.z for spec in entry.samples]
         assert recs[1].residual is None
@@ -506,8 +480,12 @@ class TestVerify:
     def test_u0_digits(self, capsys):
         assert main(["verify", "u0-digits"]) == 0
 
-    def test_overtight_tolerance_fails(self, capsys):
-        assert main(["verify", "jacobi-quartic", "--tol", "1e-30"]) == 1
+    def test_overtight_tolerance_fails(self, monkeypatch, capsys):
+        name = "jacobi-quartic"
+        monkeypatch.setitem(REGISTRY, name, REGISTRY[name]._replace(tolerance=1e-30))
+        assert main(["verify", name, "--output", "json"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(records) == 5 and all(r["status"] == "fail" for r in records), records
 
     def test_unknown_identity_exits_2(self, capsys):
         assert main(["verify", "bogus-id"]) == 2
@@ -524,99 +502,21 @@ class TestVerify:
             assert isinstance(rec["point"], list) and len(rec["point"]) == 2
             assert rec["metadata"] == {}  # the check reports nothing; no settings echoed
 
-    def test_report_file(self, tmp_path, capsys):
-        path = tmp_path / "report.jsonl"
-        assert main(["verify", "u0-wp-zero", "--report", str(path)]) == 0
-        rec = json.loads(path.read_text().strip())
-        assert rec["identity"] == "u0-wp-zero" and rec["status"] == "pass"
-
-    @pytest.mark.parametrize("argv", [
-        ["verify", "u0-digits"],
-        ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1"]])
-    def test_report_path_that_cannot_be_opened_exits_2(self, tmp_path, capsys, argv):
-        # the records were printed, then a FileNotFoundError traceback exited 1
-        path = tmp_path / "missing" / "x.jsonl"
-        assert main([*argv, "--report", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("config error: ")
-        assert main([*argv, "--report", str(tmp_path)]) == 2  # a directory
-
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "# comment\n"
-            "jacobi-quartic.tolerance = 1e-30\n"
-            "grid.jacobi-quartic = 1i, 0.5+0.8i\n"
-        )
-        assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 1
-        out = capsys.readouterr().out
-        assert "2 failed" in out  # two overridden grid points, impossible tolerance
-
-    def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
-        # an infinite tolerance passed every record and was written as Infinity
-        runs = [["verify", "jacobi-quartic", "--tol", "1e999"], ["verify", "--tol", "inf"],
-                ["grid", "jacobi-quartic", "--region", "0,0.1,1,1.1", "--steps", "2",
-                 "--tol", "inf"]]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("jacobi-quartic.tolerance = inf\n")
-        runs.append(["verify", "jacobi-quartic", "--config", str(cfg)])
-        for argv in runs:
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("config error"), argv
-
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense line without equals\n")
-        assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 2
-        cfg.write_text("unknown-id.tolerance = 1e-8\n")
-        assert main(["verify", "jacobi-quartic", "--config", str(cfg)]) == 2
-        cfg.write_text("grid.u0-digits = 1i\n")
-        assert main(["verify", "u0-digits", "--config", str(cfg)]) == 2
-        # an empty grid verified nothing and exited 0
-        cfg.write_text("grid.schwarz-chi =\n")
-        assert main(["verify", "schwarz-chi", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.endswith("config error: grid override of "
-                                                "'schwarz-chi' has no points\n")
-
-    def test_removed_run_options_exit_2(self, tmp_path, capsys):
-        # --output on verify is the one way to set the output mode; U-derivative
-        # always certifies every m
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("output = json\n")
-        runs = (["grid", "U-derivative", "--region", "0,0,1.2,1.2", "--steps", "1", "--m", "1"],
-                ["verify", "u0-digits", "--output", "json-lines"],
-                ["verify", "u0-digits", "--config", str(cfg)],
-                ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1",
-                 "--output", "json"])
+    def test_removed_run_options_exit_2(self, capsys):
+        # --output on verify is the one way to set the output mode, U-derivative
+        # always certifies every m, and every record is judged by its entry's
+        # tolerance; verify --output json > PATH writes what --report wrote
+        grid = ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1"]
+        runs = [["grid", "U-derivative", "--region", "0,0,1.2,1.2", "--steps", "1", "--m", "1"],
+                ["verify", "u0-digits", "--output", "json-lines"], [*grid, "--output", "json"],
+                *([*argv, *removed] for argv in (["verify", "u0-digits"], grid)
+                  for removed in (["--tol", "1e-9"], ["--config", "x"], ["--report", "x"]))]
         for argv in runs:
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "" and "Traceback" not in captured.err, argv
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_tolerance_override_judges_every_row(self, tmp_path, capsys, source):
-        # an override replaces the tolerance of every record of the
-        # identities it names; without one, each record has its entry's
-        ids = ["cover-cubic", "k-pm", "cover-factored", "cover-branch-point"]
-        argv = ["verify", *ids, "--output", "json"]
-        if source == "flag":
-            argv += ["--tol", "1e-30"]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("".join(f"{name}.tolerance = 1e-30\n" for name in ids))
-            argv += ["--config", str(cfg)]
-        main(argv)
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
-        assert {rec["identity"] for rec in records} == set(ids)
-        assert {rec["tolerance"] for rec in records} == {1e-30}
-        assert main(["verify", *ids, "--output", "json"]) == 0
-        own = {(rec["identity"], rec["tolerance"])
-               for rec in map(json.loads, capsys.readouterr().out.splitlines()[:-1])}
-        assert own == {("cover-cubic", 1e-9), ("k-pm", 1e-14), ("cover-factored", 1e-9),
-                       ("cover-branch-point", 1e-10)}
-
-    def test_numerical_settings_are_not_options(self, tmp_path, capsys):
+    def test_numerical_settings_are_not_options(self, capsys):
         # the derivatives come from Taylor jets, which have no setting to report
         assert main(["verify", "schwarz-chi", "--output", "json"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[:-1]
@@ -626,11 +526,6 @@ class TestVerify:
         for flag, value in (("--stencil-radius", "0.02"), ("--stencil-nodes", "128"),
                             ("--max-terms", "100")):
             assert main(["verify", "schwarz-chi", flag, value]) == 2
-        cfg = tmp_path / "run.cfg"
-        for key, value in (("stencil.radius", "0.02"), ("stencil.nodes", "128"),
-                           ("truncation.rel_tol", "1e-17"), ("truncation.max_terms", "100")):
-            cfg.write_text(f"{key} = {value}\n")
-            assert main(["verify", "schwarz-chi", "--config", str(cfg)]) == 2
 
 
 # The whole rectangles the tau-grid benchmark draws its 2x2 sweeps from:
@@ -658,30 +553,14 @@ class TestGrid:
 
     @pytest.mark.parametrize("name, region", [("schwarz-chi", "-0.1,0.1,1.1,1.3"),
                                               ("U-derivative", "-0.05,0.05,1.2,1.8")])
-    def test_grid_is_verify_on_the_generated_points(self, tmp_path, capsys, name, region):
-        # one run path: a grid sweep writes the records verify writes for
-        # the same points given as a grid.<id> config line
+    def test_grid_is_verify_on_the_generated_points(self, capsys, name, region):
+        # one run path: a grid sweep writes the records of the identity's run
+        # on the same points
         assert main(["grid", name, "--region", region, "--steps", "3"]) == 0
         grid_out = capsys.readouterr().out.splitlines()
         points = [complex(*json.loads(line)["point"]) for line in grid_out]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"grid.{name} = "
-                       + ", ".join(f"{p.real!r}+{p.imag!r}i" for p in points) + "\n")
-        assert main(["verify", name, "--config", str(cfg), "--output", "json"]) == 0
-        verify_out = capsys.readouterr().out.splitlines()
-        assert len(grid_out) == 9 and verify_out[:-1] == grid_out
-
-    def test_region_replaces_the_config_grid_and_keeps_its_tolerance(self, tmp_path, capsys):
-        # the region's points, not the config file's grid, judged by the
-        # file's tolerance: one RunConfig holds both
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid.schwarz-chi = 1.1i, 1.3i, 0.1+1.2i\n"
-                       "schwarz-chi.tolerance = 3e-9\n")
-        assert main(["grid", "schwarz-chi", "--region", "-0.1,0.1,1.1,1.3", "--steps", "2",
-                     "--config", str(cfg)]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert [r["point"] for r in records] == [[-0.1, 1.1], [0.1, 1.1], [-0.1, 1.3], [0.1, 1.3]]
-        assert {r["tolerance"] for r in records} == {3e-9}
+        assert len(grid_out) == 9
+        assert grid_out == [r.to_json_line() for r in run_identity(name, points)]
 
     def test_schwarz_chi_rectangle(self, capsys):
         assert main(["grid", "schwarz-chi", "--region", "-0.2,0.2,1.0,1.4",
@@ -726,9 +605,9 @@ class TestGrid:
         head, (a, lam, w), *rest = tables[i]
         eta = (head, (a * (1.0 + 1e-6), lam, w), *rest)
         monkeypatch.setattr(modular, "_TABLES", (*tables[:i], eta, *tables[i + 1:]))
-        records = run_identity("schwarz-z", RunConfig())
+        records = run_identity("schwarz-z")
         assert len(records) == 5 and all(r.status == "fail" for r in records), records
-        shift = run_identity("eta-shift", RunConfig())
+        shift = run_identity("eta-shift")
         assert [r.point for r in shift if r.status == "fail"] == [0.5 + 0.8j], shift
 
     def test_out_of_domain_region_all_skipped(self, capsys):
@@ -768,7 +647,7 @@ class TestGrid:
                                 f"0 informational, {counts['skipped']} skipped\n")
         assert code == (1 if counts["fail"] else 0)
 
-    @pytest.mark.parametrize("flag", ["--reg", "--regi", "--regio"])
+    @pytest.mark.parametrize("flag", ["--r", "--re", "--reg", "--regi", "--regio"])
     def test_abbreviated_region_takes_a_negative_bound(self, capsys, flag):
         # argparse takes the prefix for --region; it read -0.1,... as an option
         tail = ["--steps", "2"]
@@ -789,4 +668,4 @@ class TestGrid:
         for region in ("0,1e999,0.5,1", "0,nan,0.5,1"):
             assert main(["grid", "jacobi-quartic", "--region", region, "--steps", "2"]) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and "config error" in captured.err
+            assert captured.out == "" and "usage error" in captured.err
