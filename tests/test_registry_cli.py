@@ -98,11 +98,13 @@ class TestRegistry:
         rows = sum(len(run_identity(n)) for n in ("eq6-oracle", "eq7-oracle", "eq12-oracle"))
         assert rows >= 12
 
-    @pytest.mark.parametrize("name, taus, reason", [
-        ("u0-digits", (1j,), "no tau-grid form"),  # a table has no tau grid
-        ("schwarz-chi", (), "no tau points"),  # an empty grid verifies nothing
-    ])
-    def test_taus_only_for_a_tau_grid_identity(self, name, taus, reason):
+    @pytest.mark.parametrize("name", sorted(EXPECTED_IDENTITIES))
+    def test_taus_only_for_a_tau_grid_identity(self, name):
+        # a table has no tau grid, and an empty grid verifies nothing
+        if REGISTRY[name].tau_grid:
+            taus, reason = (), "no tau points"
+        else:
+            taus, reason = (1j,), "no tau-grid form"
         with pytest.raises(DomainError, match=reason):
             run_identity(name, taus)
 
@@ -471,6 +473,15 @@ class TestUsage:
         assert self._captured(lambda: main(list(argv))) == expected
 
 
+_GRID_ARGV = ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1"]
+REMOVED_RUN_OPTIONS = [
+    ["grid", "U-derivative", "--region", "0,0,1.2,1.2", "--steps", "1", "--m", "1"],
+    ["verify", "u0-digits", "--output", "json-lines"], [*_GRID_ARGV, "--output", "json"],
+    *([*argv, *removed] for argv in (["verify", "u0-digits"], _GRID_ARGV)
+      for removed in (["--tol", "1e-9"], ["--config", "x"], ["--report", "x"])),
+]
+
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         assert main(["verify", "jacobi-quartic"]) == 0
@@ -502,19 +513,14 @@ class TestVerify:
             assert isinstance(rec["point"], list) and len(rec["point"]) == 2
             assert rec["metadata"] == {}  # the check reports nothing; no settings echoed
 
-    def test_removed_run_options_exit_2(self, capsys):
+    @pytest.mark.parametrize("argv", REMOVED_RUN_OPTIONS, ids=" ".join)
+    def test_removed_run_options_exit_2(self, capsys, argv):
         # --output on verify is the one way to set the output mode, U-derivative
         # always certifies every m, and every record is judged by its entry's
         # tolerance; verify --output json > PATH writes what --report wrote
-        grid = ["grid", "schwarz-chi", "--region", "0,0,1.2,1.2", "--steps", "1"]
-        runs = [["grid", "U-derivative", "--region", "0,0,1.2,1.2", "--steps", "1", "--m", "1"],
-                ["verify", "u0-digits", "--output", "json-lines"], [*grid, "--output", "json"],
-                *([*argv, *removed] for argv in (["verify", "u0-digits"], grid)
-                  for removed in (["--tol", "1e-9"], ["--config", "x"], ["--report", "x"]))]
-        for argv in runs:
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            assert captured.out == "" and "Traceback" not in captured.err, argv
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err, argv
 
     def test_numerical_settings_are_not_options(self, capsys):
         # the derivatives come from Taylor jets, which have no setting to report
